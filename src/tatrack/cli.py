@@ -66,9 +66,6 @@ def cmd_run(manifest: RunManifest) -> int:
     except StageError as exc:
         _fail(str(exc))
         return 2
-    if manifest.group_by not in GROUP_CHOICES:
-        _fail(f"unknown group-by {manifest.group_by!r}")
-        return 2
     if manifest.repeat < 1:
         _fail("repeat must be >= 1")
         return 2
@@ -87,7 +84,7 @@ def cmd_run(manifest: RunManifest) -> int:
             _print_summary(ctx.summary_rows,
                            f"{out_dir} seed={run.seed} "
                            f"stages={','.join(stages)}")
-    except sim.ScenarioError as exc:
+    except (sim.ScenarioError, StageError) as exc:
         _fail(str(exc))
         return 2
     except OSError as exc:

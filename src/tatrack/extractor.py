@@ -15,12 +15,12 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Union
 
 from .messages import (AttachRequest, IdentityRequest, IdentityResponse,
-                       IdType, Imsi, Message, RrcConnectionRequest,
+                       IdType, Message, RrcConnectionRequest,
                        RrcConnectionSetup, ServiceReject, ServiceRequest,
-                       Tmsi, encode)
+                       encode)
+from .timebase import DECODE_GATE_PS
 
 OVERSHADOW_MARGIN_DB = 3.0
-ALIGNMENT_GATE_PS = 4_000_000
 
 # Service Reject with this cause forces the phone to restart with a fresh
 # Attach, which is the flow that always carries an identity.
@@ -185,7 +185,7 @@ def step(state: ExtractorState, event: Message,
 def overshadow_outcome(margin_db: float, alignment_error_ps: int) -> str:
     """Threshold capture model: enough power and tight enough timing."""
     if margin_db >= OVERSHADOW_MARGIN_DB and \
-            abs(alignment_error_ps) < ALIGNMENT_GATE_PS:
+            abs(alignment_error_ps) < DECODE_GATE_PS:
         return "replaced"
     return "original_kept"
 

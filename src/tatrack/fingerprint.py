@@ -16,7 +16,6 @@ simulator adds it to true distances, the corrector subtracts it.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
@@ -188,93 +187,3 @@ def estimate_hw_error(estimated: Sequence[float],
     if len(estimated) != len(actual) or not estimated:
         raise ValueError("need equal-length nonempty sequences")
     return float(np.mean(np.asarray(estimated) - np.asarray(actual)))
-
-
-# ---------------------------------------------------------------------------
-# PCA over capability vectors
-
-
-@dataclass(frozen=True)
-class PcaProjection:
-    components: np.ndarray  # (2, n_bits), orthonormal rows
-    scores: np.ndarray      # (n_samples, 2)
-    variances: tuple[float, float]
-
-
-def _orthonormalize(Z: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt on two columns, backfilling if rank collapses."""
-    q1 = Z[:, 0]
-    n1 = float(np.linalg.norm(q1))
-    if n1 < 1e-12:
-        q1 = np.zeros(len(q1))
-        q1[0] = 1.0
-    else:
-        q1 = q1 / n1
-    q2 = Z[:, 1] - (q1 @ Z[:, 1]) * q1
-    n2 = float(np.linalg.norm(q2))
-    if n2 < 1e-12:
-        # Rank-1 data: complete with the first coordinate axis that works.
-        for k in range(len(q1)):
-            cand = np.zeros(len(q1))
-            cand[k] = 1.0
-            cand -= (q1 @ cand) * q1
-            n2 = float(np.linalg.norm(cand))
-            if n2 > 1e-6:
-                q2 = cand
-                break
-    q2 = q2 / n2
-    return np.column_stack([q1, q2])
-
-
-def _eig2(B: np.ndarray):
-    """Closed-form eigendecomposition of a symmetric 2x2 matrix."""
-    a, b, d = float(B[0, 0]), float(B[0, 1]), float(B[1, 1])
-    half_gap = 0.5 * math.hypot(a - d, 2 * b)
-    mean = 0.5 * (a + d)
-    lam1, lam2 = mean + half_gap, mean - half_gap
-    theta = 0.5 * math.atan2(2 * b, a - d)
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    return (lam1, lam2), rot
-
-
-def project_pca(vectors: Sequence[CapabilityVector], *, tol: float = 1e-9,
-                max_iter: int = 10_000) -> PcaProjection:
-    """Top-2 principal components of mean-centered, +-1 encoded bits.
-
-    Orthogonal iteration on the covariance matrix with a Rayleigh-Ritz
-    rotation at the end; no library eigensolver involved. Raises on fewer
-    than 3 vectors or zero-variance input.
-    """
-    if len(vectors) < 3:
-        raise ValueError("need at least 3 vectors")
-    rows = []
-    for v in vectors:
-        bits = np.unpackbits(np.frombuffer(v.bits, dtype=np.uint8))
-        rows.append(bits.astype(float) * 2.0 - 1.0)
-    X = np.array(rows)
-    Xc = X - X.mean(axis=0)
-    if not Xc.any():
-        raise ValueError("zero variance: all capability vectors identical")
-    C = (Xc.T @ Xc) / len(X)
-
-    rng = np.random.default_rng(np.random.Philox(key=20260815))
-    Q = _orthonormalize(rng.standard_normal((C.shape[0], 2)))
-    prev = np.zeros(2)
-    for _ in range(max_iter):
-        Q = _orthonormalize(C @ Q)
-        ritz = np.diag(Q.T @ C @ Q).copy()
-        if np.max(np.abs(ritz - prev)) < tol * max(float(ritz[0]), 1e-30):
-            break
-        prev = ritz
-
-    (lam1, lam2), rot = _eig2(Q.T @ C @ Q)
-    V = Q @ rot
-    # Fix sign for determinism: largest-magnitude coordinate positive.
-    for k in range(2):
-        lead = int(np.argmax(np.abs(V[:, k])))
-        if V[lead, k] < 0:
-            V[:, k] = -V[:, k]
-    return PcaProjection(components=V.T.copy(),
-                         scores=Xc @ V,
-                         variances=(float(lam1), float(lam2)))

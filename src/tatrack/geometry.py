@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .timebase import RING_WIDTH_M, Span, TaIndex, ps_to_m, ta_span
+from .timebase import RING_WIDTH_M, Span, TaIndex, ps_to_m
 
 #: Soft 1-sigma assigned to a TA ring when it enters the least-squares
 #: solver: the uniform-distribution equivalent of the ring width.
@@ -153,13 +153,6 @@ def ellipse_from_sum(enb: Position, probe: Position, sum_delay_ps: Span,
     return EllipseLocus(enb, probe, ps_to_m(sum_delay_ps), sigma)
 
 
-def colocated_distance(sum_delay_ps: Span) -> float:
-    """UE distance when eNodeB and probe share a site: c * sum / 2."""
-    if sum_delay_ps < 0:
-        raise ValueError("negative delay sum")
-    return 0.5 * ps_to_m(sum_delay_ps)
-
-
 # ---------------------------------------------------------------------------
 # Ellipse parameterization
 
@@ -254,32 +247,6 @@ def intersect(annulus: AnnulusLocus, ellipse: EllipseLocus,
         mid = 0.5 * (anom + end)
         arcs.append(CandidateArc(anom, end, ellipse_point(ellipse, mid)))
     return arcs
-
-
-def filter_by_polygon(points: list[Position],
-                      polygon: list[Position]) -> list[Position]:
-    """Keep only points inside a simple polygon (map-mask pruning).
-
-    Standard even-odd ray casting; points exactly on an edge count as in.
-    """
-    if len(polygon) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-
-    def _inside(p: Position) -> bool:
-        crossings = 0
-        n = len(polygon)
-        for i in range(n):
-            a, b = polygon[i], polygon[(i + 1) % n]
-            if (a.y > p.y) != (b.y > p.y):
-                t = (p.y - a.y) / (b.y - a.y)
-                x_cross = a.x + t * (b.x - a.x)
-                if math.isclose(x_cross, p.x, abs_tol=1e-9):
-                    return True
-                if p.x < x_cross:
-                    crossings += 1
-        return crossings % 2 == 1
-
-    return [p for p in points if _inside(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +446,34 @@ def _mirror_across_baseline(xy: np.ndarray, base) -> np.ndarray:
     return anchor + 2.0 * along - rel
 
 
+def _starts(loci, initial: Position | None) -> list[np.ndarray]:
+    if initial is not None:
+        return [initial.as_array()]
+    return _candidate_starts(loci)
+
+
+def _multistart(loci, starts, with_offset: bool, max_iter: int,
+                xtol: float, gtol: float):
+    """Run the solver from every (x, y) start and keep the best iterate.
+
+    A converged iterate beats one that is not; among equals the lower
+    unweighted RMS misfit wins. With ``with_offset`` each start gains a
+    zero offset. Returns (x, ok, it), ``it`` being the last run's count.
+    """
+    def rms(v: np.ndarray) -> float:
+        return _metric_rms(loci, v[:2], float(v[2]) if with_offset else 0.0)
+
+    x = ok = None
+    for xy0 in starts:
+        x0 = np.array([xy0[0], xy0[1], 0.0]) if with_offset else xy0
+        x_k, ok_k, it = _levenberg_marquardt(loci, x0, with_offset,
+                                             max_iter, xtol, gtol)
+        if x is None or (ok_k and not ok) or (
+                ok_k == ok and rms(x_k) < rms(x)):
+            x, ok = x_k, ok_k
+    return x, ok, it
+
+
 def multilaterate(loci, initial: Position | None = None, *,
                   max_iter: int = 100, xtol: float = 1e-9,
                   gtol: float = 1e-9) -> PositionEstimate:
@@ -497,17 +492,8 @@ def multilaterate(loci, initial: Position | None = None, *,
     """
     if not loci:
         raise ValueError("need at least one locus")
-    if initial is not None:
-        starts = [initial.as_array()]
-    else:
-        starts = _candidate_starts(loci)
-    x = ok = None
-    for x0 in starts:
-        x_k, ok_k, it = _levenberg_marquardt(loci, x0, False,
-                                             max_iter, xtol, gtol)
-        if x is None or (ok_k and not ok) or (
-                ok_k == ok and _metric_rms(loci, x_k) < _metric_rms(loci, x)):
-            x, ok = x_k, ok_k
+    x, ok, it = _multistart(loci, _starts(loci, initial), False,
+                            max_iter, xtol, gtol)
     primary = _estimate_at(loci, x, False)
     if not ok:
         raise ConvergenceError(primary, it)
@@ -545,19 +531,8 @@ def multilaterate_with_offset(loci, initial: Position | None = None, *,
     """
     if len(loci) < 3:
         raise ValueError("offset recovery needs at least 3 loci")
-    if initial is not None:
-        xy_starts = [initial.as_array()]
-    else:
-        xy_starts = _candidate_starts(loci)
-    x = ok = None
-    for xy0 in xy_starts:
-        x0 = np.array([xy0[0], xy0[1], 0.0])
-        x_k, ok_k, it = _levenberg_marquardt(loci, x0, True,
-                                             max_iter, xtol, gtol)
-        if x is None or (ok_k and not ok) or (
-                ok_k == ok and _metric_rms(loci, x_k[:2], float(x_k[2]))
-                < _metric_rms(loci, x[:2], float(x[2]))):
-            x, ok = x_k, ok_k
+    x, ok, it = _multistart(loci, _starts(loci, initial), True,
+                            max_iter, xtol, gtol)
     est = _estimate_at(loci, x, True)
     if not ok:
         raise ConvergenceError(est, it)

@@ -6,10 +6,9 @@ on a RunContext so later stages and the file writers share one source of
 truth. All file output uses stable ordering and plain string formatting, so
 a rerun with the same scenario and seed is byte-identical.
 
-Localization geometry assumes each connection belongs to the first eNodeB
-in the scenario; the shipped scenarios are single-cell. Cross-cell handover
-linkage remains available at the tracker level for summaries built
-elsewhere.
+A scenario has exactly one eNodeB (``Scenario.validate`` refuses more):
+localization takes its foci and downlink delays from that eNodeB, and
+every connection view carries cell 0.
 """
 
 import json
@@ -28,14 +27,14 @@ from .geometry import (ConvergenceError, InfeasibleSumError, Position,
                        multilaterate, multilaterate_with_offset)
 from .messages import CapabilityVector, encode
 from .probe import Carrier, ConnectionTable
-from .timebase import m_to_ps, ps_to_m, ta_span
+from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (ConnectionSummary, TracePoint, TrackDb,
                       connection_stats, corrected_loci, stats_csv_rows,
                       trace_csv_rows)
 
-STAGES = ("simulate", "probe", "extract", "localize", "track", "stats")
-
-_DEPS = {
+#: Every stage, in run order, with the stages it needs. Stage ``name`` is
+#: the function ``stage_<name>`` of this module.
+_STAGE_DEPS = {
     "simulate": (),
     "probe": ("simulate",),
     "extract": ("simulate",),
@@ -43,6 +42,8 @@ _DEPS = {
     "track": ("localize", "extract"),
     "stats": ("track",),
 }
+
+STAGES = tuple(_STAGE_DEPS)
 
 #: Gaussian interquartile range in units of sigma.
 _IQR_PER_SIGMA = 1.349
@@ -61,7 +62,7 @@ def check_stages(stages) -> tuple:
     if unknown:
         raise StageError(f"unknown stage(s): {', '.join(unknown)}")
     for stage in chosen:
-        missing = sorted(set(_DEPS[stage]) - set(chosen))
+        missing = sorted(set(_STAGE_DEPS[stage]) - set(chosen))
         if missing:
             raise StageError(
                 f"stage {stage!r} requires {', '.join(missing)}")
@@ -145,8 +146,7 @@ def stage_extract(ctx: RunContext) -> None:
 def _ta_index(d_ta_values) -> Optional[int]:
     if not d_ta_values:
         return None
-    span = statistics.median_low(d_ta_values)
-    return round(span * 3 / 1562500)
+    return quantize_ta(statistics.median_low(d_ta_values))
 
 
 def stage_localize(ctx: RunContext) -> None:
@@ -297,14 +297,16 @@ def _classify_view(view: ConnectionView, db: FingerprintDb) -> None:
 
 
 def stage_stats(ctx: RunContext) -> None:
-    truth = {(row.probe_id, row.t_n_ps): row
+    # Phones can send in the same subframe, so the RNTI is part of the key.
+    rnti_of = {c.conn_id: c.rnti for c in ctx.result.connections}
+    truth = {(row.probe_id, row.t_n_ps, rnti_of[row.conn_id]): row
              for row in ctx.result.ground_truth}
     for view in ctx.views:
         for probe_id in sorted(view.legs):
             leg = view.legs[probe_id]
             if leg.stats is None:
                 continue
-            rows = [truth.get((probe_id, m.t_n))
+            rows = [truth.get((probe_id, m.t_n, view.rnti))
                     for m in leg.record.measurements]
             rows = [r for r in rows if r is not None]
             if not rows:
@@ -347,8 +349,6 @@ def _group_key(row: dict, group_by: str) -> str:
 
 
 def _summarize(stats_rows, group_by: str) -> list:
-    if group_by not in GROUP_CHOICES:
-        raise StageError(f"unknown group-by {group_by!r}")
     groups: dict = {}
     for row in stats_rows:
         groups.setdefault(_group_key(row, group_by), []).append(
@@ -375,16 +375,10 @@ def run_pipeline(scenario: sim.Scenario, stages=STAGES, *,
         raise StageError(f"unknown group-by {group_by!r}")
     ctx = RunContext(scenario=scenario, db=db or FingerprintDb.default(),
                      group_by=group_by, ack_gating=ack_gating)
-    runners = {
-        "simulate": stage_simulate,
-        "probe": stage_probe,
-        "extract": stage_extract,
-        "localize": stage_localize,
-        "track": stage_track,
-        "stats": stage_stats,
-    }
     for stage in ordered:
-        runners[stage](ctx)
+        # Looked up on every run, so a wrapper installed on the module
+        # attribute (a tracer, a test double) is the one that runs.
+        globals()[f"stage_{stage}"](ctx)
     if out_dir is not None:
         write_artifacts(ctx, out_dir, ordered)
     return ctx

@@ -28,9 +28,6 @@ from .timebase import (PS_PER_SUBFRAME, Instant, Span, TaIndex, ta_span)
 #: Subframes in one radio-frame numbering period (1024 frames x 10).
 SUBFRAME_PERIOD = 10_240
 
-#: Misalignment beyond which a carrier's messages cannot be decoded.
-DECODE_GATE_PS = 4_000_000
-
 #: Unused grants and unacknowledged TA commands vanish after this many
 #: subframes.
 EXPIRY_SUBFRAMES = 8
@@ -85,28 +82,6 @@ class ProbeEvent:
     rnti: Optional[Rnti] = None
 
 
-def align_carriers(dl: list[SubframeStamp], ul: list[SubframeStamp]) -> Span:
-    """Uplink clock correction from stamps of matching (frame, subframe).
-
-    Returns the offset to add to uplink rx times so that they land on the
-    downlink timebase; the median over all matches, so a few polluted
-    stamps do not bend the result.
-    """
-    if not dl or not ul:
-        raise ValueError("need stamps on both carriers")
-    dl_times = {(s.frame, s.subframe): s.rx_time for s in dl}
-    diffs = sorted(dl_times[(s.frame, s.subframe)] - s.rx_time
-                   for s in ul if (s.frame, s.subframe) in dl_times)
-    if not diffs:
-        raise ValueError("no overlapping subframe indices between carriers")
-    return diffs[len(diffs) // 2]
-
-
-def can_decode(misalignment_ps: Span, gate_ps: int = DECODE_GATE_PS) -> bool:
-    """Whether a carrier with this residual misalignment is decodable."""
-    return abs(misalignment_ps) < gate_ps
-
-
 def infer_t_n(dl_rx: Instant, d_dlprobe: Span) -> Instant:
     """Subframe transmission instant from its downlink arrival time.
 
@@ -152,10 +127,8 @@ class ConnectionRecord:
 class ConnectionTable:
     """Single-writer per-probe state; a pure function of the event stream."""
 
-    def __init__(self, d_dlprobe_ps: Span = 0, ul_offset_ps: Span = 0,
-                 ack_gating: bool = True):
+    def __init__(self, d_dlprobe_ps: Span = 0, ack_gating: bool = True):
         self.d_dlprobe_ps = d_dlprobe_ps
-        self.ul_offset_ps = ul_offset_ps
         self.ack_gating = ack_gating
         self.records: list[ConnectionRecord] = []
         self.by_rnti: dict[int, ConnectionRecord] = {}
@@ -263,7 +236,7 @@ class ConnectionTable:
         if t_n is None:
             self.dropped_uplinks += 1
             return []
-        toa = event.stamp.rx_time + self.ul_offset_ps
+        toa = event.stamp.rx_time
         d_ta = ta_span(rec.ta_current)
         meas = Measurement(subframe=event.stamp, toa=toa, t_n=t_n,
                            d_ta=d_ta, sum_delay=toa - t_n + d_ta)

@@ -17,9 +17,8 @@ idealization that keeps the sniffer's subframe anchor exact.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,7 +57,6 @@ class ScenarioError(ValueError):
 class Enb:
     id: str
     position: Position
-    tx_power_db: float = 43.0
 
 
 @dataclass(frozen=True)
@@ -145,6 +143,11 @@ class Scenario:
     def validate(self, db: FingerprintDb) -> None:
         if not self.enbs or not self.probes or not self.ues:
             raise ScenarioError("need at least one eNodeB, probe, and UE")
+        if len(self.enbs) > 1:
+            # The sniffer keeps one subframe timeline and localizes against
+            # one eNodeB; traffic from a second cell would be placed wrong.
+            raise ScenarioError(
+                f"{len(self.enbs)} eNodeBs given; only one cell is supported")
         if self.duration_ps <= 0:
             raise ScenarioError("duration must be positive")
         if not 0 <= self.seed < 2**64:
@@ -232,7 +235,6 @@ class SimResult:
     extraction: ext.ExtractionLog
     connections: list
     attacker_pairs: dict
-    identity_seen_by_network: int = 0
 
 
 def _delay_ps(a: Position, b: Position) -> int:
@@ -279,7 +281,6 @@ class _Run:
         self.connections: list = []
         self.extraction = ext.ExtractionLog()
         self.attacker_pairs: dict = {}
-        self.identity_seen_by_network = 0
         seed = scenario.seed
         self.rng_fault = np.random.Generator(
             np.random.Philox(key=[seed, _STREAM_FAULTS]))
@@ -546,16 +547,15 @@ def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:
                      ground_truth=runner.ground_truth,
                      extraction=runner.extraction,
                      connections=runner.connections,
-                     attacker_pairs=runner.attacker_pairs,
-                     identity_seen_by_network=0)
+                     attacker_pairs=runner.attacker_pairs)
 
 
 # -- scenario (de)serialization ------------------------------------------------
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
-        "enbs": [{"id": e.id, "position": [e.position.x, e.position.y],
-                  "tx_power_db": e.tx_power_db} for e in scenario.enbs],
+        "enbs": [{"id": e.id, "position": [e.position.x, e.position.y]}
+                 for e in scenario.enbs],
         "probes": [{"id": p.id, "position": [p.position.x, p.position.y],
                     "role": p.role} for p in scenario.probes],
         "ues": [{
@@ -594,8 +594,7 @@ def _require(data: dict, key: str, context: str):
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        enbs = tuple(Enb(id=e["id"], position=Position(*e["position"]),
-                         tx_power_db=e.get("tx_power_db", 43.0))
+        enbs = tuple(Enb(id=e["id"], position=Position(*e["position"]))
                      for e in _require(data, "enbs", "scenario"))
         probes = tuple(Probe(id=p["id"], position=Position(*p["position"]),
                              role=p.get("role", "both"))

@@ -14,8 +14,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Type aliases, for documentation value only. All arithmetic is plain int.
 Instant = int
 Span = int
@@ -38,15 +36,9 @@ TA_MAX = 1282
 #: 8*Ts = 8/30720000 s, times c gives 299792458/3840000 exactly.
 RING_WIDTH_M = C_M_PER_S / 3_840_000
 
-
-@dataclass(frozen=True)
-class TimingConfig:
-    """Radio timing parameters shared by the simulator and the probe."""
-
-    subframe_ps: int = PS_PER_SUBFRAME
-    ta_max: int = TA_MAX
-    #: Decode gate: the probe only decodes signals within this misalignment.
-    decode_gate_ps: int = 4_000_000
+#: Decode gate: a signal misaligned with the subframe timeline by this much
+#: or more cannot be decoded.
+DECODE_GATE_PS = 4_000_000
 
 
 def _div_round(num: int, den: int) -> int:
@@ -66,16 +58,12 @@ def ta_span(ta: TaIndex) -> Span:
 
     The exact value is ta * 1562500/3 ps; the return value is that rational
     rounded to the nearest integer picosecond. Callers that need exactness
-    (epsilon accounting) use the *_thirds variants below.
+    (epsilon accounting) work on exact fractions of a picosecond, as
+    :func:`quantize_ta` and :func:`epsilon_of` do.
     """
     if not 0 <= ta <= TA_MAX:
         raise ValueError(f"TA index {ta} outside [0, {TA_MAX}]")
     return _div_round(ta * TA_STEP_PS_NUM, TA_STEP_PS_DEN)
-
-
-def ta_span_thirds(ta: TaIndex) -> int:
-    """Round-trip time for TA index ``ta`` in units of 1/3 ps, exact."""
-    return ta * TA_STEP_PS_NUM
 
 
 def quantize_ta(round_trip_ps: Span) -> TaIndex:

@@ -1,10 +1,11 @@
 """Linkage database: ties connections to identities and assembles traces.
 
 The database ingests finished-connection summaries, links each one to an
-IMSI (directly, via a stored TMSI pair, via a captured identity, or via
-handover continuity), and accumulates time-ordered position estimates per
-identity.  Connections that cannot be linked get a provisional anonymous
-id that is never merged by guesswork.
+IMSI (directly, via a stored TMSI pair, or via a captured identity), and
+accumulates time-ordered position estimates per identity.  Connections
+that cannot be linked get a provisional anonymous id that is never merged
+by guesswork.  All connections are taken to come from one cell: there is
+no linkage across a handover.
 
 State is a deterministic function of the ingested stream; an append-only
 JSONL journal captures enough of each event to rebuild the database by
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,8 +27,6 @@ from .geometry import (AnnulusLocus, EllipseLocus, Position,
 
 MIN_MEASUREMENTS = 10
 OUTLIER_IQR_FACTOR = 10.0
-DEFAULT_MAX_GAP_PS = 10 * 10**12  # matches a 10 s inactivity timer
-DEFAULT_MAX_DIST_M = 300.0
 
 _PROVISIONAL_NS = uuid.uuid5(uuid.NAMESPACE_URL, "tatrack/provisional")
 
@@ -133,7 +132,6 @@ class TrackDb:
         self.link_of: dict[tuple, str] = {}
         self.traces: dict[str, list[TracePoint]] = {}
         self.fingerprints: dict[str, tuple[str, float]] = {}
-        self.halted: list[tuple] = []  # (key, end_ps, cell_id, last point)
         self.journal: list[dict] = []
 
     # -- identity linkage -------------------------------------------------
@@ -187,57 +185,23 @@ class TrackDb:
                 return known
         return provisional_id(conn.conn_id)
 
-    # -- handover continuity ----------------------------------------------
-
-    def match_handover(self, new_conn: ConnectionSummary,
-                       max_gap_ps: int = DEFAULT_MAX_GAP_PS,
-                       max_dist_m: float = DEFAULT_MAX_DIST_M,
-                       ) -> Optional[ConnectionSummary]:
-        """Nearest recently-halted connection at a different cell."""
-        if not new_conn.points:
-            return None
-        here = new_conn.points[0].position
-        best = None
-        best_dist = max_dist_m
-        for key, end_ps, cell_id, last_point in self.halted:
-            if cell_id == new_conn.cell_id:
-                continue
-            gap = new_conn.start_ps - end_ps
-            if not 0 <= gap <= max_gap_ps:
-                continue
-            dist = here.distance_to(last_point.position)
-            if dist <= best_dist:
-                best_dist = dist
-                best = self.connections[key]
-        return best
-
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, conn: ConnectionSummary,
                extraction_entries: Iterable[Mapping] = ()) -> str:
-        linked = None
-        direct = (conn.observed_imsi is not None
-                  or (conn.tmsi is not None and not conn.tmsi_is_random))
-        if direct:
-            linked = self.link_connection(conn, extraction_entries)
-        else:
-            if not conn.had_service_request:
-                matched = self.match_handover(conn)
-                if matched is not None:
-                    linked = self.link_of[matched.key]
-            if linked is None:
-                linked = provisional_id(conn.conn_id)
+        linked = self.link_connection(conn, extraction_entries)
+        self._add_connection(conn, linked)
+        return linked
 
+    def _add_connection(self, conn: ConnectionSummary, linked: str) -> None:
+        """Store a linked connection, extend its trace and journal it."""
         self.connections[conn.key] = conn
         self.link_of[conn.key] = linked
-        self.traces.setdefault(linked, []).extend(conn.points)
-        self.traces[linked].sort(key=lambda p: p.t_ps)
-        if conn.points:
-            self.halted.append((conn.key, conn.end_ps, conn.cell_id,
-                                conn.points[-1]))
+        trace = self.traces.setdefault(linked, [])
+        trace.extend(conn.points)
+        trace.sort(key=lambda p: p.t_ps)
         self._journal({"event": "connection", "linked": linked,
                        **_conn_to_json(conn)})
-        return linked
 
     def set_fingerprint(self, imsi: str, model: str,
                         hw_error_m: float) -> None:
@@ -292,17 +256,7 @@ class TrackDb:
                 db.set_fingerprint(entry["imsi"], entry["model"],
                                    entry["hw_error_m"])
             elif kind == "connection":
-                conn = _conn_from_json(entry)
-                linked = entry["linked"]
-                db.connections[conn.key] = conn
-                db.link_of[conn.key] = linked
-                db.traces.setdefault(linked, []).extend(conn.points)
-                db.traces[linked].sort(key=lambda p: p.t_ps)
-                if conn.points:
-                    db.halted.append((conn.key, conn.end_ps, conn.cell_id,
-                                      conn.points[-1]))
-                db.journal.append({"event": "connection", "linked": linked,
-                                   **_conn_to_json(conn)})
+                db._add_connection(_conn_from_json(entry), entry["linked"])
             else:
                 raise ValueError(f"unknown journal event {kind!r}")
         return db

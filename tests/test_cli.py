@@ -74,6 +74,22 @@ def test_bad_stage_lists_are_input_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--stages", "probe"]) == 2
     assert main(["run", "--scenario", str(path),
                  "--out", str(tmp_path / "o"), "--stages", "bogus"]) == 2
+    assert cmd_run(RunManifest(str(path), str(tmp_path / "o"),
+                               group_by="bogus")) == 2
+
+
+def test_second_enodeb_is_refused(tmp_path, capsys):
+    scenario = _scenario()
+    scenario = sim.Scenario(
+        enbs=scenario.enbs + (sim.Enb(id="enb1",
+                                      position=Position(1000.0, 300.0)),),
+        probes=scenario.probes, ues=scenario.ues,
+        duration_ps=scenario.duration_ps, seed=scenario.seed)
+    path = _write_scenario(tmp_path, scenario)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "eNodeB" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_override_changes_the_run(tmp_path):

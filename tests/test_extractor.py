@@ -4,15 +4,16 @@ import json
 
 import pytest
 
-from tatrack.extractor import (ALIGNMENT_GATE_PS, EngagementPolicy,
-                               ExtractionLog, ExtractorConfig, ExtractorState,
-                               Overshadow, RecordPair, SuppressUplinkGrant,
+from tatrack.extractor import (EngagementPolicy, ExtractionLog,
+                               ExtractorConfig, ExtractorState, Overshadow,
+                               RecordPair, SuppressUplinkGrant,
                                injected_wire_bytes, new_state,
                                overshadow_outcome, step)
 from tatrack.messages import (AttachRequest, CapabilityVector,
                               IdentityRequest, IdentityResponse, IdType, Imsi,
                               RrcConnectionRequest, RrcConnectionSetup,
                               ServiceReject, ServiceRequest, Tmsi, decode)
+from tatrack.timebase import DECODE_GATE_PS
 
 TMSI = Tmsi(0x12345678)
 IMSI = Imsi("001010000000017")
@@ -115,8 +116,8 @@ def test_overshadow_threshold_model():
     assert overshadow_outcome(3.0, 0) == "replaced"
     assert overshadow_outcome(2.9, 0) == "original_kept"
     assert overshadow_outcome(10.0, 5_000_000) == "original_kept"
-    assert overshadow_outcome(3.0, ALIGNMENT_GATE_PS - 1) == "replaced"
-    assert overshadow_outcome(3.0, -ALIGNMENT_GATE_PS) == "original_kept"
+    assert overshadow_outcome(3.0, DECODE_GATE_PS - 1) == "replaced"
+    assert overshadow_outcome(3.0, -DECODE_GATE_PS) == "original_kept"
 
 
 def test_at_most_one_overshadow_per_connection():

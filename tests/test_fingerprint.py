@@ -1,4 +1,4 @@
-"""Database integrity, classification and the hand-rolled PCA."""
+"""Database integrity, classification and hardware bias."""
 
 import math
 
@@ -134,97 +134,3 @@ def test_correction_reduces_rms_when_bias_dominates(db):
     corrected = noisy - bias
     rms_after = float(np.sqrt(np.mean((corrected - actual) ** 2)))
     assert rms_after < rms_before
-
-
-# -- PCA ---------------------------------------------------------------------
-
-def test_pca_requires_variance_and_size(db):
-    same = [db.entries["Huawei P30"].capabilities] * 5
-    with pytest.raises(ValueError):
-        fp.project_pca(same)
-    with pytest.raises(ValueError):
-        fp.project_pca(same[:2])
-
-
-def test_pca_two_clusters_degenerate():
-    a = CapabilityVector(bytes(32))
-    b = CapabilityVector(b"\xff" * 8 + bytes(24))
-    proj = fp.project_pca([a, a, a, b, b])
-    pts = {(round(float(s[0]), 6), round(float(s[1]), 6))
-           for s in proj.scores}
-    assert len(pts) == 2
-    assert proj.variances[0] > proj.variances[1] >= 0.0
-    assert abs(proj.variances[1]) < 1e-9  # rank-1 data
-
-
-def test_pca_components_orthonormal(db):
-    proj = fp.project_pca([e.capabilities for e in db.entries.values()])
-    G = proj.components @ proj.components.T
-    assert np.max(np.abs(G - np.eye(2))) < 1e-9
-    assert proj.variances[0] >= proj.variances[1]
-
-
-def test_pca_matches_dense_eigendecomposition(db):
-    vectors = [e.capabilities for e in db.entries.values()]
-    proj = fp.project_pca(vectors)
-
-    rows = [np.unpackbits(np.frombuffer(v.bits, dtype=np.uint8)).astype(float)
-            * 2.0 - 1.0 for v in vectors]
-    X = np.array(rows)
-    Xc = X - X.mean(axis=0)
-    C = Xc.T @ Xc / len(X)
-    w, V = np.linalg.eigh(C)
-    top = V[:, ::-1][:, :2]
-    lam = w[::-1][:2]
-
-    assert abs(proj.variances[0] - lam[0]) < 1e-6
-    assert abs(proj.variances[1] - lam[1]) < 1e-6
-    mine = proj.components.T @ proj.components
-    oracle = top @ top.T
-    assert np.max(np.abs(mine - oracle)) < 1e-6
-
-
-def test_pca_four_clusters_separate_excluding_iphones(db):
-    entries = [e for e in db.entries.values()
-               if fp.family_of(e.model, e.modem) != "intel"]
-    proj = fp.project_pca([e.capabilities for e in entries])
-    by_family: dict[str, list[np.ndarray]] = {}
-    for e, score in zip(entries, proj.scores):
-        by_family.setdefault(fp.family_of(e.model, e.modem),
-                             []).append(score)
-    assert set(by_family) == {"huawei", "samsung", "qualcomm_old",
-                              "qualcomm_recent"}
-    centroids = {f: np.mean(s, axis=0) for f, s in by_family.items()}
-    spreads = {f: max((float(np.linalg.norm(p - centroids[f])) for p in pts),
-                      default=0.0)
-               for f, pts in by_family.items()}
-    families = list(centroids)
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            fi, fj = families[i], families[j]
-            gap = float(np.linalg.norm(centroids[fi] - centroids[fj]))
-            assert gap > 3 * max(spreads[fi], spreads[fj], 1e-9), (fi, fj)
-
-
-def test_pca_oneplus_lands_in_old_qualcomm_cluster(db):
-    entries = [e for e in db.entries.values()
-               if fp.family_of(e.model, e.modem) != "intel"]
-    proj = fp.project_pca([e.capabilities for e in entries])
-    scores = {e.model: s for e, s in zip(entries, proj.scores)}
-    old_centroid = np.mean([scores[e.model] for e in entries
-                            if fp.family_of(e.model, e.modem)
-                            == "qualcomm_old"], axis=0)
-    recent = [e.model for e in entries
-              if e.modem == "Qcom. X24 LTE" and e.model != "OnePlus 7T"]
-    recent_centroid = np.mean([scores[m] for m in recent], axis=0)
-    one_plus = scores["OnePlus 7T"]
-    assert (np.linalg.norm(one_plus - old_centroid)
-            < np.linalg.norm(one_plus - recent_centroid))
-    # The three true X24 phones cluster tightly in score space while their
-    # raw vectors stay pairwise distinct.
-    for model in recent:
-        assert float(np.linalg.norm(scores[model] - recent_centroid)) < 1.0
-    caps = [db.entries[m].capabilities for m in recent]
-    for i in range(len(caps)):
-        for j in range(i + 1, len(caps)):
-            assert caps[i].hamming(caps[j]) > 0

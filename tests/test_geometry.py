@@ -8,9 +8,8 @@ import pytest
 from tatrack import timebase as tb
 from tatrack.geometry import (ANNULUS_SIGMA_M, AnnulusLocus, ConvergenceError,
                               EllipseLocus, InfeasibleSumError, Position,
-                              _residuals, annulus_from_ta, colocated_distance,
-                              ellipse_from_sum, ellipse_point,
-                              filter_by_polygon, intersect, multilaterate,
+                              _residuals, annulus_from_ta, ellipse_from_sum,
+                              ellipse_point, intersect, multilaterate,
                               multilaterate_with_offset)
 
 from _oracle import agreement_gaps, random_config
@@ -70,17 +69,6 @@ def test_ellipse_infeasible_sum_carries_deficit():
     with pytest.raises(InfeasibleSumError) as exc:
         EllipseLocus(O, Position(1000.0, 0.0), 900.0)
     assert math.isclose(exc.value.deficit_m, 100.0, abs_tol=1e-9)
-
-
-def test_colocated_distance_values():
-    assert colocated_distance(0) == 0.0
-    assert math.isclose(colocated_distance(1_000_000), 149.896229,
-                        abs_tol=1e-6)
-
-
-def test_colocated_round_trip_60m():
-    sum_ps = 2 * tb.m_to_ps(60.0)
-    assert abs(colocated_distance(sum_ps) - 60.0) < 1e-3
 
 
 # -- intersection -----------------------------------------------------------
@@ -229,11 +217,3 @@ def test_offset_recovery_with_three_probes():
 def test_annulus_sigma_is_uniform_equivalent():
     assert math.isclose(ANNULUS_SIGMA_M, 78.0709525 / math.sqrt(12),
                         abs_tol=1e-4)
-
-
-def test_polygon_mask():
-    square = [Position(0, 0), Position(10, 0), Position(10, 10),
-              Position(0, 10)]
-    inside = Position(5, 5)
-    outside = Position(15, 5)
-    assert filter_by_polygon([inside, outside], square) == [inside]

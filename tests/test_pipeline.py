@@ -1,6 +1,7 @@
 """End-to-end checks of the staged analysis pipeline."""
 
 import filecmp
+import importlib
 
 import pytest
 
@@ -132,6 +133,20 @@ def test_offset_solver_recovers_position_and_offset():
         assert view.estimate.position.distance_to(Position(250.0, 300.0)) < 0.05
 
 
+def test_stats_join_truth_of_the_same_connection():
+    # Phones 0 and 4 start 68 subframes apart, a whole number of 4-subframe
+    # rounds, so most of phone 0's data uplinks share a subframe with
+    # phone 4's. Noiseless and unbiased, every joined sum must be exact.
+    ues = [_static_ue(40.0 + 50.0 * i, n_data_rounds=48) for i in range(5)]
+    ctx = pl.run_pipeline(_scenario(ues, noise=ZERO))
+    conn_of_rnti = {c.rnti: c.conn_id for c in ctx.result.connections}
+    view_rnti = {view.key: view.rnti for view in ctx.views}
+    assert len(ctx.stats_rows) == len(ctx.result.connections)
+    for row in ctx.stats_rows:
+        assert row["err_raw_m"] == 0.0, row["conn"]
+        assert row["sim_conn"] == conn_of_rnti[view_rnti[row["conn"]]]
+
+
 def test_summary_grouping_modes():
     ues = (_static_ue(60.0, model="iPhone 8", imsi="001010000000001"),
            _static_ue(45.0, model="iPhone 8", imsi="001010000000002"))
@@ -183,3 +198,26 @@ def test_empirical_cdf_values():
         (3.0, pytest.approx(1.0))]
     with pytest.raises(ValueError):
         pl.empirical_cdf([])
+
+
+def test_tracer_wraps_every_stage_and_solver(tmp_path):
+    # The benchmark wraps these functions from outside the package by
+    # swapping module attributes; a stage or solver called through a
+    # reference the tracer cannot reach would drop out of its spans.
+    from perfbench import tracing
+    for _, module, path in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pl.run_pipeline(_scenario((_static_ue(60.0),), noise=ZERO),
+                        out_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    calls = {name: stats.calls for name, stats in tracer.stats().items()}
+    for name in [f"stage.{s}" for s in pl.STAGES] + ["stage.write",
+                                                     "geometry.solve"]:
+        assert calls.get(name, 0) >= 1, name

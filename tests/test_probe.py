@@ -7,7 +7,7 @@ from tatrack.messages import (Ack, DciFormat0, MacTaCommand,
                               RandomAccessResponse, Rnti, RrcConnectionRequest,
                               ServiceRequest, Tmsi, UlGrant)
 from tatrack.probe import (Carrier, ConnectionTable, ProbeEvent, SubframeStamp,
-                           align_carriers, can_decode, infer_t_n)
+                           infer_t_n)
 
 RNTI = Rnti(0x004A)
 
@@ -24,38 +24,6 @@ def dl(idx, rx, msg=None, rnti=None):
 def ul(idx, rx, msg=None, rb=None, rnti=None):
     return ProbeEvent(_stamp(idx, rx, Carrier.UPLINK), msg, rb_alloc=rb,
                       rnti=rnti)
-
-
-# -- alignment ----------------------------------------------------------------
-
-def test_align_identical_stamps_zero_offset():
-    stamps = [_stamp(i, i * 10**9, Carrier.DOWNLINK) for i in range(5)]
-    shifted = [_stamp(i, i * 10**9, Carrier.UPLINK) for i in range(5)]
-    assert align_carriers(stamps, shifted) == 0
-
-
-def test_align_uniform_shift():
-    dl_stamps = [_stamp(i, i * 10**9, Carrier.DOWNLINK) for i in range(8)]
-    ul_stamps = [_stamp(i, i * 10**9 + 3_000_000, Carrier.UPLINK)
-                 for i in range(8)]
-    assert align_carriers(dl_stamps, ul_stamps) == -3_000_000
-
-
-def test_align_requires_overlap():
-    a = [_stamp(1, 10**9, Carrier.DOWNLINK)]
-    b = [_stamp(500, 5 * 10**9, Carrier.UPLINK)]
-    with pytest.raises(ValueError):
-        align_carriers(a, b)
-
-
-def test_decode_gate_composes_with_alignment():
-    dl_stamps = [_stamp(i, i * 10**9, Carrier.DOWNLINK) for i in range(8)]
-    ul_stamps = [_stamp(i, i * 10**9 + 5_000_000, Carrier.UPLINK)
-                 for i in range(8)]
-    raw_misalignment = 5_000_000
-    assert not can_decode(raw_misalignment)
-    offset = align_carriers(dl_stamps, ul_stamps)
-    assert can_decode(raw_misalignment + offset)
 
 
 # -- t_n recovery --------------------------------------------------------------

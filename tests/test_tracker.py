@@ -126,7 +126,7 @@ def test_attach_imsi_links_directly():
     assert db.imsi_for(0x5555) == IMSI
 
 
-# -- handover matching --------------------------------------------------------
+# -- connections without an identity ------------------------------------------
 
 def _halted_conn(db, conn_id, cell, end_s, x, y, imsi):
     conn = _conn(conn_id, (end_s - 1) * SEC, end_s * SEC, cell=cell,
@@ -134,50 +134,6 @@ def _halted_conn(db, conn_id, cell, end_s, x, y, imsi):
     db.record_pair(0x1000 + cell, imsi, 0)
     db.ingest(conn)
     return conn
-
-
-def test_handover_matches_nearest_neighbor_cell():
-    db = TrackDb()
-    _halted_conn(db, "old-a", cell=1, end_s=100, x=0.0, y=50.0, imsi=IMSI)
-    _halted_conn(db, "old-b", cell=2, end_s=100, x=0.0, y=150.0,
-                 imsi="001010000000002")
-    new = _conn("new", int(100.5 * SEC), 102 * SEC, cell=3,
-                points=(_point(int(100.5 * SEC), 0.0, 0.0),))
-    matched = db.match_handover(new)
-    assert matched is not None and matched.conn_id == "old-a"
-
-
-def test_handover_respects_distance_and_gap_limits():
-    db = TrackDb()
-    _halted_conn(db, "far", cell=1, end_s=100, x=0.0, y=500.0, imsi=IMSI)
-    new = _conn("new", int(100.5 * SEC), 102 * SEC, cell=2,
-                points=(_point(int(100.5 * SEC), 0.0, 0.0),))
-    assert db.match_handover(new) is None  # 500 m > 300 m default
-
-    _halted_conn(db, "late", cell=1, end_s=50, x=0.0, y=10.0, imsi=IMSI)
-    stale = _conn("new2", 100 * SEC, 102 * SEC, cell=2,
-                  points=(_point(100 * SEC, 0.0, 0.0),))
-    assert db.match_handover(stale) is None  # 50 s gap > 10 s default
-
-
-def test_handover_ignores_same_cell():
-    db = TrackDb()
-    _halted_conn(db, "same", cell=7, end_s=100, x=0.0, y=10.0, imsi=IMSI)
-    new = _conn("new", int(100.2 * SEC), 102 * SEC, cell=7,
-                points=(_point(int(100.2 * SEC), 0.0, 0.0),))
-    assert db.match_handover(new) is None
-
-
-def test_handover_continuity_in_ingest():
-    db = TrackDb()
-    _halted_conn(db, "old", cell=1, end_s=100, x=0.0, y=40.0, imsi=IMSI)
-    new = _conn("new", int(100.5 * SEC), 102 * SEC, cell=2,
-                points=(_point(101 * SEC, 0.0, 20.0),
-                        _point(102 * SEC, 0.0, 10.0)))
-    linked = db.ingest(new)
-    assert linked == IMSI
-    trace = db.build_trace(IMSI)
-    assert [p.t_ps for p in trace] == [100 * SEC, 101 * SEC, 102 * SEC]
 
 
 def test_service_request_never_handover_matched():
