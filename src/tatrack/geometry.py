@@ -6,6 +6,9 @@ the eNodeB and the uplink probe as foci. This module builds those loci,
 intersects them, and runs weighted nonlinear least squares over any
 mixture of them.
 
+Ring and ellipse share the eNodeB as centre and focus, which gives their
+intersection a closed form; ``intersect`` refuses any other ring.
+
 All geometry is 2-D; distances are metres as floats.
 """
 
@@ -58,9 +61,6 @@ class AnnulusLocus:
     @property
     def mid_radius(self) -> float:
         return 0.5 * (self.r_inner + self.r_outer)
-
-    def contains(self, p: Position) -> bool:
-        return self.r_inner <= self.center.distance_to(p) <= self.r_outer
 
 
 @dataclass(frozen=True)
@@ -192,61 +192,40 @@ def _ellipse_points(e: EllipseLocus, anomalies: np.ndarray) -> np.ndarray:
 # Intersection
 
 
-def intersect(annulus: AnnulusLocus, ellipse: EllipseLocus,
-              samples: int = 2048) -> list[CandidateArc]:
+def intersect(annulus: AnnulusLocus,
+              ellipse: EllipseLocus) -> list[CandidateArc]:
     """Arcs of the ellipse lying inside the annulus (hard bounds).
 
-    Walks the ellipse in eccentric anomaly, then bisects each inside/outside
-    transition down to machine-level anomaly resolution. With the annulus
-    centred on a focus the distance to the centre is monotone per half-turn,
-    so at most two disjoint arcs come back; off-focus centres may yield more.
+    The ring must be centred on the ellipse's eNodeB focus (else
+    ValueError). From that focus the ellipse point at eccentric anomaly E
+    lies a + c cos E away, a being the semi-major axis and c half the
+    focal distance, so the ring edges bound cos E. That leaves no arc, the
+    full ellipse, one arc around an apsis, or two arcs mirrored across the
+    foci axis.
     """
-    anomalies = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    pts = _ellipse_points(ellipse, anomalies)
-    c = annulus.center.as_array()
-    r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-    inside = (r >= annulus.r_inner) & (r <= annulus.r_outer)
-
-    if inside.all():
-        return [CandidateArc(0.0, _TWO_PI, ellipse_point(ellipse, math.pi))]
-    if not inside.any():
+    if annulus.center != ellipse.focus_enb:
+        raise ValueError("ring must be centred on the eNodeB focus")
+    a = 0.5 * ellipse.sum_dist
+    c = 0.5 * ellipse.focus_enb.distance_to(ellipse.focus_probe)
+    if annulus.r_inner > a + c or annulus.r_outer < a - c:
         return []
-
-    def _inside(anomaly: float) -> bool:
-        p = ellipse_point(ellipse, anomaly)
-        return annulus.contains(p)
-
-    def _bisect(lo: float, hi: float, lo_inside: bool) -> float:
-        # Invariant: state differs at lo and hi; returns the crossing.
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _inside(mid) == lo_inside:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    step = _TWO_PI / samples
-    edges = []  # (anomaly, becomes_inside)
-    for i in range(samples):
-        j = (i + 1) % samples
-        if inside[i] != inside[j]:
-            lo = anomalies[i]
-            crossing = _bisect(lo, lo + step, bool(inside[i]))
-            edges.append((crossing % _TWO_PI, bool(inside[j])))
-    edges.sort()
-
-    arcs = []
-    # Pair each entry edge with the next exit edge, wrapping around.
-    n = len(edges)
-    for k, (anom, becomes_inside) in enumerate(edges):
-        if not becomes_inside:
-            continue
-        exit_anom = edges[(k + 1) % n][0]
-        end = exit_anom if exit_anom > anom else exit_anom + _TWO_PI
-        mid = 0.5 * (anom + end)
-        arcs.append(CandidateArc(anom, end, ellipse_point(ellipse, mid)))
-    return arcs
+    # Inside for E in [near, far] and in its mirror image [-far, -near].
+    near = (0.0 if annulus.r_outer >= a + c
+            else math.acos((annulus.r_outer - a) / c))
+    far = (math.pi if annulus.r_inner <= a - c
+           else math.acos((annulus.r_inner - a) / c))
+    if near >= far:  # the ring only touches an apsis
+        spans = []
+    elif near == 0.0 and far == math.pi:
+        spans = [(0.0, _TWO_PI)]
+    elif near == 0.0:  # around E = 0, the apsis far from the eNodeB
+        spans = [(_TWO_PI - far, _TWO_PI + far)]
+    elif far == math.pi:  # around E = pi, the apsis near it
+        spans = [(near, _TWO_PI - near)]
+    else:
+        spans = [(near, far), (_TWO_PI - far, _TWO_PI - near)]
+    return [CandidateArc(s, e, ellipse_point(ellipse, 0.5 * (s + e)))
+            for s, e in spans]
 
 
 # ---------------------------------------------------------------------------

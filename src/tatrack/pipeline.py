@@ -48,6 +48,9 @@ STAGES = tuple(_STAGE_DEPS)
 #: Gaussian interquartile range in units of sigma.
 _IQR_PER_SIGMA = 1.349
 
+#: sqrt(pi / 2): standard error of a Gaussian median over that of the mean.
+_MEDIAN_SE_RATIO = 1.2533
+
 GROUP_CHOICES = ("imsi", "model", "connection")
 
 
@@ -134,7 +137,6 @@ def stage_probe(ctx: RunContext) -> None:
                                 ack_gating=ctx.ack_gating)
         for event in ctx.result.events[probe.id]:
             table.ingest(event)
-        table.close_all()
         ctx.tables[probe.id] = table
 
 
@@ -230,12 +232,13 @@ def _solve_view(ctx: RunContext, view: ConnectionView, enb_pos: Position,
         if leg.stats is None:
             continue
         kept = leg.stats.n_measurements - leg.stats.n_outliers_removed
-        sigma_sum_ps = leg.stats.iqr_m / _IQR_PER_SIGMA
-        sigma_median_ps = 1.2533 * sigma_sum_ps / max(1.0, kept) ** 0.5
+        sigma_sum_ps = leg.stats.iqr / _IQR_PER_SIGMA
+        sigma_median_ps = (_MEDIAN_SE_RATIO * sigma_sum_ps
+                           / max(1.0, kept) ** 0.5)
         try:
             loci.append(ellipse_from_sum(
                 enb_pos, probe_pos[probe_id],
-                round(leg.stats.median_distance_m - corr_ps),
+                round(leg.stats.median - corr_ps),
                 sigma=ps_to_m(sigma_median_ps)))
             n_ellipses += 1
         except InfeasibleSumError:
@@ -312,7 +315,7 @@ def stage_stats(ctx: RunContext) -> None:
             if not rows:
                 continue
             true_sum = statistics.median(r.sum_true_ps for r in rows)
-            err_raw_ps = leg.stats.median_distance_m - true_sum
+            err_raw_ps = leg.stats.median - true_sum
             corr_ps = (m_to_ps(2 * view.hw_bias_m)
                        if view.hw_bias_m is not None else 0)
             err_corr_ps = err_raw_ps - corr_ps
@@ -325,7 +328,7 @@ def stage_stats(ctx: RunContext) -> None:
                 "model_hat": view.model_hat or "",
                 "n_meas": leg.stats.n_measurements,
                 "n_removed": leg.stats.n_outliers_removed,
-                "median_sum_ps": leg.stats.median_distance_m,
+                "median_sum_ps": leg.stats.median,
                 "true_sum_ps": true_sum,
                 "err_raw_m": ps_to_m(err_raw_ps) / 2,
                 "err_corr_m": ps_to_m(err_corr_ps) / 2,

@@ -96,10 +96,8 @@ def infer_t_n(dl_rx: Instant, d_dlprobe: Span) -> Instant:
 
 @dataclass
 class PendingGrant:
-    rnti: Rnti
     rb_alloc: int
     issued_index: int
-    due_index: int
 
 
 @dataclass
@@ -120,7 +118,6 @@ class ConnectionRecord:
     capabilities: Optional[CapabilityVector] = None
     observed_imsi: Optional[str] = None
     had_service_request: bool = False
-    state: str = "active"
     _pending_tas: list[_PendingTa] = field(default_factory=list)
 
 
@@ -186,26 +183,22 @@ class ConnectionTable:
         msg = event.message
         if isinstance(msg, RandomAccessResponse):
             rnti = rnti_of_rar(msg)
-            old = self.by_rnti.get(rnti.value)
-            if old is not None:
-                old.state = "halted"  # RNTI reused while record still live
             rec = ConnectionRecord(rnti=rnti, ta_current=msg.ta)
             rec.ta_history.append((event.stamp.rx_time, msg.ta))
-            rec.pending_grants.append(PendingGrant(
-                rnti, msg.grant.rb_alloc, abs_idx,
-                abs_idx + msg.grant.subframe_offset))
+            rec.pending_grants.append(
+                PendingGrant(msg.grant.rb_alloc, abs_idx))
             self.records.append(rec)
+            # A reused RNTI replaces the old record, whose grants and TA
+            # commands can then no longer match.
             self.by_rnti[rnti.value] = rec
         elif isinstance(msg, DciFormat0):
             rec = self.by_rnti.get(msg.rnti.value)
-            if rec is not None and rec.state == "active":
-                rec.pending_grants.append(PendingGrant(
-                    msg.rnti, msg.rb_alloc, abs_idx,
-                    abs_idx + msg.subframe_offset))
+            if rec is not None:
+                rec.pending_grants.append(PendingGrant(msg.rb_alloc, abs_idx))
         elif isinstance(msg, MacTaCommand):
             rnti = event.rnti
             rec = self.by_rnti.get(rnti.value) if rnti else None
-            if rec is not None and rec.state == "active":
+            if rec is not None:
                 if self.ack_gating:
                     rec._pending_tas.append(_PendingTa(msg.adjust, abs_idx))
                 else:
@@ -248,8 +241,6 @@ class ConnectionTable:
         if rb_alloc is None:
             return None
         for rec in self.by_rnti.values():
-            if rec.state != "active":
-                continue
             for grant in rec.pending_grants:
                 if grant.rb_alloc == rb_alloc:
                     rec.pending_grants.remove(grant)
@@ -275,11 +266,6 @@ class ConnectionTable:
             rec.observed_imsi = msg.imsi.digits
 
     # -- output ----------------------------------------------------------------
-
-    def close_all(self) -> None:
-        for rec in self.records:
-            if rec.state == "active":
-                rec.state = "closed"
 
     def measurement_rows(self, imsi_by_tmsi: Optional[dict[int, str]] = None
                          ) -> Iterator[dict]:

@@ -37,14 +37,16 @@ class IntegrityError(ValueError):
 
 @dataclass(frozen=True)
 class ConnectionStats:
-    median_distance_m: float
+    """One connection's robust summary, in its values' unit (ps or m)."""
+
+    median: float
     n_measurements: int
     n_outliers_removed: int
-    iqr_m: float
+    iqr: float
 
 
 def connection_stats(meas: Sequence[float]) -> Optional[ConnectionStats]:
-    """Median ranging distance for one connection, or None if too sparse.
+    """Median of one connection's values, or None if too sparse.
 
     Values more than ten interquartile ranges from the raw median are
     dropped before the reported median is taken.
@@ -57,10 +59,10 @@ def connection_stats(meas: Sequence[float]) -> Optional[ConnectionStats]:
     iqr = float(q75 - q25)
     keep = np.abs(values - med) <= OUTLIER_IQR_FACTOR * iqr
     kept = values[keep]
-    return ConnectionStats(median_distance_m=float(np.median(kept)),
+    return ConnectionStats(median=float(np.median(kept)),
                            n_measurements=len(meas),
                            n_outliers_removed=int(len(values) - len(kept)),
-                           iqr_m=iqr)
+                           iqr=iqr)
 
 
 @dataclass(frozen=True)
@@ -391,7 +393,7 @@ def stats_csv_rows(db: TrackDb) -> Iterable[dict]:
         if stats is None:
             continue
         yield {"conn_id": conn.conn_id, "linked": db.link_of[key],
-               "median_distance_m": stats.median_distance_m,
+               "median_distance_m": stats.median,
                "n_measurements": stats.n_measurements,
                "n_outliers_removed": stats.n_outliers_removed,
-               "iqr_m": stats.iqr_m}
+               "iqr_m": stats.iqr}

@@ -74,11 +74,15 @@ def test_ellipse_infeasible_sum_carries_deficit():
 # -- intersection -----------------------------------------------------------
 
 def test_intersect_containment_gives_full_ellipse():
-    ring = AnnulusLocus(O, 0.0, 500.0)
-    locus = EllipseLocus(O, Position(50.0, 0.0), 120.0)
-    arcs = intersect(ring, locus)
-    assert len(arcs) == 1
-    assert math.isclose(arcs[0].e_end - arcs[0].e_start, 2 * math.pi)
+    cases = [(AnnulusLocus(O, 0.0, 500.0),
+              EllipseLocus(O, Position(50.0, 0.0), 120.0)),
+             # colocated probe: a circle of radius 150 m inside the ring
+             (AnnulusLocus(O, 117.1, 195.2), EllipseLocus(O, O, 300.0))]
+    for ring, locus in cases:
+        arcs = intersect(ring, locus)
+        assert len(arcs) == 1
+        assert math.isclose(arcs[0].e_end - arcs[0].e_start, 2 * math.pi)
+        assert arcs[0].midpoint == ellipse_point(locus, math.pi)
 
 
 def test_intersect_separated_setup_two_arcs():
@@ -97,9 +101,59 @@ def test_intersect_separated_setup_two_arcs():
 
 
 def test_intersect_disjoint_is_empty():
-    ring = AnnulusLocus(Position(5000.0, 5000.0), 39.0, 117.1)
+    locus = EllipseLocus(O, Position(100.0, 0.0), 300.0)  # 100-200 m from O
+    assert intersect(AnnulusLocus(O, 39.0, 87.1), locus) == []
+    assert intersect(AnnulusLocus(O, 210.0, 288.1), locus) == []
+    colocated = EllipseLocus(O, O, 300.0)  # circle of radius 150 m
+    assert intersect(AnnulusLocus(O, 39.0, 117.1), colocated) == []
+
+
+def test_intersect_refuses_off_focus_ring():
     locus = EllipseLocus(O, Position(100.0, 0.0), 300.0)
-    assert intersect(ring, locus) == []
+    with pytest.raises(ValueError):
+        intersect(AnnulusLocus(Position(5000.0, 5000.0), 39.0, 117.1), locus)
+    with pytest.raises(ValueError):
+        intersect(AnnulusLocus(Position(100.0, 0.0), 39.0, 117.1), locus)
+
+
+def test_intersect_single_arc_around_near_apsis():
+    # a = 300, c = 100: the ellipse runs 200-400 m from the eNodeB, nearest
+    # at E = pi. A ring over 150-300 m keeps cos E <= 0.
+    locus = EllipseLocus(O, Position(200.0, 0.0), 600.0)
+    arcs = intersect(AnnulusLocus(O, 150.0, 300.0), locus)
+    assert len(arcs) == 1
+    assert math.isclose(arcs[0].e_start, 0.5 * math.pi)
+    assert math.isclose(arcs[0].e_end, 1.5 * math.pi)
+    assert arcs[0].midpoint.distance_to(Position(-200.0, 0.0)) < 1e-9
+
+
+def test_intersect_single_arc_around_far_apsis_wraps():
+    # The same ellipse, farthest at E = 0; a ring over 300-450 m keeps
+    # cos E >= 0, one arc that crosses E = 0.
+    locus = EllipseLocus(O, Position(200.0, 0.0), 600.0)
+    arcs = intersect(AnnulusLocus(O, 300.0, 450.0), locus)
+    assert len(arcs) == 1
+    assert math.isclose(arcs[0].e_start, 1.5 * math.pi)
+    assert math.isclose(arcs[0].e_end, 2.5 * math.pi)
+    assert arcs[0].midpoint.distance_to(Position(400.0, 0.0)) < 1e-9
+
+
+def test_intersect_endpoints_lie_on_ring_edges():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        ring, locus = random_config(rng)
+        arcs = intersect(ring, locus)
+        assert [arc.e_start for arc in arcs] == sorted(
+            arc.e_start for arc in arcs)
+        for arc in arcs:
+            assert 0.0 <= arc.e_start < 2 * math.pi
+            assert arc.e_start < arc.e_end <= arc.e_start + 2 * math.pi
+            if arc.e_end - arc.e_start == 2 * math.pi:
+                continue
+            for anomaly in (arc.e_start, arc.e_end):
+                d = ring.center.distance_to(ellipse_point(locus, anomaly))
+                assert min(abs(d - ring.r_inner),
+                           abs(d - ring.r_outer)) < 1e-9
 
 
 def test_intersect_matches_grid_oracle():

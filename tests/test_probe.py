@@ -155,14 +155,22 @@ def test_ta_current_is_initial_plus_acked_adjustments():
 
 
 def test_rnti_reuse_halts_old_record():
+    # The RNTI comes back within the expiry window, while the first
+    # record's grant on 0x10 is still pending: that grant must no longer
+    # match, and the new record's grant must.
     table = ConnectionTable()
     table.ingest(dl(10, 10 * 10**9,
                     RandomAccessResponse(RNTI, TA0, UlGrant(4, 0x10, 3))))
-    table.ingest(dl(500, 500 * 10**9,
-                    RandomAccessResponse(RNTI, 3, UlGrant(4, 0x11, 3))))
+    table.ingest(dl(12, 12 * 10**9,
+                    RandomAccessResponse(RNTI, TA0, UlGrant(4, 0x11, 3))))
     assert len(table.records) == 2
-    assert table.records[0].state == "halted"
     assert table.by_rnti[RNTI.value] is table.records[1]
+    assert table.ingest(ul(14, _uplink_rx(14, TA0), rb=0x10)) == []
+    assert table.dropped_uplinks == 1
+    out = table.ingest(ul(16, _uplink_rx(16, TA0), rb=0x11))
+    assert len(out) == 1 and out[0].sum_delay == 2 * D_UE
+    assert table.records[0].measurements == []
+    assert table.records[1].measurements == out
 
 
 def test_subframe_wraparound_keeps_timeline():

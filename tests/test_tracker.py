@@ -42,9 +42,9 @@ def test_stats_requires_ten_measurements():
 
 def test_stats_identical_values():
     stats = connection_stats([30.0] * 20)
-    assert stats == ConnectionStats(median_distance_m=30.0,
+    assert stats == ConnectionStats(median=30.0,
                                     n_measurements=20,
-                                    n_outliers_removed=0, iqr_m=0.0)
+                                    n_outliers_removed=0, iqr=0.0)
 
 
 def test_stats_removes_far_outlier():
@@ -55,16 +55,16 @@ def test_stats_removes_far_outlier():
     # ten IQRs (15 m) removes only the corrupted value.
     stats = connection_stats(values)
     assert stats.n_outliers_removed == 1
-    assert stats.iqr_m == pytest.approx(1.5)
-    assert stats.median_distance_m == pytest.approx(30.2)
-    assert 28.0 <= stats.median_distance_m <= 32.0
+    assert stats.iqr == pytest.approx(1.5)
+    assert stats.median == pytest.approx(30.2)
+    assert 28.0 <= stats.median <= 32.0
 
 
 def test_stats_keeps_wide_but_consistent_spread():
     values = [10.0] * 10 + [20.0] * 10
     stats = connection_stats(values)
     assert stats.n_outliers_removed == 0
-    assert stats.median_distance_m == pytest.approx(15.0)
+    assert stats.median == pytest.approx(15.0)
 
 
 # -- identity linkage ---------------------------------------------------------
