@@ -110,7 +110,6 @@ class RunContext:
     scenario: sim.Scenario
     db: FingerprintDb
     group_by: str = "imsi"
-    ack_gating: bool = True
     result: Optional[sim.SimResult] = None
     tables: dict = field(default_factory=dict)
     extraction_entries: list = field(default_factory=list)
@@ -133,8 +132,7 @@ def stage_probe(ctx: RunContext) -> None:
     enb = ctx.scenario.enbs[0]
     for probe in ctx.scenario.probes:
         d_dl = m_to_ps(probe.position.distance_to(enb.position))
-        table = ConnectionTable(d_dlprobe_ps=d_dl,
-                                ack_gating=ctx.ack_gating)
+        table = ConnectionTable(d_dlprobe_ps=d_dl)
         for event in ctx.result.events[probe.id]:
             table.ingest(event)
         ctx.tables[probe.id] = table
@@ -154,8 +152,6 @@ def _ta_index(d_ta_values) -> Optional[int]:
 def stage_localize(ctx: RunContext) -> None:
     enb = ctx.scenario.enbs[0]
     probe_pos = {p.id: p.position for p in ctx.scenario.probes}
-    d_dl = {p.id: m_to_ps(p.position.distance_to(enb.position))
-            for p in ctx.scenario.probes}
 
     groups: dict = {}
     for probe_id in sorted(ctx.tables):
@@ -163,7 +159,7 @@ def stage_localize(ctx: RunContext) -> None:
             if not record.ta_history:
                 continue
             rar_rx, _ = record.ta_history[0]
-            start_ps = rar_rx - d_dl[probe_id]
+            start_ps = rar_rx - ctx.tables[probe_id].d_dlprobe_ps
             leg = ProbeLeg(probe_id=probe_id, record=record,
                            sums=[m.sum_delay for m in record.measurements])
             leg.stats = connection_stats(leg.sums)
@@ -370,14 +366,13 @@ def _summarize(stats_rows, group_by: str) -> list:
 
 def run_pipeline(scenario: sim.Scenario, stages=STAGES, *,
                  db: Optional[FingerprintDb] = None, out_dir=None,
-                 group_by: str = "imsi", ack_gating: bool = True
-                 ) -> RunContext:
+                 group_by: str = "imsi") -> RunContext:
     """Run the requested stages and optionally write their artifacts."""
     ordered = check_stages(stages)
     if group_by not in GROUP_CHOICES:
         raise StageError(f"unknown group-by {group_by!r}")
     ctx = RunContext(scenario=scenario, db=db or FingerprintDb.default(),
-                     group_by=group_by, ack_gating=ack_gating)
+                     group_by=group_by)
     for stage in ordered:
         # Looked up on every run, so a wrapper installed on the module
         # attribute (a tracer, a test double) is the one that runs.

@@ -7,10 +7,15 @@ transmissions. A Measurement fuses both: the arrival time of an uplink
 burst, the transmission instant of its subframe recovered from the
 downlink, and the timing advance in force at that moment.
 
-Uplink bursts are associated to connections purely by resource-block
-allocation equality against outstanding grants; unmatched bursts are
-counted and dropped, mirroring a sniffer that cannot decode unscheduled
-traffic.
+Uplink bursts are associated to connections through one index of
+outstanding grants keyed by resource-block allocation: a random access
+response or DCI format 0 writes its allocation, and an uplink burst on
+that allocation takes the entry. Should a second grant reuse an
+allocation that is still pending, the newer grant replaces the older.
+Grants and unacknowledged TA commands expire 8 subframes after issue,
+counted from the newest subframe seen on either carrier, so a late stamp
+cannot bring an expired grant back. Unmatched bursts are counted and
+dropped, mirroring a sniffer that cannot decode unscheduled traffic.
 """
 
 from __future__ import annotations
@@ -95,30 +100,18 @@ def infer_t_n(dl_rx: Instant, d_dlprobe: Span) -> Instant:
 
 
 @dataclass
-class PendingGrant:
-    rb_alloc: int
-    issued_index: int
-
-
-@dataclass
-class _PendingTa:
-    adjust: int
-    issued_index: int
-
-
-@dataclass
 class ConnectionRecord:
     rnti: Rnti
     tmsi: Optional[Tmsi] = None
     tmsi_is_random: bool = False
     ta_current: TaIndex = 0
     ta_history: list[tuple[Instant, TaIndex]] = field(default_factory=list)
-    pending_grants: list[PendingGrant] = field(default_factory=list)
     measurements: list[Measurement] = field(default_factory=list)
     capabilities: Optional[CapabilityVector] = None
     observed_imsi: Optional[str] = None
     had_service_request: bool = False
-    _pending_tas: list[_PendingTa] = field(default_factory=list)
+    # (adjust, issued subframe) of each TA command awaiting an Ack.
+    _pending_tas: list[tuple[int, int]] = field(default_factory=list)
 
 
 class ConnectionTable:
@@ -131,6 +124,8 @@ class ConnectionTable:
         self.by_rnti: dict[int, ConnectionRecord] = {}
         self.dropped_uplinks = 0
         self._cursor: Optional[tuple[int, int]] = None  # (raw idx, abs idx)
+        # rb_alloc -> (record, issued subframe) of the newest grant on it.
+        self._grants: dict[int, tuple[ConnectionRecord, int]] = {}
         self._tn_anchor: Optional[tuple[int, Instant]] = None
 
     # -- bookkeeping ---------------------------------------------------------
@@ -150,14 +145,9 @@ class ConnectionTable:
             self._cursor = (raw, abs_idx)
         return abs_idx
 
-    def _expire(self, now_idx: int) -> None:
-        for rec in self.by_rnti.values():
-            rec.pending_grants = [
-                g for g in rec.pending_grants
-                if now_idx - g.issued_index <= EXPIRY_SUBFRAMES]
-            rec._pending_tas = [
-                p for p in rec._pending_tas
-                if now_idx - p.issued_index <= EXPIRY_SUBFRAMES]
+    def _live(self, issued_idx: int) -> bool:
+        """Whether a grant or TA command issued then has not yet expired."""
+        return self._cursor[1] - issued_idx <= EXPIRY_SUBFRAMES
 
     def _t_n_at(self, abs_idx: int) -> Optional[Instant]:
         if self._tn_anchor is None:
@@ -171,7 +161,6 @@ class ConnectionTable:
         """Feed one event; returns measurements it produced (0 or 1)."""
         stamp = event.stamp
         abs_idx = self._advance(stamp)
-        self._expire(abs_idx)
         if stamp.carrier is Carrier.DOWNLINK:
             self._ingest_downlink(event, abs_idx)
             return []
@@ -185,8 +174,7 @@ class ConnectionTable:
             rnti = rnti_of_rar(msg)
             rec = ConnectionRecord(rnti=rnti, ta_current=msg.ta)
             rec.ta_history.append((event.stamp.rx_time, msg.ta))
-            rec.pending_grants.append(
-                PendingGrant(msg.grant.rb_alloc, abs_idx))
+            self._grants[msg.grant.rb_alloc] = (rec, abs_idx)
             self.records.append(rec)
             # A reused RNTI replaces the old record, whose grants and TA
             # commands can then no longer match.
@@ -194,13 +182,13 @@ class ConnectionTable:
         elif isinstance(msg, DciFormat0):
             rec = self.by_rnti.get(msg.rnti.value)
             if rec is not None:
-                rec.pending_grants.append(PendingGrant(msg.rb_alloc, abs_idx))
+                self._grants[msg.rb_alloc] = (rec, abs_idx)
         elif isinstance(msg, MacTaCommand):
             rnti = event.rnti
             rec = self.by_rnti.get(rnti.value) if rnti else None
             if rec is not None:
                 if self.ack_gating:
-                    rec._pending_tas.append(_PendingTa(msg.adjust, abs_idx))
+                    rec._pending_tas.append((msg.adjust, abs_idx))
                 else:
                     self._apply_ta(rec, msg.adjust, event.stamp.rx_time)
 
@@ -214,13 +202,17 @@ class ConnectionTable:
         msg = event.message
         if isinstance(msg, Ack):
             rec = self.by_rnti.get(event.rnti.value) if event.rnti else None
-            if rec is not None and rec._pending_tas:
-                pending = rec._pending_tas.pop(0)
-                self._apply_ta(rec, pending.adjust, event.stamp.rx_time)
+            if rec is not None:
+                rec._pending_tas = [p for p in rec._pending_tas
+                                    if self._live(p[1])]
+                if rec._pending_tas:
+                    adjust, _ = rec._pending_tas.pop(0)
+                    self._apply_ta(rec, adjust, event.stamp.rx_time)
             return []
 
-        rec = self._match_grant(event.rb_alloc)
-        if rec is None:
+        rec, issued_idx = self._grants.pop(event.rb_alloc, (None, 0))
+        if (rec is None or not self._live(issued_idx)
+                or self.by_rnti[rec.rnti.value] is not rec):
             self.dropped_uplinks += 1
             return []
         self._note_uplink_content(rec, msg)
@@ -235,17 +227,6 @@ class ConnectionTable:
                            d_ta=d_ta, sum_delay=toa - t_n + d_ta)
         rec.measurements.append(meas)
         return [meas]
-
-    def _match_grant(self, rb_alloc: Optional[int]
-                     ) -> Optional[ConnectionRecord]:
-        if rb_alloc is None:
-            return None
-        for rec in self.by_rnti.values():
-            for grant in rec.pending_grants:
-                if grant.rb_alloc == rb_alloc:
-                    rec.pending_grants.remove(grant)
-                    return rec
-        return None
 
     @staticmethod
     def _note_uplink_content(rec: ConnectionRecord,

@@ -114,6 +114,19 @@ def test_grants_expire_after_eight_subframes():
     assert table.dropped_uplinks == 1
 
 
+def test_late_stamp_does_not_revive_expired_grant():
+    # Expiry counts from the newest subframe seen: the downlink at 20
+    # expires the grant issued at 10, and an uplink stamped 14 arriving
+    # afterwards must not find it again.
+    table = ConnectionTable()
+    table.ingest(dl(10, 10 * 10**9,
+                    RandomAccessResponse(RNTI, TA0, UlGrant(4, 0x10, 3))))
+    table.ingest(dl(20, 20 * 10**9))
+    out = table.ingest(ul(14, _uplink_rx(14, TA0), rb=0x10))
+    assert out == []
+    assert table.dropped_uplinks == 1
+
+
 def test_ack_gated_resend_applied_once():
     table = ConnectionTable(ack_gating=True)
     table.ingest(dl(10, 10 * 10**9,
@@ -124,9 +137,10 @@ def test_ack_gated_resend_applied_once():
     assert rec.ta_current == TA0  # nothing acknowledged yet
     table.ingest(ul(33, _uplink_rx(33, TA0), Ack(0), rnti=RNTI))
     assert rec.ta_current == TA0 + 1
-    # The duplicate expires unacknowledged instead of double-applying.
+    # The duplicate expires unacknowledged instead of double-applying,
+    # so a later Ack finds nothing to apply.
     table.ingest(dl(45, 45 * 10**9))
-    assert rec._pending_tas == []
+    table.ingest(ul(46, _uplink_rx(46, TA0), Ack(0), rnti=RNTI))
     assert rec.ta_current == TA0 + 1
     assert [ta for _, ta in rec.ta_history] == [TA0, TA0 + 1]
 
