@@ -16,8 +16,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .messages import (AttachRequest, IdentityRequest, IdentityResponse,
                        IdType, Message, RrcConnectionRequest,
-                       RrcConnectionSetup, ServiceReject, ServiceRequest,
-                       encode)
+                       RrcConnectionSetup, ServiceReject, ServiceRequest)
 from .timebase import DECODE_GATE_PS
 
 OVERSHADOW_MARGIN_DB = 3.0
@@ -28,7 +27,7 @@ CAUSE_ID_UNDERIVABLE = 9
 
 MODE_ALL = "all"
 MODE_UNKNOWN_ONLY = "unknown_tmsi_only"
-MODE_TARGET_LIST = "target_list"
+POLICY_MODES = (MODE_ALL, MODE_UNKNOWN_ONLY)
 
 
 @dataclass(frozen=True)
@@ -57,26 +56,20 @@ class EngagementPolicy:
     """Decides which connections are worth injecting into.
 
     `known_pairs` maps TMSI values to already-confirmed IMSIs; in
-    unknown_tmsi_only mode those connections are left alone.  In
-    target_list mode only the listed TMSIs are engaged.
+    unknown_tmsi_only mode those connections are left alone.
     """
 
     known_pairs: Mapping[int, str] = field(default_factory=dict)
     mode: str = MODE_ALL
-    targets: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_ALL, MODE_UNKNOWN_ONLY, MODE_TARGET_LIST):
+        if self.mode not in POLICY_MODES:
             raise ValueError(f"unknown policy mode {self.mode!r}")
 
     def should_engage(self, tmsi: Optional[int], is_random: bool) -> bool:
-        if self.mode == MODE_ALL:
+        if self.mode == MODE_ALL or is_random or tmsi is None:
             return True
-        if self.mode == MODE_UNKNOWN_ONLY:
-            if is_random or tmsi is None:
-                return True
-            return tmsi not in self.known_pairs
-        return tmsi is not None and tmsi in self.targets
+        return tmsi not in self.known_pairs
 
 
 @dataclass(frozen=True)
@@ -113,22 +106,14 @@ class ExtractorState:
     tmsi: Optional[int] = None
     tmsi_is_random: bool = False
     imsi: Optional[str] = None
-    power_margin_db: float = OVERSHADOW_MARGIN_DB
     engaged: bool = False
     injected: bool = False
     trigger: Optional[str] = None
     diagnostics: tuple = ()
 
 
-def new_state(rnti: int,
-              power_margin_db: float = OVERSHADOW_MARGIN_DB) -> ExtractorState:
-    return ExtractorState(rnti=rnti, power_margin_db=power_margin_db)
-
-
 def _reset(state: ExtractorState, note: str) -> ExtractorState:
-    return ExtractorState(rnti=state.rnti,
-                          power_margin_db=state.power_margin_db,
-                          injected=state.injected,
+    return ExtractorState(rnti=state.rnti, injected=state.injected,
                           diagnostics=state.diagnostics + (note,))
 
 
@@ -188,11 +173,6 @@ def overshadow_outcome(margin_db: float, alignment_error_ps: int) -> str:
             abs(alignment_error_ps) < DECODE_GATE_PS:
         return "replaced"
     return "original_kept"
-
-
-def injected_wire_bytes(action: Overshadow) -> bytes:
-    """Wire form of an injected message; must be decodable by any receiver."""
-    return encode(action.message)
 
 
 @dataclass

@@ -105,12 +105,6 @@ class FingerprintDb:
                 raise ValueError(f"duplicate model {e.model!r}")
             self.entries[e.model] = e
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, model: str) -> bool:
-        return model in self.entries
-
     @classmethod
     def load(cls, path) -> "FingerprintDb":
         with open(path, newline="") as fh:
@@ -136,22 +130,6 @@ class FingerprintDb:
                 hw_error_std_m=float(std) if std else None,
             ))
         return cls(entries)
-
-    def check_modem_consistency(self) -> None:
-        """Same-modem entries must agree on hw_error within their stds."""
-        by_modem: dict[str, list[PhoneEntry]] = {}
-        for e in self.entries.values():
-            if e.hw_error_m is not None:
-                by_modem.setdefault(e.modem, []).append(e)
-        for modem, group in by_modem.items():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
-                    gap = abs(a.hw_error_m - b.hw_error_m)
-                    if gap > a.hw_error_std_m + b.hw_error_std_m:
-                        raise ValueError(
-                            f"modem {modem!r}: {a.model} and {b.model} "
-                            f"disagree by {gap:.2f} m")
 
 
 def classify(v: CapabilityVector, db: FingerprintDb) -> ClassifyResult:

@@ -109,9 +109,6 @@ class CapabilityVector:
     def hamming(self, other: "CapabilityVector") -> int:
         return sum((a ^ b).bit_count() for a, b in zip(self.bits, other.bits))
 
-    def to_hex(self) -> str:
-        return self.bits.hex()
-
     @classmethod
     def from_hex(cls, text: str) -> "CapabilityVector":
         return cls(bytes.fromhex(text))

@@ -162,6 +162,9 @@ class Scenario:
                 f"unknown countermeasure {self.countermeasure.mode!r}")
         if self.countermeasure.max_offset_ps < 0:
             raise ScenarioError("countermeasure offset must be >= 0")
+        if self.attack.policy_mode not in ext.POLICY_MODES:
+            raise ScenarioError(
+                f"unknown attack policy mode {self.attack.policy_mode!r}")
         for probe in self.probes:
             if probe.role not in ("dl", "ul", "both"):
                 raise ScenarioError(f"unknown probe role {probe.role!r}")
@@ -181,13 +184,6 @@ class Scenario:
                 raise ScenarioError(
                     f"reconnect interval shorter than a connection "
                     f"({span} subframes)")
-
-
-def apply_random_offset(ue_tx: int, offset: int) -> int:
-    """Delay a UE transmission by the countermeasure offset."""
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    return ue_tx + offset
 
 
 @dataclass(frozen=True)
@@ -218,11 +214,13 @@ class ConnectionInfo:
     imsi: str
     tmsi: int
     rnti: int
-    cell_id: int
     connection_type: str
     start_sf: int
     end_sf: int
     cm_offset_ps: int
+    # Index into Scenario.enbs: always 0, as one cell is supported. The
+    # benchmark's ground-truth join still reads it.
+    cell_id: int = 0
     ta_resend_sfs: list = field(default_factory=list)
     n_ta_commands: int = 0
 
@@ -338,11 +336,7 @@ class _Run:
         def pos_at(sf: int) -> Position:
             return ue.position_at(sf * PS_PER_SUBFRAME)
 
-        start_pos = pos_at(start_sf)
-        cell_id = min(range(len(scn.enbs)),
-                      key=lambda i: start_pos.distance_to(
-                          scn.enbs[i].position))
-        enb = scn.enbs[cell_id]
+        enb = scn.enbs[0]
 
         tx_extra = 0
         if scn.noise.hw_bias:
@@ -354,7 +348,7 @@ class _Run:
         if scn.countermeasure.mode == "random_offset":
             cm_offset = int(self.rng_ue[ue_index].integers(
                 0, scn.countermeasure.max_offset_ps + 1))
-            tx_extra = apply_random_offset(tx_extra, cm_offset)
+            tx_extra += cm_offset
 
         def d_ue(sf: int) -> int:
             return _delay_ps(pos_at(sf), enb.position)
@@ -387,7 +381,7 @@ class _Run:
         rnti = self.alloc.rnti()
         info = ConnectionInfo(conn_id=conn_id, ue_index=ue_index,
                               model=ue.model, imsi=imsi, tmsi=tmsi,
-                              rnti=rnti.value, cell_id=cell_id,
+                              rnti=rnti.value,
                               connection_type=ue.connection_type,
                               start_sf=start_sf,
                               end_sf=start_sf + _connection_span(ue),
@@ -397,7 +391,7 @@ class _Run:
         attacker = None
         policy = None
         if scn.attack.enabled:
-            attacker = ext.new_state(rnti.value, scn.attack.power_margin_db)
+            attacker = ext.ExtractorState(rnti=rnti.value)
             policy = ext.EngagementPolicy(known_pairs=self.attacker_pairs,
                                           mode=scn.attack.policy_mode)
         ext_config = ext.ExtractorConfig(

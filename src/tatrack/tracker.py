@@ -7,10 +7,11 @@ that cannot be linked get a provisional anonymous id that is never merged
 by guesswork.  All connections are taken to come from one cell: there is
 no linkage across a handover.
 
-State is a deterministic function of the ingested stream; an append-only
-JSONL journal captures enough of each event to rebuild the database by
-replay.  Solver byproducts such as covariance matrices are recomputable
-and stay out of the journal.
+Each TMSI maps to the one IMSI it was last bound to, the only binding
+linkage reads.  State is a deterministic function of the ingested
+stream.  Every pair, connection and fingerprint is also appended to a
+JSONL journal: an append-only record of the run, from which the database
+cannot be rebuilt.
 """
 
 from __future__ import annotations
@@ -98,15 +99,6 @@ class ConnectionSummary:
         return (self.cell_id, self.rnti, self.start_ps)
 
 
-@dataclass
-class PairRecord:
-    tmsi: int
-    imsi: str
-    first_seen_ps: int
-    last_seen_ps: int
-    valid_to_ps: Optional[int] = None  # None while the mapping is current
-
-
 def provisional_id(conn_id: str) -> str:
     return "anon-" + str(uuid.uuid5(_PROVISIONAL_NS, conn_id))
 
@@ -129,7 +121,7 @@ def _extraction_imsi(conn: ConnectionSummary,
 
 class TrackDb:
     def __init__(self) -> None:
-        self.pairs: dict[int, list[PairRecord]] = {}
+        self.pairs: dict[int, str] = {}
         self.connections: dict[tuple, ConnectionSummary] = {}
         self.link_of: dict[tuple, str] = {}
         self.traces: dict[str, list[TracePoint]] = {}
@@ -138,29 +130,14 @@ class TrackDb:
 
     # -- identity linkage -------------------------------------------------
 
-    def current_pairs(self) -> dict[int, str]:
-        out = {}
-        for tmsi, records in self.pairs.items():
-            if records and records[-1].valid_to_ps is None:
-                out[tmsi] = records[-1].imsi
-        return out
-
     def imsi_for(self, tmsi: int) -> Optional[str]:
-        return self.current_pairs().get(tmsi)
+        return self.pairs.get(tmsi)
 
     def record_pair(self, tmsi: int, imsi: str, t_ps: int) -> None:
-        self._journal({"event": "pair", "tmsi": tmsi, "imsi": imsi,
-                       "t_ps": t_ps})
-        records = self.pairs.setdefault(tmsi, [])
-        if records and records[-1].valid_to_ps is None:
-            current = records[-1]
-            if current.imsi == imsi:
-                current.last_seen_ps = max(current.last_seen_ps, t_ps)
-                return
-            # The network re-assigned this TMSI; close the old interval.
-            current.valid_to_ps = t_ps
-        records.append(PairRecord(tmsi=tmsi, imsi=imsi,
-                                  first_seen_ps=t_ps, last_seen_ps=t_ps))
+        """Bind a TMSI to an IMSI; a re-assigned TMSI keeps the newest."""
+        self.journal.append({"event": "pair", "tmsi": tmsi, "imsi": imsi,
+                             "t_ps": t_ps})
+        self.pairs[tmsi] = imsi
 
     def link_connection(self, conn: ConnectionSummary,
                         extraction_entries: Iterable[Mapping] = (),
@@ -182,7 +159,7 @@ class TrackDb:
         if conn.tmsi is not None and not conn.tmsi_is_random:
             known = self.imsi_for(conn.tmsi)
             if known is not None:
-                # Journaled so replay reproduces the last-seen update.
+                # Journaled as a sighting of the known pair.
                 self.record_pair(conn.tmsi, known, conn.end_ps)
                 return known
         return provisional_id(conn.conn_id)
@@ -191,25 +168,22 @@ class TrackDb:
 
     def ingest(self, conn: ConnectionSummary,
                extraction_entries: Iterable[Mapping] = ()) -> str:
+        """Link a connection, store it, extend its trace and journal it."""
         linked = self.link_connection(conn, extraction_entries)
-        self._add_connection(conn, linked)
-        return linked
-
-    def _add_connection(self, conn: ConnectionSummary, linked: str) -> None:
-        """Store a linked connection, extend its trace and journal it."""
         self.connections[conn.key] = conn
         self.link_of[conn.key] = linked
         trace = self.traces.setdefault(linked, [])
         trace.extend(conn.points)
         trace.sort(key=lambda p: p.t_ps)
-        self._journal({"event": "connection", "linked": linked,
-                       **_conn_to_json(conn)})
+        self.journal.append({"event": "connection", "linked": linked,
+                             **_conn_to_json(conn)})
+        return linked
 
     def set_fingerprint(self, imsi: str, model: str,
                         hw_error_m: float) -> None:
         self.fingerprints[imsi] = (model, hw_error_m)
-        self._journal({"event": "fingerprint", "imsi": imsi,
-                       "model": model, "hw_error_m": hw_error_m})
+        self.journal.append({"event": "fingerprint", "imsi": imsi,
+                             "model": model, "hw_error_m": hw_error_m})
 
     # -- trace assembly ------------------------------------------------------
 
@@ -234,54 +208,10 @@ class TrackDb:
 
     # -- persistence ----------------------------------------------------------
 
-    def _journal(self, entry: dict) -> None:
-        self.journal.append(entry)
-
-    def journal_lines(self) -> Iterable[str]:
-        for entry in self.journal:
-            yield json.dumps(entry, sort_keys=True)
-
     def dump_journal(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for line in self.journal_lines():
-                fh.write(line + "\n")
-
-    @classmethod
-    def replay(cls, lines: Iterable[str]) -> "TrackDb":
-        db = cls()
-        for line in lines:
-            entry = json.loads(line)
-            kind = entry["event"]
-            if kind == "pair":
-                db.record_pair(entry["tmsi"], entry["imsi"], entry["t_ps"])
-            elif kind == "fingerprint":
-                db.set_fingerprint(entry["imsi"], entry["model"],
-                                   entry["hw_error_m"])
-            elif kind == "connection":
-                db._add_connection(_conn_from_json(entry), entry["linked"])
-            else:
-                raise ValueError(f"unknown journal event {kind!r}")
-        return db
-
-    def state_digest(self) -> str:
-        """Canonical serialization of the linkage state, for replay checks."""
-        state = {
-            "pairs": {
-                str(tmsi): [[r.imsi, r.first_seen_ps, r.last_seen_ps,
-                             r.valid_to_ps] for r in records]
-                for tmsi, records in self.pairs.items()
-            },
-            "links": {"/".join(map(str, k)): v
-                      for k, v in self.link_of.items()},
-            "traces": {
-                ident: [[p.t_ps, round(p.position.x, 9),
-                         round(p.position.y, 9), p.corrected]
-                        for p in points]
-                for ident, points in self.traces.items()
-            },
-            "fingerprints": self.fingerprints,
-        }
-        return json.dumps(state, sort_keys=True)
+            for entry in self.journal:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 def corrected_loci(loci: Sequence, hw_error_m: float) -> tuple:
@@ -313,7 +243,7 @@ def corrected_loci(loci: Sequence, hw_error_m: float) -> tuple:
     return tuple(out)
 
 
-# -- journal (de)serialization helpers ----------------------------------------
+# -- journal serialization helpers --------------------------------------------
 
 def _locus_to_json(locus) -> dict:
     if isinstance(locus, EllipseLocus):
@@ -328,29 +258,12 @@ def _locus_to_json(locus) -> dict:
     raise TypeError(f"unknown locus type {type(locus).__name__}")
 
 
-def _locus_from_json(data: Mapping):
-    if data["kind"] == "ellipse":
-        return EllipseLocus(focus_enb=Position(*data["fa"]),
-                            focus_probe=Position(*data["fb"]),
-                            sum_dist=data["sum"], sigma=data["sigma"])
-    return AnnulusLocus(center=Position(*data["c"]), r_inner=data["inner"],
-                        r_outer=data["outer"])
-
-
 def _point_to_json(point: TracePoint) -> dict:
     return {"t_ps": point.t_ps,
             "x": point.position.x, "y": point.position.y,
             "rms": point.estimate.residual_rms,
             "corrected": point.corrected,
             "loci": [_locus_to_json(l) for l in point.loci]}
-
-
-def _point_from_json(data: Mapping) -> TracePoint:
-    estimate = PositionEstimate(position=Position(data["x"], data["y"]),
-                                residual_rms=data["rms"])
-    loci = tuple(_locus_from_json(d) for d in data["loci"])
-    return TracePoint(t_ps=data["t_ps"], estimate=estimate, loci=loci,
-                      corrected=data["corrected"])
 
 
 def _conn_to_json(conn: ConnectionSummary) -> dict:
@@ -362,18 +275,6 @@ def _conn_to_json(conn: ConnectionSummary) -> dict:
             "observed_imsi": conn.observed_imsi,
             "distances_m": list(conn.distances_m),
             "points": [_point_to_json(p) for p in conn.points]}
-
-
-def _conn_from_json(data: Mapping) -> ConnectionSummary:
-    return ConnectionSummary(
-        conn_id=data["conn_id"], cell_id=data["cell_id"],
-        rnti=data["rnti"], start_ps=data["start_ps"],
-        end_ps=data["end_ps"], tmsi=data["tmsi"],
-        tmsi_is_random=data["tmsi_is_random"],
-        had_service_request=data["had_service_request"],
-        observed_imsi=data["observed_imsi"],
-        distances_m=tuple(data["distances_m"]),
-        points=tuple(_point_from_json(p) for p in data["points"]))
 
 
 # -- exports -------------------------------------------------------------------

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from tatrack import timebase as tb
 from tatrack.geometry import (AnnulusLocus, EllipseLocus, Position,
-                              annulus_from_ta, ellipse_point)
+                              _ellipse_points, annulus_from_ta)
 
 #: Cells count as on-the-ellipse when their first-order plane distance to
 #: the curve (range-sum misfit over the local range-sum gradient) is below
@@ -90,16 +90,28 @@ def grid_feasible(annulus: AnnulusLocus, ellipse: EllipseLocus,
     r = annulus.r_outer + pitch
     xs = np.arange(cx - r, cx + r + pitch, pitch)
     ys = np.arange(cy - r, cy + r + pitch, pitch)
-    gx, gy = np.meshgrid(xs, ys)
+    fa, fb = ellipse.focus_enb, ellipse.focus_probe
+    # Cheap arithmetic first drops cells that are clearly outside, with a
+    # 1 cm margin on each test (the range-sum gradient is at most 2, which
+    # bounds the on-curve band); the exact tests then run on the rest.
+    # np.nonzero walks the grid in row-major order, so the cells come back
+    # in the order a full-grid mask gives them.
+    sq = (ys[:, None] - cy) ** 2 + (xs[None, :] - cx) ** 2
+    rows, cols = np.nonzero((sq >= max(annulus.r_inner - 0.01, 0.0) ** 2)
+                            & (sq <= (annulus.r_outer + 0.01) ** 2))
+    gx, gy = xs[cols], ys[rows]
+    near = (np.abs(np.sqrt((gx - fa.x) ** 2 + (gy - fa.y) ** 2)
+                   + np.sqrt((gx - fb.x) ** 2 + (gy - fb.y) ** 2)
+                   - ellipse.sum_dist) <= 2 * MISFIT_TOL_M + 0.01)
+    gx, gy = gx[near], gy[near]
+
     dc = np.hypot(gx - cx, gy - cy)
     ring = (dc >= annulus.r_inner) & (dc <= annulus.r_outer)
-    d1 = np.hypot(gx - ellipse.focus_enb.x, gy - ellipse.focus_enb.y)
-    d2 = np.hypot(gx - ellipse.focus_probe.x, gy - ellipse.focus_probe.y)
+    d1 = np.hypot(gx - fa.x, gy - fa.y)
+    d2 = np.hypot(gx - fb.x, gy - fb.y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad = np.hypot((gx - ellipse.focus_enb.x) / d1
-                        + (gx - ellipse.focus_probe.x) / d2,
-                        (gy - ellipse.focus_enb.y) / d1
-                        + (gy - ellipse.focus_probe.y) / d2)
+        grad = np.hypot((gx - fa.x) / d1 + (gx - fb.x) / d2,
+                        (gy - fa.y) / d1 + (gy - fb.y) / d2)
         on_curve = (np.abs(d1 + d2 - ellipse.sum_dist)
                     <= MISFIT_TOL_M * grad)
     on_curve &= (d1 > 0) & (d2 > 0)
@@ -110,15 +122,14 @@ def grid_feasible(annulus: AnnulusLocus, ellipse: EllipseLocus,
 def sample_arcs(arcs, ellipse: EllipseLocus,
                 spacing_m: float = 0.5) -> np.ndarray:
     """Dense points along the returned arcs, shape (N, 2)."""
-    pts = []
+    if not arcs:
+        return np.empty((0, 2))
     a = 0.5 * ellipse.sum_dist
-    for arc in arcs:
-        span = arc.e_end - arc.e_start
-        n = max(8, int(span * a / spacing_m))
-        for anomaly in np.linspace(arc.e_start, arc.e_end, n):
-            p = ellipse_point(ellipse, anomaly)
-            pts.append((p.x, p.y))
-    return np.asarray(pts) if pts else np.empty((0, 2))
+    anomalies = np.concatenate([
+        np.linspace(arc.e_start, arc.e_end,
+                    max(8, int((arc.e_end - arc.e_start) * a / spacing_m)))
+        for arc in arcs])
+    return _ellipse_points(ellipse, anomalies)
 
 
 def agreement_gaps(annulus, ellipse, arcs):

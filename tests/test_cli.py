@@ -92,6 +92,18 @@ def test_second_enodeb_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["bogus", "target_list"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_unknown_attack_policy_mode_is_refused(tmp_path, capsys, mode,
+                                               enabled):
+    attack = sim.AttackConfig(enabled=enabled, policy_mode=mode)
+    path = _write_scenario(tmp_path, _scenario(attack=attack))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert mode in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_the_run(tmp_path):
     path = _write_scenario(tmp_path, _scenario())
     out_a, out_b = tmp_path / "a", tmp_path / "b"

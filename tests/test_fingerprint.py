@@ -21,7 +21,7 @@ def _xor(a: CapabilityVector, b: CapabilityVector) -> bytes:
 # -- database ----------------------------------------------------------------
 
 def test_db_has_22_models(db):
-    assert len(db) == 22
+    assert len(db.entries) == 22
 
 
 def test_frozen_hw_errors(db):
@@ -36,16 +36,31 @@ def test_unmeasured_and_unknown_models_raise(db):
             fp.hw_error(model, db)
 
 
+def _modem_disagreements(db: fp.FingerprintDb) -> list:
+    """Same-modem pairs whose hw_error gap exceeds their summed stds."""
+    by_modem: dict = {}
+    for e in db.entries.values():
+        if e.hw_error_m is not None:
+            by_modem.setdefault(e.modem, []).append(e)
+    out = []
+    for modem, group in by_modem.items():
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                gap = abs(a.hw_error_m - b.hw_error_m)
+                if gap > a.hw_error_std_m + b.hw_error_std_m:
+                    out.append((modem, a.model, b.model, round(gap, 2)))
+    return out
+
+
 def test_modem_consistency_check(db):
-    db.check_modem_consistency()  # shipped data must pass
+    assert _modem_disagreements(db) == []  # shipped data must pass
 
     doctored = fp.FingerprintDb([
         fp.PhoneEntry("A", "shared", CapabilityVector(bytes(32)), 0.0, 1.0),
         fp.PhoneEntry("B", "shared",
                       CapabilityVector(b"\x01" + bytes(31)), 10.0, 1.0),
     ])
-    with pytest.raises(ValueError):
-        doctored.check_modem_consistency()
+    assert _modem_disagreements(doctored) == [("shared", "A", "B", 10.0)]
 
 
 def test_capabilities_match_documented_construction(db):

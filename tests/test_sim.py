@@ -5,8 +5,10 @@ emitted traces through the real probe decoder, so sim and probe are held
 to the same timing contract rather than to each other's internals.
 """
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -162,15 +164,6 @@ def test_ground_truth_reports_tx_extra_separately():
 
 
 # -- transmission-delay countermeasure -----------------------------------------
-
-def test_apply_random_offset_zero_is_identity():
-    assert sim.apply_random_offset(123_456, 0) == 123_456
-
-
-def test_apply_random_offset_rejects_negative():
-    with pytest.raises(ValueError):
-        sim.apply_random_offset(0, -1)
-
 
 def test_countermeasure_offset_appears_verbatim_in_sum_error():
     scn = _scenario(
@@ -377,7 +370,8 @@ def test_scenario_dict_round_trip():
         faults=sim.FaultModel(ta_resend_prob=0.25),
         countermeasure=sim.Countermeasure(mode="random_offset",
                                           max_offset_ps=99),
-        attack=sim.AttackConfig(enabled=True, policy_mode="target_list"))
+        attack=sim.AttackConfig(enabled=True,
+                                policy_mode="unknown_tmsi_only"))
     data = json.loads(json.dumps(sim.scenario_to_dict(scn)))
     assert sim.scenario_from_dict(data) == scn
 
@@ -393,6 +387,16 @@ def test_load_scenario_reports_json_position(tmp_path):
     path.write_text('{"enbs": [,]}', encoding="utf-8")
     with pytest.raises(sim.ScenarioError, match=r"line 1 column 11"):
         sim.load_scenario(path)
+
+
+def test_calibration_tool_builds_the_shipped_replication_scenario():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "calibrate_sigma", root / "tools" / "calibrate_sigma.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    shipped = sim.load_scenario(root / "scenarios" / "replication.json")
+    assert tool.replication_scenario() == shipped
 
 
 # -- multi-probe geometry --------------------------------------------------------
