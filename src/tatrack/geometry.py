@@ -9,6 +9,13 @@ mixture of them.
 Ring and ellipse share the eNodeB as centre and focus, which gives their
 intersection a closed form; ``intersect`` refuses any other ring.
 
+When every locus is a circle about one point (each ring centred there,
+each ellipse with both foci there, as for a sniffer beside the eNodeB),
+the measurements fix a range and no bearing. ``multilaterate`` then
+returns the weighted least-squares range in closed form, places it on the
++x axis from that centre, gives the tangential direction an infinite
+variance and sets ``PositionEstimate.range_only``.
+
 All geometry is 2-D; distances are metres as floats.
 """
 
@@ -17,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -100,10 +107,13 @@ class CandidateArc:
 
 @dataclass(frozen=True)
 class PositionEstimate:
+    """A solver's fix; ``range_only`` when the loci fixed no bearing."""
+
     position: Position
     residual_rms: float
     covariance: Optional[np.ndarray] = None
     candidates: tuple[Position, ...] = field(default_factory=tuple)
+    range_only: bool = False
 
 
 class InfeasibleSumError(ValueError):
@@ -232,39 +242,62 @@ def intersect(annulus: AnnulusLocus,
 # Least squares
 
 
+class _Packed(NamedTuple):
+    """Loci as arrays, built once per solve.
+
+    Row i's residual is d(p, a_i) + e_i d(p, b_i) - (target_i - k_i s) for
+    a shared offset s, weighted by w_i. An ellipse has its foci as a and b,
+    e = k = 1 and its range sum as target; a ring has its centre as a and
+    b, e = 0, k = 1/2 and its mid radius as target.
+    """
+
+    loci: tuple
+    a: np.ndarray
+    b: np.ndarray
+    e: np.ndarray
+    k: np.ndarray
+    target: np.ndarray
+    w: np.ndarray
+
+
+def _pack(loci) -> _Packed:
+    rows = []
+    for locus in loci:
+        if isinstance(locus, EllipseLocus):
+            w = 1.0 / max(locus.sigma, _SIGMA_FLOOR_M)
+            rows.append((locus.focus_enb, locus.focus_probe, 1.0, 1.0,
+                         locus.sum_dist, w))
+        elif isinstance(locus, AnnulusLocus):
+            rows.append((locus.center, locus.center, 0.0, 0.5,
+                         locus.mid_radius, 1.0 / ANNULUS_SIGMA_M))
+        else:
+            raise TypeError(f"unknown locus type {type(locus).__name__}")
+    a, b, e, k, target, w = zip(*rows)
+    return _Packed(tuple(loci), np.array([[p.x, p.y] for p in a]),
+                   np.array([[p.x, p.y] for p in b]), np.array(e),
+                   np.array(k), np.array(target), np.array(w))
+
+
 def _residuals(loci, xy: np.ndarray, offset_m: float = 0.0,
                with_offset: bool = False):
     """Weighted residual vector and Jacobian at (x, y [, offset]).
 
-    The optional shared offset models a UE that transmits its random access
-    early on purpose: every measured range sum is inflated by the same
-    unknown amount, and every TA-derived mid radius by half of it.
+    ``loci`` is a sequence of loci or their ``_pack``. The optional shared
+    offset models a UE that transmits its random access early on purpose:
+    every measured range sum is inflated by the same unknown amount, and
+    every TA-derived mid radius by half of it.
     """
-    cols = 3 if with_offset else 2
-    f = np.empty(len(loci))
-    J = np.empty((len(loci), cols))
-    for i, locus in enumerate(loci):
-        if isinstance(locus, EllipseLocus):
-            f1 = locus.focus_enb.as_array()
-            f2 = locus.focus_probe.as_array()
-            d1 = max(float(np.hypot(*(xy - f1))), 1e-12)
-            d2 = max(float(np.hypot(*(xy - f2))), 1e-12)
-            w = 1.0 / max(locus.sigma, _SIGMA_FLOOR_M)
-            f[i] = (d1 + d2 - (locus.sum_dist - offset_m)) * w
-            grad = (xy - f1) / d1 + (xy - f2) / d2
-            J[i, :2] = grad * w
-            if with_offset:
-                J[i, 2] = w
-        elif isinstance(locus, AnnulusLocus):
-            c = locus.center.as_array()
-            dc = max(float(np.hypot(*(xy - c))), 1e-12)
-            w = 1.0 / ANNULUS_SIGMA_M
-            f[i] = (dc - (locus.mid_radius - 0.5 * offset_m)) * w
-            J[i, :2] = (xy - c) / dc * w
-            if with_offset:
-                J[i, 2] = 0.5 * w
-        else:
-            raise TypeError(f"unknown locus type {type(locus).__name__}")
+    pk = loci if isinstance(loci, _Packed) else _pack(loci)
+    da = xy - pk.a
+    db = xy - pk.b
+    d1 = np.maximum(np.hypot(da[:, 0], da[:, 1]), 1e-12)
+    d2 = np.maximum(np.hypot(db[:, 0], db[:, 1]), 1e-12)
+    f = (d1 + pk.e * d2 - (pk.target - pk.k * offset_m)) * pk.w
+    J = np.empty((len(f), 3 if with_offset else 2))
+    J[:, :2] = (da / d1[:, None] + pk.e[:, None] * (db / d2[:, None])) \
+        * pk.w[:, None]
+    if with_offset:
+        J[:, 2] = pk.k * pk.w
     return f, J
 
 
@@ -281,12 +314,12 @@ def _metric_rms(loci, xy: np.ndarray, offset_m: float = 0.0) -> float:
     return math.sqrt(sq / len(loci))
 
 
-def _levenberg_marquardt(loci, x0: np.ndarray, with_offset: bool,
+def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
                          max_iter: int, xtol: float, gtol: float):
     """Minimise the weighted residual sum of squares. Returns (x, ok, it)."""
     x = x0.astype(float).copy()
     off = lambda v: (float(v[2]) if with_offset else 0.0)
-    f, J = _residuals(loci, x[:2], off(x), with_offset)
+    f, J = _residuals(pk, x[:2], off(x), with_offset)
     cost = float(f @ f)
     lam = 1e-3
     window = deque([cost], maxlen=11)
@@ -304,7 +337,7 @@ def _levenberg_marquardt(loci, x0: np.ndarray, with_offset: bool,
                 lam *= 10.0
                 continue
             x_new = x + step
-            f_new, J_new = _residuals(loci, x_new[:2], off(x_new), with_offset)
+            f_new, J_new = _residuals(pk, x_new[:2], off(x_new), with_offset)
             cost_new = float(f_new @ f_new)
             if cost_new < cost:
                 x, f, J, cost = x_new, f_new, J_new, cost_new
@@ -319,22 +352,23 @@ def _levenberg_marquardt(loci, x0: np.ndarray, with_offset: bool,
         if float(np.linalg.norm(step)) < xtol * (float(np.linalg.norm(x)) + xtol):
             return x, True, it
         window.append(cost)
-    # Rank-deficient loci (e.g. all concentric) leave a whole curve of
-    # optima; the iterate then creeps along it with strictly decreasing
-    # cost, so neither gtol nor xtol ever fires. A flat cost over the
-    # last ten iterations is a stationary manifold, not a failure.
+    # Rank-deficient loci (e.g. concentric ones with an offset) leave a
+    # whole curve of optima; the iterate then creeps along it with strictly
+    # decreasing cost, so neither gtol nor xtol ever fires. A flat cost
+    # over the last ten iterations is a stationary manifold, not a failure.
     stalled = (len(window) == window.maxlen
                and window[0] - cost <= 1e-4 * (cost + 1e-30))
     return x, stalled, max_iter
 
 
-def _estimate_at(loci, x: np.ndarray, with_offset: bool) -> PositionEstimate:
+def _estimate_at(pk: _Packed, x: np.ndarray,
+                 with_offset: bool) -> PositionEstimate:
     off = float(x[2]) if with_offset else 0.0
-    f, J = _residuals(loci, x[:2], off, with_offset)
+    f, J = _residuals(pk, x[:2], off, with_offset)
     cov = np.linalg.pinv(J.T @ J)
     return PositionEstimate(
         position=Position(float(x[0]), float(x[1])),
-        residual_rms=_metric_rms(loci, x[:2], off),
+        residual_rms=_metric_rms(pk.loci, x[:2], off),
         covariance=cov[:2, :2],
         candidates=(Position(float(x[0]), float(x[1])),),
     )
@@ -431,7 +465,7 @@ def _starts(loci, initial: Position | None) -> list[np.ndarray]:
     return _candidate_starts(loci)
 
 
-def _multistart(loci, starts, with_offset: bool, max_iter: int,
+def _multistart(pk: _Packed, starts, with_offset: bool, max_iter: int,
                 xtol: float, gtol: float):
     """Run the solver from every (x, y) start and keep the best iterate.
 
@@ -440,17 +474,44 @@ def _multistart(loci, starts, with_offset: bool, max_iter: int,
     zero offset. Returns (x, ok, it), ``it`` being the last run's count.
     """
     def rms(v: np.ndarray) -> float:
-        return _metric_rms(loci, v[:2], float(v[2]) if with_offset else 0.0)
+        return _metric_rms(pk.loci, v[:2],
+                           float(v[2]) if with_offset else 0.0)
 
     x = ok = None
     for xy0 in starts:
         x0 = np.array([xy0[0], xy0[1], 0.0]) if with_offset else xy0
-        x_k, ok_k, it = _levenberg_marquardt(loci, x0, with_offset,
+        x_k, ok_k, it = _levenberg_marquardt(pk, x0, with_offset,
                                              max_iter, xtol, gtol)
         if x is None or (ok_k and not ok) or (
                 ok_k == ok and rms(x_k) < rms(x)):
             x, ok = x_k, ok_k
     return x, ok, it
+
+
+def _concentric_range(pk: _Packed) -> Optional[PositionEstimate]:
+    """Closed-form fix when every ring centre and focus is one point.
+
+    Ring and ellipse residuals are then functions of the range d alone:
+    (d - r) w with r the mid radius and w = 1/ANNULUS_SIGMA_M for a ring,
+    r = sum/2 and w = 2/sigma for an ellipse. Their weighted least squares
+    is d = sum(w^2 r)/sum(w^2). Returns None for any other geometry.
+    """
+    centre = pk.a[0]
+    # Exact equality, as intersect() uses for a shared centre.
+    if not (np.all(pk.a == centre) and np.all(pk.b == centre)):
+        return None
+    foci = 1.0 + pk.e  # foci on the centre: two per ellipse, one per ring
+    w2 = (foci * pk.w) ** 2
+    rho = float(np.sum(w2 * pk.target / foci) / np.sum(w2))
+    xy = centre + np.array([rho, 0.0])
+    position = Position(float(xy[0]), float(xy[1]))
+    return PositionEstimate(
+        position=position,
+        residual_rms=_metric_rms(pk.loci, xy),
+        covariance=np.array([[1.0 / float(np.sum(w2)), 0.0], [0.0, np.inf]]),
+        candidates=(position,),
+        range_only=True,
+    )
 
 
 def multilaterate(loci, initial: Position | None = None, *,
@@ -464,16 +525,27 @@ def multilaterate(loci, initial: Position | None = None, *,
     repeated from the mirror image across the first ellipse's foci axis
     and both fixes are reported in ``candidates`` (best first).
 
-    Degenerate configurations (all foci collinear with the UE) are not
-    rejected; they surface as a huge condition number in ``covariance``.
-    Raises ConvergenceError (carrying the best iterate) if the iteration
-    budget runs out.
+    Concentric loci (every ring centre and ellipse focus at one point)
+    fix a range but no bearing. They take a direct path with no iteration:
+    the weighted least-squares range, placed on the +x axis from the
+    centre, with covariance [[1/sum(w^2), 0], [0, inf]] (radial variance,
+    unknown tangential direction) and ``range_only`` set. ``initial`` and
+    the iteration settings do not apply there.
+
+    Other degenerate configurations (all foci collinear with the UE) are
+    not rejected; they surface as a huge condition number in
+    ``covariance``. Raises ConvergenceError (carrying the best iterate)
+    if the iteration budget runs out.
     """
     if not loci:
         raise ValueError("need at least one locus")
-    x, ok, it = _multistart(loci, _starts(loci, initial), False,
+    pk = _pack(loci)
+    direct = _concentric_range(pk)
+    if direct is not None:
+        return direct
+    x, ok, it = _multistart(pk, _starts(loci, initial), False,
                             max_iter, xtol, gtol)
-    primary = _estimate_at(loci, x, False)
+    primary = _estimate_at(pk, x, False)
     if not ok:
         raise ConvergenceError(primary, it)
 
@@ -483,8 +555,8 @@ def multilaterate(loci, initial: Position | None = None, *,
         xm = _mirror_across_baseline(x, base)
         if float(np.hypot(*(xm - x))) > 1e-3:
             xm, ok_m, _ = _levenberg_marquardt(
-                loci, xm, False, max_iter, xtol, gtol)
-            mirror = _estimate_at(loci, xm, False)
+                pk, xm, False, max_iter, xtol, gtol)
+            mirror = _estimate_at(pk, xm, False)
             far = float(np.hypot(*(xm - x))) > 1e-3
             if ok_m and far and (mirror.residual_rms
                                  <= 2.0 * primary.residual_rms + 0.5):
@@ -510,9 +582,10 @@ def multilaterate_with_offset(loci, initial: Position | None = None, *,
     """
     if len(loci) < 3:
         raise ValueError("offset recovery needs at least 3 loci")
-    x, ok, it = _multistart(loci, _starts(loci, initial), True,
+    pk = _pack(loci)
+    x, ok, it = _multistart(pk, _starts(loci, initial), True,
                             max_iter, xtol, gtol)
-    est = _estimate_at(loci, x, True)
+    est = _estimate_at(pk, x, True)
     if not ok:
         raise ConvergenceError(est, it)
     return est, float(x[2])

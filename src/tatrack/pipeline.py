@@ -425,7 +425,7 @@ _MEAS_COLUMNS = ("imsi", "tmsi", "rnti", "frame", "subframe", "toa_ps",
 
 _POSITION_COLUMNS = ("conn", "rnti", "start_ps", "tmsi", "imsi_observed",
                      "ta_index", "n_loci", "x_m", "y_m", "residual_rms_m",
-                     "offset_m")
+                     "offset_m", "range_only")
 
 _STATS_COLUMNS = ("conn", "sim_conn", "probe", "imsi", "model", "model_hat",
                   "n_meas", "n_removed", "median_sum_ps", "true_sum_ps",
@@ -479,6 +479,7 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
                 "y_m": est.position.y if est else None,
                 "residual_rms_m": est.residual_rms if est else None,
                 "offset_m": view.offset_m,
+                "range_only": int(est is not None and est.range_only),
             })
         _write_csv(out / "positions.csv", _POSITION_COLUMNS, rows)
     if "track" in stages:

@@ -268,6 +268,67 @@ def test_offset_recovery_with_three_probes():
     assert abs(s_hat - s_true) < 0.1
 
 
+# -- concentric loci: the direct range path -------------------------------
+
+C = Position(10.0, -5.0)
+
+
+def test_concentric_loci_give_range_on_x_axis():
+    ellipse = EllipseLocus(C, C, 2 * 37.0, sigma=2.0)
+    ring = AnnulusLocus(C, 0.0, 2 * 37.0)
+    est = multilaterate([ellipse, ring])
+    assert est.range_only
+    assert est.position == Position(C.x + 37.0, C.y)
+    assert est.candidates == (est.position,)
+    assert est.residual_rms == pytest.approx(0.0, abs=1e-12)
+    w2 = (2 / 2.0) ** 2 + (1 / ANNULUS_SIGMA_M) ** 2
+    assert est.covariance[0, 0] == pytest.approx(1 / w2, rel=1e-12)
+    assert est.covariance[0, 1] == 0.0 and est.covariance[1, 0] == 0.0
+    assert est.covariance[1, 1] == math.inf
+
+
+def test_concentric_range_weights_ellipse_and_ring():
+    # Ellipse range 40 m at sigma 1 (weight 2), ring range 37 m.
+    loci = [EllipseLocus(C, C, 80.0, sigma=1.0), AnnulusLocus(C, 0.0, 74.0)]
+    w_ring2 = (1 / ANNULUS_SIGMA_M) ** 2
+    rho = (4.0 * 40.0 + w_ring2 * 37.0) / (4.0 + w_ring2)
+    est = multilaterate(loci)
+    assert est.range_only
+    assert est.position.x - C.x == pytest.approx(rho, rel=1e-12)
+    assert est.position.y == C.y
+
+
+def test_ring_only_takes_the_direct_path():
+    # Every ellipse infeasible: a colocated sum below zero is dropped,
+    # leaving the ring alone.
+    with pytest.raises(InfeasibleSumError):
+        ellipse_from_sum(C, C, -1000)
+    ring = annulus_from_ta(C, 3)
+    est = multilaterate([ring])
+    assert est.range_only
+    assert est.position == Position(C.x + ring.mid_radius, C.y)
+    assert est.covariance[0, 0] == pytest.approx(ANNULUS_SIGMA_M ** 2)
+    assert est.covariance[1, 1] == math.inf
+
+
+def test_off_site_probe_among_colocated_loci_uses_lm():
+    probe = Position(1000.0, 0.0)
+    ue = Position(480.0, 350.0)
+    d_ue = O.distance_to(ue)
+    loci = [
+        EllipseLocus(O, O, 2 * d_ue),
+        EllipseLocus(O, probe, d_ue + ue.distance_to(probe)),
+        annulus_from_ta(O, tb.quantize_ta(2 * tb.m_to_ps(d_ue))),
+    ]
+    est = multilaterate(loci)
+    assert not est.range_only
+    assert np.all(np.isfinite(est.covariance))
+    assert len(est.candidates) == 2
+    assert min(c.distance_to(ue) for c in est.candidates) < 1e-3
+    a, b = est.candidates
+    assert math.isclose(a.y, -b.y, abs_tol=1e-3)
+
+
 def test_annulus_sigma_is_uniform_equivalent():
     assert math.isclose(ANNULUS_SIGMA_M, 78.0709525 / math.sqrt(12),
                         abs_tol=1e-4)

@@ -1,10 +1,14 @@
 """End-to-end checks of the staged analysis pipeline."""
 
+import csv
 import filecmp
 import importlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tatrack import geometry
 from tatrack import pipeline as pl
 from tatrack import sim
 from tatrack.fingerprint import FingerprintDb, hw_error
@@ -12,6 +16,8 @@ from tatrack.geometry import AnnulusLocus, Position
 from tatrack.timebase import RING_WIDTH_M, m_to_ps, ps_to_m
 
 DB = FingerprintDb.default()
+REPLICATION = Path(__file__).resolve().parent.parent / "scenarios" / \
+    "replication.json"
 ZERO = sim.NoiseModel(toa_sigma_ps=0, hw_bias=False)
 BIASED = sim.NoiseModel(toa_sigma_ps=0, hw_bias=True)
 
@@ -184,11 +190,33 @@ def test_artifacts_written_and_deterministic(tmp_path):
 
 
 def test_positions_csv_row_per_connection(tmp_path):
-    scn = _scenario((_static_ue(60.0),), noise=ZERO)
-    ctx = pl.run_pipeline(scn, out_dir=tmp_path)
-    lines = (tmp_path / "positions.csv").read_text().splitlines()
-    assert lines[0].split(",")[:4] == ["conn", "rnti", "start_ps", "tmsi"]
-    assert len(lines) - 1 == len(ctx.views)
+    for name, probes, range_only in (
+            ("colocated", None, "1"),         # no bearing from one site
+            ("triangle", TRIANGLE_PROBES, "0")):  # a full 2-D fix
+        scn = _scenario((_static_ue(60.0),), probes=probes, noise=ZERO)
+        ctx = pl.run_pipeline(scn, out_dir=tmp_path / name)
+        with open(tmp_path / name / "positions.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:4] == ["conn", "rnti", "start_ps", "tmsi"]
+        assert len(rows) == len(ctx.views)
+        assert all(row["x_m"] for row in rows)
+        assert {row["range_only"] for row in rows} == {range_only}
+        if range_only == "1":
+            assert {row["y_m"] for row in rows} == {"0.0"}
+
+
+def test_colocated_views_match_the_iterative_range():
+    # The direct range of every replication view agrees with where the
+    # multistart LM driver settles on the same loci.
+    ctx = pl.run_pipeline(sim.load_scenario(REPLICATION))
+    assert len(ctx.views) == 180
+    for view in ctx.views:
+        est = view.estimate
+        assert est.range_only
+        pk = geometry._pack(view.loci)
+        x, _, _ = geometry._multistart(pk, geometry._starts(view.loci, None),
+                                       False, 100, 1e-9, 1e-9)
+        assert abs(est.position.x - np.hypot(*x)) < 2e-3, view.key
 
 
 def test_empirical_cdf_values():

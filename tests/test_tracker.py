@@ -189,6 +189,29 @@ def test_fingerprint_corrects_earlier_points():
     assert after.position.distance_to(ue) < 0.1
 
 
+def test_concentric_point_is_recorrected_as_range_only():
+    hw = -24.51
+    enb = Position(0.0, 0.0)
+    r_true = 300.0
+    loci = (EllipseLocus(focus_enb=enb, focus_probe=enb,
+                         sum_dist=2 * (r_true + hw), sigma=1.0),
+            AnnulusLocus(center=enb, r_inner=r_true + hw - RING_WIDTH_M / 2,
+                         r_outer=r_true + hw + RING_WIDTH_M / 2))
+    biased = multilaterate(loci)
+    assert biased.range_only
+    db = TrackDb()
+    db.ingest(_conn("c1", 10 * SEC, 11 * SEC, tmsi=0x1111, imsi=IMSI,
+                    points=(TracePoint(t_ps=10 * SEC, estimate=biased,
+                                       loci=loci),)))
+    db.set_fingerprint(IMSI, "Huawei P30", hw)
+    after = db.build_trace(IMSI)[0]
+    assert after.corrected and after.estimate.range_only
+    assert after.position.y == 0.0
+    assert after.position.x == pytest.approx(biased.position.x - hw,
+                                             abs=1e-9)
+    assert after.position.x == pytest.approx(r_true, abs=1e-9)
+
+
 def test_corrected_loci_arithmetic():
     _, loci = _biased_scene(-10.0)
     fixed = corrected_loci(loci, -10.0)
