@@ -106,29 +106,22 @@ class FingerprintDb:
             self.entries[e.model] = e
 
     @classmethod
-    def load(cls, path) -> "FingerprintDb":
-        with open(path, newline="") as fh:
-            return cls._from_rows(csv.DictReader(fh))
-
-    @classmethod
     def default(cls) -> "FingerprintDb":
+        """The shipped database, ``data/phones.csv``."""
+        entries = []
         ref = resources.files("tatrack").joinpath("data/phones.csv")
         with ref.open(newline="") as fh:
-            return cls._from_rows(csv.DictReader(fh))
-
-    @classmethod
-    def _from_rows(cls, rows) -> "FingerprintDb":
-        entries = []
-        for row in rows:
-            hw = row["hw_error_m"].strip()
-            std = row["hw_error_std_m"].strip()
-            entries.append(PhoneEntry(
-                model=row["model"],
-                modem=row["modem"],
-                capabilities=CapabilityVector.from_hex(row["capability_hex"]),
-                hw_error_m=float(hw) if hw else None,
-                hw_error_std_m=float(std) if std else None,
-            ))
+            for row in csv.DictReader(fh):
+                hw = row["hw_error_m"].strip()
+                std = row["hw_error_std_m"].strip()
+                entries.append(PhoneEntry(
+                    model=row["model"],
+                    modem=row["modem"],
+                    capabilities=CapabilityVector.from_hex(
+                        row["capability_hex"]),
+                    hw_error_m=float(hw) if hw else None,
+                    hw_error_std_m=float(std) if std else None,
+                ))
         return cls(entries)
 
 

@@ -7,7 +7,10 @@ intersects them, and runs weighted nonlinear least squares over any
 mixture of them.
 
 Ring and ellipse share the eNodeB as centre and focus, which gives their
-intersection a closed form; ``intersect`` refuses any other ring.
+intersection a closed form; ``intersect`` refuses any other ring. Its arcs
+are also where the iterative solver starts: the midpoints of every
+ring/ellipse pair's arcs, and their centroid. Levenberg-Marquardt runs
+from there with fixed step and gradient tolerances.
 
 When every locus is a circle about one point (each ring centred there,
 each ellipse with both foci there, as for a sniffer beside the eNodeB),
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -38,6 +41,11 @@ ANNULUS_SIGMA_M = RING_WIDTH_M / math.sqrt(12.0)
 _SIGMA_FLOOR_M = 1e-3
 
 _TWO_PI = 2.0 * math.pi
+
+#: Levenberg-Marquardt convergence: a step shorter than _XTOL relative to
+#: the iterate, or a gradient whose largest component is below _GTOL.
+_XTOL = 1e-9
+_GTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,11 +93,6 @@ class EllipseLocus:
         if self.sum_dist < self.focus_enb.distance_to(self.focus_probe):
             raise InfeasibleSumError(
                 self.focus_enb.distance_to(self.focus_probe) - self.sum_dist)
-
-    def sum_misfit(self, p: Position) -> float:
-        """d1 + d2 - sum_dist at point p, in metres."""
-        return (self.focus_enb.distance_to(p)
-                + self.focus_probe.distance_to(p) - self.sum_dist)
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,8 @@ def ellipse_from_sum(enb: Position, probe: Position, sum_delay_ps: Span,
 # Ellipse parameterization
 
 
-def _ellipse_frame(e: EllipseLocus):
-    """Centre, axis unit vectors and semi-axes of an ellipse locus."""
+def _ellipse_points(e: EllipseLocus, anomalies: np.ndarray) -> np.ndarray:
+    """Points on the ellipse at the given eccentric anomalies, shape (N, 2)."""
     f1 = e.focus_enb.as_array()
     f2 = e.focus_probe.as_array()
     centre = 0.5 * (f1 + f2)
@@ -181,21 +184,15 @@ def _ellipse_frame(e: EllipseLocus):
     v = np.array([-u[1], u[0]])
     a = 0.5 * e.sum_dist
     b = math.sqrt(max(a * a - focal * focal, 0.0))
-    return centre, u, v, a, b
+    ca = a * np.cos(anomalies)
+    sb = b * np.sin(anomalies)
+    return centre[None, :] + ca[:, None] * u[None, :] + sb[:, None] * v[None, :]
 
 
 def ellipse_point(e: EllipseLocus, anomaly: float) -> Position:
     """Point on the ellipse at the given eccentric anomaly."""
-    centre, u, v, a, b = _ellipse_frame(e)
-    p = centre + a * math.cos(anomaly) * u + b * math.sin(anomaly) * v
-    return Position(float(p[0]), float(p[1]))
-
-
-def _ellipse_points(e: EllipseLocus, anomalies: np.ndarray) -> np.ndarray:
-    centre, u, v, a, b = _ellipse_frame(e)
-    ca = a * np.cos(anomalies)
-    sb = b * np.sin(anomalies)
-    return centre[None, :] + ca[:, None] * u[None, :] + sb[:, None] * v[None, :]
+    x, y = _ellipse_points(e, np.array([anomaly]))[0]
+    return Position(float(x), float(y))
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +242,12 @@ def intersect(annulus: AnnulusLocus,
 class _Packed(NamedTuple):
     """Loci as arrays, built once per solve.
 
-    Row i's residual is d(p, a_i) + e_i d(p, b_i) - (target_i - k_i s) for
-    a shared offset s, weighted by w_i. An ellipse has its foci as a and b,
-    e = k = 1 and its range sum as target; a ring has its centre as a and
-    b, e = 0, k = 1/2 and its mid radius as target.
+    Row i's misfit is d(p, a_i) + e_i d(p, b_i) - (target_i - k_i s) for
+    a shared offset s, and its residual that misfit times w_i. An ellipse
+    has its foci as a and b, e = k = 1 and its range sum as target; a ring
+    has its centre as a and b, e = 0, k = 1/2 and its mid radius as target.
     """
 
-    loci: tuple
     a: np.ndarray
     b: np.ndarray
     e: np.ndarray
@@ -273,49 +269,53 @@ def _pack(loci) -> _Packed:
         else:
             raise TypeError(f"unknown locus type {type(locus).__name__}")
     a, b, e, k, target, w = zip(*rows)
-    return _Packed(tuple(loci), np.array([[p.x, p.y] for p in a]),
+    return _Packed(np.array([[p.x, p.y] for p in a]),
                    np.array([[p.x, p.y] for p in b]), np.array(e),
                    np.array(k), np.array(target), np.array(w))
 
 
-def _residuals(loci, xy: np.ndarray, offset_m: float = 0.0,
-               with_offset: bool = False):
-    """Weighted residual vector and Jacobian at (x, y [, offset]).
+def _misfit(pk: _Packed, xy: np.ndarray, offset_m: float):
+    """Unweighted misfit of every row in metres, and its (x, y) gradient.
 
-    ``loci`` is a sequence of loci or their ``_pack``. The optional shared
-    offset models a UE that transmits its random access early on purpose:
-    every measured range sum is inflated by the same unknown amount, and
-    every TA-derived mid radius by half of it.
+    The shared offset models a UE that transmits its random access early
+    on purpose: every measured range sum is inflated by the same unknown
+    amount, and every TA-derived mid radius by half of it.
     """
-    pk = loci if isinstance(loci, _Packed) else _pack(loci)
     da = xy - pk.a
     db = xy - pk.b
     d1 = np.maximum(np.hypot(da[:, 0], da[:, 1]), 1e-12)
     d2 = np.maximum(np.hypot(db[:, 0], db[:, 1]), 1e-12)
-    f = (d1 + pk.e * d2 - (pk.target - pk.k * offset_m)) * pk.w
+    m = d1 + pk.e * d2 - (pk.target - pk.k * offset_m)
+    grad = da / d1[:, None] + pk.e[:, None] * (db / d2[:, None])
+    return m, grad
+
+
+def _residuals(pk: _Packed, xy: np.ndarray, offset_m: float = 0.0,
+               with_offset: bool = False):
+    """Weighted residual vector and Jacobian at (x, y [, offset])."""
+    m, grad = _misfit(pk, xy, offset_m)
+    f = m * pk.w
     J = np.empty((len(f), 3 if with_offset else 2))
-    J[:, :2] = (da / d1[:, None] + pk.e[:, None] * (db / d2[:, None])) \
-        * pk.w[:, None]
+    J[:, :2] = grad * pk.w[:, None]
     if with_offset:
         J[:, 2] = pk.k * pk.w
     return f, J
 
 
-def _metric_rms(loci, xy: np.ndarray, offset_m: float = 0.0) -> float:
+def _cost(pk: _Packed, x: np.ndarray, with_offset: bool) -> float:
+    """Weighted residual sum of squares at (x, y [, offset])."""
+    f, _ = _residuals(pk, x[:2], float(x[2]) if with_offset else 0.0)
+    return float(f @ f)
+
+
+def _metric_rms(pk: _Packed, xy: np.ndarray, offset_m: float = 0.0) -> float:
     """Unweighted RMS misfit in metres at a point."""
-    sq = 0.0
-    p = Position(float(xy[0]), float(xy[1]))
-    for locus in loci:
-        if isinstance(locus, EllipseLocus):
-            m = locus.sum_misfit(p) + offset_m
-        else:
-            m = locus.center.distance_to(p) - locus.mid_radius + 0.5 * offset_m
-        sq += m * m
-    return math.sqrt(sq / len(loci))
+    m, _ = _misfit(pk, xy, offset_m)
+    return math.sqrt(float(m @ m) / len(m))
 
 
 def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
-                         max_iter: int, xtol: float, gtol: float):
+                         max_iter: int):
     """Minimise the weighted residual sum of squares. Returns (x, ok, it)."""
     x = x0.astype(float).copy()
     off = lambda v: (float(v[2]) if with_offset else 0.0)
@@ -325,7 +325,7 @@ def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
     window = deque([cost], maxlen=11)
     for it in range(1, max_iter + 1):
         g = J.T @ f
-        if float(np.max(np.abs(g))) < gtol:
+        if float(np.max(np.abs(g))) < _GTOL:
             return x, True, it
         A = J.T @ J
         D = np.diag(np.maximum(np.diag(A), 1e-12))
@@ -349,13 +349,14 @@ def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
             # Trust region collapsed: no descent direction exists at float
             # precision, which is convergence to a stationary point.
             return x, True, it
-        if float(np.linalg.norm(step)) < xtol * (float(np.linalg.norm(x)) + xtol):
+        x_norm = float(np.linalg.norm(x))
+        if float(np.linalg.norm(step)) < _XTOL * (x_norm + _XTOL):
             return x, True, it
         window.append(cost)
     # Rank-deficient loci (e.g. concentric ones with an offset) leave a
     # whole curve of optima; the iterate then creeps along it with strictly
-    # decreasing cost, so neither gtol nor xtol ever fires. A flat cost
-    # over the last ten iterations is a stationary manifold, not a failure.
+    # decreasing cost, so neither tolerance ever fires. A flat cost over
+    # the last ten iterations is a stationary manifold, not a failure.
     stalled = (len(window) == window.maxlen
                and window[0] - cost <= 1e-4 * (cost + 1e-30))
     return x, stalled, max_iter
@@ -368,68 +369,37 @@ def _estimate_at(pk: _Packed, x: np.ndarray,
     cov = np.linalg.pinv(J.T @ J)
     return PositionEstimate(
         position=Position(float(x[0]), float(x[1])),
-        residual_rms=_metric_rms(pk.loci, x[:2], off),
+        residual_rms=_metric_rms(pk, x[:2], off),
         covariance=cov[:2, :2],
         candidates=(Position(float(x[0]), float(x[1])),),
     )
 
 
-def _pairwise_points(loci) -> list[Position]:
-    """Approximate pairwise locus intersections.
+def _candidate_starts(loci) -> list[np.ndarray]:
+    """Start points for the solver when the caller gives no initial.
 
-    Ellipse/annulus pairs go through intersect(); ellipse/ellipse pairs are
-    probed by sampling one curve and keeping the two best-separated points
-    that nearly satisfy the other.
+    Every ring/ellipse pair contributes the midpoints of its ``intersect``
+    arcs. First comes their centroid (nudged off the mirror axis, where
+    the cost is stationary), then the first eight midpoints themselves:
+    the centroid of a symmetric pair lands between basins, so the raw
+    points keep the solver honest. With no arc, the one start is the
+    first locus's centre, nudged off the axis likewise.
     """
     points: list[Position] = []
-    for i in range(len(loci)):
-        for j in range(i + 1, len(loci)):
-            a, b = loci[i], loci[j]
+    for i, a in enumerate(loci):
+        for b in loci[i + 1:]:
             if isinstance(a, AnnulusLocus) and isinstance(b, EllipseLocus):
                 points.extend(arc.midpoint for arc in intersect(a, b))
             elif isinstance(a, EllipseLocus) and isinstance(b, AnnulusLocus):
                 points.extend(arc.midpoint for arc in intersect(b, a))
-            elif isinstance(a, EllipseLocus) and isinstance(b, EllipseLocus):
-                anomalies = np.linspace(0.0, _TWO_PI, 720, endpoint=False)
-                pts = _ellipse_points(a, anomalies)
-                mis = np.abs(
-                    np.hypot(pts[:, 0] - b.focus_enb.x, pts[:, 1] - b.focus_enb.y)
-                    + np.hypot(pts[:, 0] - b.focus_probe.x,
-                               pts[:, 1] - b.focus_probe.y)
-                    - b.sum_dist)
-                first = int(np.argmin(mis))
-                picks = [first]
-                away = np.hypot(pts[:, 0] - pts[first, 0],
-                                pts[:, 1] - pts[first, 1]) > 50.0
-                if away.any():
-                    masked = np.where(away, mis, np.inf)
-                    second = int(np.argmin(masked))
-                    if mis[second] < 5.0:
-                        picks.append(second)
-                points.extend(
-                    Position(float(pts[k, 0]), float(pts[k, 1])) for k in picks)
-    return points
-
-
-def _candidate_starts(loci) -> list[np.ndarray]:
-    """Start points for the solver when the caller gives no initial.
-
-    First the centroid of pairwise intersections (nudged off the mirror
-    axis, where the cost is stationary), then the intersection points
-    themselves: the centroid of a symmetric pair lands between basins,
-    so the raw points keep the solver honest.
-    """
-    points = _pairwise_points(loci)
-    if points:
-        xs = np.array([[p.x, p.y] for p in points])
-        centroid = xs.mean(axis=0) + _off_axis_nudge(loci)
-        starts = [centroid]
-        starts.extend(p.as_array() for p in points[:8])
-    else:
+    if not points:
         first = loci[0]
         anchor = (first.center if isinstance(first, AnnulusLocus)
                   else first.focus_enb)
-        starts = [anchor.as_array() + _off_axis_nudge(loci)]
+        return [anchor.as_array() + _off_axis_nudge(loci)]
+    xs = np.array([[p.x, p.y] for p in points])
+    starts = [xs.mean(axis=0) + _off_axis_nudge(loci)]
+    starts.extend(p.as_array() for p in points[:8])
     return starts
 
 
@@ -459,32 +429,22 @@ def _mirror_across_baseline(xy: np.ndarray, base) -> np.ndarray:
     return anchor + 2.0 * along - rel
 
 
-def _starts(loci, initial: Position | None) -> list[np.ndarray]:
-    if initial is not None:
-        return [initial.as_array()]
-    return _candidate_starts(loci)
-
-
-def _multistart(pk: _Packed, starts, with_offset: bool, max_iter: int,
-                xtol: float, gtol: float):
+def _multistart(pk: _Packed, starts, with_offset: bool, max_iter: int):
     """Run the solver from every (x, y) start and keep the best iterate.
 
     A converged iterate beats one that is not; among equals the lower
-    unweighted RMS misfit wins. With ``with_offset`` each start gains a
-    zero offset. Returns (x, ok, it), ``it`` being the last run's count.
+    weighted cost, which LM minimises, wins: the unweighted RMS would let
+    a ring's quantization misfit (sigma 22.5 m) outweigh an ellipse missed
+    by metres at a millimetre sigma. With ``with_offset`` each start gains
+    a zero offset. Returns (x, ok, it), ``it`` being the last run's count.
     """
-    def rms(v: np.ndarray) -> float:
-        return _metric_rms(pk.loci, v[:2],
-                           float(v[2]) if with_offset else 0.0)
-
-    x = ok = None
+    x = ok = cost = None
     for xy0 in starts:
         x0 = np.array([xy0[0], xy0[1], 0.0]) if with_offset else xy0
-        x_k, ok_k, it = _levenberg_marquardt(pk, x0, with_offset,
-                                             max_iter, xtol, gtol)
-        if x is None or (ok_k and not ok) or (
-                ok_k == ok and rms(x_k) < rms(x)):
-            x, ok = x_k, ok_k
+        x_k, ok_k, it = _levenberg_marquardt(pk, x0, with_offset, max_iter)
+        cost_k = _cost(pk, x_k, with_offset)
+        if x is None or (ok_k and not ok) or (ok_k == ok and cost_k < cost):
+            x, ok, cost = x_k, ok_k, cost_k
     return x, ok, it
 
 
@@ -507,7 +467,7 @@ def _concentric_range(pk: _Packed) -> Optional[PositionEstimate]:
     position = Position(float(xy[0]), float(xy[1]))
     return PositionEstimate(
         position=position,
-        residual_rms=_metric_rms(pk.loci, xy),
+        residual_rms=_metric_rms(pk, xy),
         covariance=np.array([[1.0 / float(np.sum(w2)), 0.0], [0.0, np.inf]]),
         candidates=(position,),
         range_only=True,
@@ -515,22 +475,25 @@ def _concentric_range(pk: _Packed) -> Optional[PositionEstimate]:
 
 
 def multilaterate(loci, initial: Position | None = None, *,
-                  max_iter: int = 100, xtol: float = 1e-9,
-                  gtol: float = 1e-9) -> PositionEstimate:
+                  max_iter: int = 100) -> PositionEstimate:
     """Weighted nonlinear least squares over a mixture of loci.
 
     Ellipses contribute (d1 + d2 - sum)/sigma, rings contribute their
-    mid-radius as a soft range with the uniform-equivalent sigma. When the
-    configuration admits the classic two-fold ambiguity, the solve is
-    repeated from the mirror image across the first ellipse's foci axis
-    and both fixes are reported in ``candidates`` (best first).
+    mid-radius as a soft range with the uniform-equivalent sigma. Without
+    ``initial``, Levenberg-Marquardt runs from the centroid and midpoints
+    of every ring/ellipse pair's ``intersect`` arcs and keeps the best
+    fix; each run stops on the fixed tolerances ``_XTOL`` and ``_GTOL`` or
+    after ``max_iter`` iterations. When the configuration admits the
+    classic two-fold ambiguity, the solve is repeated from the mirror
+    image across the first ellipse's foci axis and both fixes are
+    reported in ``candidates``, lowest weighted cost first.
 
     Concentric loci (every ring centre and ellipse focus at one point)
     fix a range but no bearing. They take a direct path with no iteration:
     the weighted least-squares range, placed on the +x axis from the
     centre, with covariance [[1/sum(w^2), 0], [0, inf]] (radial variance,
     unknown tangential direction) and ``range_only`` set. ``initial`` and
-    the iteration settings do not apply there.
+    ``max_iter`` do not apply there.
 
     Other degenerate configurations (all foci collinear with the UE) are
     not rejected; they surface as a huge condition number in
@@ -543,37 +506,31 @@ def multilaterate(loci, initial: Position | None = None, *,
     direct = _concentric_range(pk)
     if direct is not None:
         return direct
-    x, ok, it = _multistart(pk, _starts(loci, initial), False,
-                            max_iter, xtol, gtol)
+    starts = ([initial.as_array()] if initial is not None
+              else _candidate_starts(loci))
+    x, ok, it = _multistart(pk, starts, False, max_iter)
     primary = _estimate_at(pk, x, False)
     if not ok:
         raise ConvergenceError(primary, it)
 
-    fixes = [primary]
+    fixes = [(_cost(pk, x, False), primary)]
     base = _baseline(loci)
     if base is not None:
         xm = _mirror_across_baseline(x, base)
         if float(np.hypot(*(xm - x))) > 1e-3:
-            xm, ok_m, _ = _levenberg_marquardt(
-                pk, xm, False, max_iter, xtol, gtol)
+            xm, ok_m, _ = _levenberg_marquardt(pk, xm, False, max_iter)
             mirror = _estimate_at(pk, xm, False)
             far = float(np.hypot(*(xm - x))) > 1e-3
             if ok_m and far and (mirror.residual_rms
                                  <= 2.0 * primary.residual_rms + 0.5):
-                fixes.append(mirror)
-                fixes.sort(key=lambda e: e.residual_rms)
-    best = fixes[0]
-    return PositionEstimate(
-        position=best.position,
-        residual_rms=best.residual_rms,
-        covariance=best.covariance,
-        candidates=tuple(e.position for e in fixes),
-    )
+                fixes.append((_cost(pk, xm, False), mirror))
+                fixes.sort(key=lambda fix: fix[0])
+    return replace(fixes[0][1],
+                   candidates=tuple(e.position for _, e in fixes))
 
 
 def multilaterate_with_offset(loci, initial: Position | None = None, *,
-                              max_iter: int = 100, xtol: float = 1e-9,
-                              gtol: float = 1e-9):
+                              max_iter: int = 100):
     """Joint solve for position plus a shared transmit-offset range bias.
 
     Needs at least three loci to be determined. Returns the estimate and
@@ -583,8 +540,9 @@ def multilaterate_with_offset(loci, initial: Position | None = None, *,
     if len(loci) < 3:
         raise ValueError("offset recovery needs at least 3 loci")
     pk = _pack(loci)
-    x, ok, it = _multistart(pk, _starts(loci, initial), True,
-                            max_iter, xtol, gtol)
+    starts = ([initial.as_array()] if initial is not None
+              else _candidate_starts(loci))
+    x, ok, it = _multistart(pk, starts, True, max_iter)
     est = _estimate_at(pk, x, True)
     if not ok:
         raise ConvergenceError(est, it)

@@ -115,7 +115,6 @@ class RunContext:
     extraction_entries: list = field(default_factory=list)
     views: list = field(default_factory=list)
     track_db: Optional[TrackDb] = None
-    linked: dict = field(default_factory=dict)
     stats_rows: list = field(default_factory=list)
     error_rows: list = field(default_factory=list)
     summary_rows: list = field(default_factory=list)
@@ -139,8 +138,8 @@ def stage_probe(ctx: RunContext) -> None:
 
 
 def stage_extract(ctx: RunContext) -> None:
-    ctx.extraction_entries = [json.loads(line)
-                              for line in ctx.result.extraction.dump_lines()]
+    ctx.extraction_entries = [dict(entry)
+                              for entry in ctx.result.extraction.entries]
 
 
 def _ta_index(d_ta_values) -> Optional[int]:
@@ -211,6 +210,11 @@ def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:
         ta_index=_ta_index(d_ta_values))
 
 
+def _bias_correction_ps(view: ConnectionView) -> int:
+    """Delay-sum inflation, in ps, from the view's bias on both legs."""
+    return m_to_ps(2 * view.hw_bias_m) if view.hw_bias_m is not None else 0
+
+
 def _solve_view(ctx: RunContext, view: ConnectionView, enb_pos: Position,
                 probe_pos: dict) -> None:
     """Build loci and solve, correcting sums when the model is known.
@@ -219,8 +223,7 @@ def _solve_view(ctx: RunContext, view: ConnectionView, enb_pos: Position,
     the tracker re-corrects their loci once the linked identity gains a
     fingerprint from another connection.
     """
-    corr_ps = (m_to_ps(2 * view.hw_bias_m)
-               if view.hw_bias_m is not None else 0)
+    corr_ps = _bias_correction_ps(view)
     loci = []
     n_ellipses = 0
     for probe_id in sorted(view.legs):
@@ -276,7 +279,6 @@ def stage_track(ctx: RunContext) -> None:
             distances_m=tuple(ps_to_m(s) / 2 for s in first_leg.sums),
             points=points)
         linked = db.ingest(summary, ctx.extraction_entries)
-        ctx.linked[view.key] = linked
         if view.model_hat is not None and view.hw_bias_m is not None:
             db.set_fingerprint(linked, view.model_hat, view.hw_bias_m)
     ctx.track_db = db
@@ -312,9 +314,7 @@ def stage_stats(ctx: RunContext) -> None:
                 continue
             true_sum = statistics.median(r.sum_true_ps for r in rows)
             err_raw_ps = leg.stats.median - true_sum
-            corr_ps = (m_to_ps(2 * view.hw_bias_m)
-                       if view.hw_bias_m is not None else 0)
-            err_corr_ps = err_raw_ps - corr_ps
+            err_corr_ps = err_raw_ps - _bias_correction_ps(view)
             ctx.stats_rows.append({
                 "conn": view.key,
                 "sim_conn": rows[0].conn_id,

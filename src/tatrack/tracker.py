@@ -9,9 +9,9 @@ no linkage across a handover.
 
 Each TMSI maps to the one IMSI it was last bound to, the only binding
 linkage reads.  State is a deterministic function of the ingested
-stream.  Every pair, connection and fingerprint is also appended to a
-JSONL journal: an append-only record of the run, from which the database
-cannot be rebuilt.
+stream.  Every connection, and every pair or fingerprint that changes
+what is stored, is also appended to a JSONL journal: an append-only
+record of the run, from which the database cannot be rebuilt.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ class TrackDb:
 
     def record_pair(self, tmsi: int, imsi: str, t_ps: int) -> None:
         """Bind a TMSI to an IMSI; a re-assigned TMSI keeps the newest."""
+        if self.pairs.get(tmsi) == imsi:
+            return
         self.journal.append({"event": "pair", "tmsi": tmsi, "imsi": imsi,
                              "t_ps": t_ps})
         self.pairs[tmsi] = imsi
@@ -159,8 +161,6 @@ class TrackDb:
         if conn.tmsi is not None and not conn.tmsi_is_random:
             known = self.imsi_for(conn.tmsi)
             if known is not None:
-                # Journaled as a sighting of the known pair.
-                self.record_pair(conn.tmsi, known, conn.end_ps)
                 return known
         return provisional_id(conn.conn_id)
 
@@ -181,6 +181,8 @@ class TrackDb:
 
     def set_fingerprint(self, imsi: str, model: str,
                         hw_error_m: float) -> None:
+        if self.fingerprints.get(imsi) == (model, hw_error_m):
+            return
         self.fingerprints[imsi] = (model, hw_error_m)
         self.journal.append({"event": "fingerprint", "imsi": imsi,
                              "model": model, "hw_error_m": hw_error_m})

@@ -119,6 +119,12 @@ def grid_feasible(annulus: AnnulusLocus, ellipse: EllipseLocus,
     return np.column_stack([gx[mask], gy[mask]])
 
 
+def sum_misfit(ellipse: EllipseLocus, p: Position) -> float:
+    """d1 + d2 - sum_dist at point p, in metres."""
+    return (ellipse.focus_enb.distance_to(p)
+            + ellipse.focus_probe.distance_to(p) - ellipse.sum_dist)
+
+
 def sample_arcs(arcs, ellipse: EllipseLocus,
                 spacing_m: float = 0.5) -> np.ndarray:
     """Dense points along the returned arcs, shape (N, 2)."""
@@ -152,5 +158,5 @@ def agreement_gaps(annulus, ellipse, arcs):
         p = arc.midpoint
         dc = annulus.center.distance_to(p)
         ring_violation = max(annulus.r_inner - dc, dc - annulus.r_outer, 0.0)
-        mid_gap = max(mid_gap, ring_violation, abs(ellipse.sum_misfit(p)))
+        mid_gap = max(mid_gap, ring_violation, abs(sum_misfit(ellipse, p)))
     return cell_gap, mid_gap

@@ -8,11 +8,11 @@ import pytest
 from tatrack import timebase as tb
 from tatrack.geometry import (ANNULUS_SIGMA_M, AnnulusLocus, ConvergenceError,
                               EllipseLocus, InfeasibleSumError, Position,
-                              _residuals, annulus_from_ta, ellipse_from_sum,
-                              ellipse_point, intersect, multilaterate,
-                              multilaterate_with_offset)
+                              _pack, _residuals, annulus_from_ta,
+                              ellipse_from_sum, ellipse_point, intersect,
+                              multilaterate, multilaterate_with_offset)
 
-from _oracle import agreement_gaps, random_config
+from _oracle import agreement_gaps, random_config, sum_misfit
 
 O = Position(0.0, 0.0)
 
@@ -51,7 +51,7 @@ def test_ellipse_pythagoras_example():
     sum_d = 2 * math.hypot(500, 400)
     locus = ellipse_from_sum(O, probe, tb.m_to_ps(sum_d))
     assert math.isclose(locus.sum_dist, 1280.6248, abs_tol=1e-3)
-    assert abs(locus.sum_misfit(ue)) < 1e-3
+    assert abs(sum_misfit(locus, ue)) < 1e-3
 
 
 def test_ellipse_points_satisfy_sum():
@@ -62,7 +62,7 @@ def test_ellipse_points_satisfy_sum():
         locus = EllipseLocus(O, probe, focal + rng.uniform(10, 900))
         for anomaly in rng.uniform(0, 2 * math.pi, size=8):
             p = ellipse_point(locus, anomaly)
-            assert abs(locus.sum_misfit(p)) < 1e-6
+            assert abs(sum_misfit(locus, p)) < 1e-6
 
 
 def test_ellipse_infeasible_sum_carries_deficit():
@@ -193,8 +193,29 @@ def test_single_probe_gives_two_candidates():
     # Mirror images across the foci baseline (the x axis here).
     assert math.isclose(a.x, b.x, abs_tol=0.5)
     assert math.isclose(a.y, -b.y, abs_tol=0.5)
-    assert abs(loci[0].sum_misfit(a)) < 1e-3
-    assert abs(loci[0].sum_misfit(b)) < 1e-3
+    assert abs(sum_misfit(loci[0], a)) < 1e-3
+    assert abs(sum_misfit(loci[0], b)) < 1e-3
+
+
+def test_seedless_three_sniffer_solves_land_on_the_truth():
+    # No initial: the solver starts only from the ring/ellipse arcs. Exact
+    # sums and the quantized TA ring, as the pipeline builds them. The
+    # ring misses the truth by up to half its width, so ranking fixes by
+    # unweighted RMS instead of weighted cost picks wrong ones here.
+    rng = np.random.default_rng(808)
+
+    def at(r_m, angle):
+        return Position(r_m * math.cos(angle), r_m * math.sin(angle))
+
+    for _ in range(200):
+        probes = [at(rng.uniform(80, 300), rng.uniform(0, 2 * math.pi))
+                  for _ in range(3)]
+        d_ue = rng.uniform(50, 500)
+        ue = at(d_ue, rng.uniform(0, 2 * math.pi))
+        loci = [EllipseLocus(O, p, d_ue + ue.distance_to(p)) for p in probes]
+        loci.append(annulus_from_ta(O, tb.quantize_ta(2 * tb.m_to_ps(d_ue))))
+        est = multilaterate(loci)
+        assert est.position.distance_to(ue) < 1e-3, (probes, ue)
 
 
 def test_jacobian_matches_finite_differences():
@@ -204,15 +225,16 @@ def test_jacobian_matches_finite_differences():
         EllipseLocus(O, probe, 1400.0, sigma=2.0),
         annulus_from_ta(O, 5),
     ]
+    pk = _pack(loci)
     for _ in range(25):
         xy = rng.uniform(-800, 800, size=2)
-        _, J = _residuals(loci, xy)
+        _, J = _residuals(pk, xy)
         h = 1e-4
         for k in range(2):
             dxy = np.zeros(2)
             dxy[k] = h
-            f_hi, _ = _residuals(loci, xy + dxy)
-            f_lo, _ = _residuals(loci, xy - dxy)
+            f_hi, _ = _residuals(pk, xy + dxy)
+            f_lo, _ = _residuals(pk, xy - dxy)
             numeric = (f_hi - f_lo) / (2 * h)
             denom = np.maximum(np.abs(numeric), 1e-3)
             assert np.max(np.abs(J[:, k] - numeric) / denom) < 1e-6

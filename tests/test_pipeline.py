@@ -118,7 +118,8 @@ def test_extraction_links_views_to_imsis():
                       tmsi=0xA0000002))
     scn = _scenario(ues, noise=ZERO, attack=sim.AttackConfig(enabled=True))
     ctx = pl.run_pipeline(scn)
-    assert set(ctx.linked.values()) == {"001010000000001", "001010000000002"}
+    assert set(ctx.track_db.link_of.values()) == {"001010000000001",
+                                                  "001010000000002"}
     for imsi in ("001010000000001", "001010000000002"):
         assert ctx.track_db.build_trace(imsi)
 
@@ -214,8 +215,8 @@ def test_colocated_views_match_the_iterative_range():
         est = view.estimate
         assert est.range_only
         pk = geometry._pack(view.loci)
-        x, _, _ = geometry._multistart(pk, geometry._starts(view.loci, None),
-                                       False, 100, 1e-9, 1e-9)
+        x, _, _ = geometry._multistart(
+            pk, geometry._candidate_starts(view.loci), False, 100)
         assert abs(est.position.x - np.hypot(*x)) < 2e-3, view.key
 
 

@@ -113,6 +113,21 @@ def test_tmsi_reassignment_binds_newest_imsi():
     assert db.imsi_for(0x4444) == "001010000000099"
 
 
+def test_journal_skips_unchanged_pairs_and_fingerprints():
+    db = TrackDb()
+    db.ingest(_conn("c1", 10 * SEC, 11 * SEC, tmsi=0x6666, imsi=IMSI))
+    db.set_fingerprint(IMSI, "Huawei P30", -24.51)
+    n_lines = len(db.journal)
+    db.record_pair(0x6666, IMSI, 12 * SEC)
+    assert db.link_connection(_conn("c2", 20 * SEC, 21 * SEC,
+                                    tmsi=0x6666)) == IMSI
+    db.set_fingerprint(IMSI, "Huawei P30", -24.51)
+    assert len(db.journal) == n_lines
+    db.set_fingerprint(IMSI, "iPhone 8", -10.0)
+    assert db.journal[-1]["event"] == "fingerprint"
+    assert len(db.journal) == n_lines + 1
+
+
 def test_attach_imsi_links_directly():
     db = TrackDb()
     conn = _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x5555, imsi=IMSI)
