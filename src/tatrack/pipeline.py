@@ -3,8 +3,10 @@
 Stages chain as simulate -> probe -> localize -> track -> stats, with
 extract branching off simulate and feeding track. Stage products accumulate
 on a RunContext so later stages and the file writers share one source of
-truth. All file output uses stable ordering and plain string formatting, so
-a rerun with the same scenario and seed is byte-identical.
+truth. The writers stream each artifact to its file a line at a time; the
+CSV files and event logs come from one template per file with a fixed
+column (or JSON key) order. With stable row ordering, a rerun with the same
+scenario and seed is byte-identical.
 
 A scenario has exactly one eNodeB (``Scenario.validate`` refuses more):
 localization takes its foci and downlink delays from that eNodeB, and
@@ -14,6 +16,7 @@ every connection view carries cell 0.
 import json
 import statistics
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +29,7 @@ from .geometry import (ConvergenceError, InfeasibleSumError, Position,
                        PositionEstimate, annulus_from_ta, ellipse_from_sum,
                        multilaterate, multilaterate_with_offset)
 from .messages import CapabilityVector, encode
-from .probe import Carrier, ConnectionTable
+from .probe import ConnectionTable
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (ConnectionSummary, TracePoint, TrackDb,
                       connection_stats, corrected_loci, stats_csv_rows,
@@ -385,35 +388,39 @@ def run_pipeline(scenario: sim.Scenario, stages=STAGES, *,
 # -- artifact writers ------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: Path, columns, rows, *, get=itemgetter,
+               blank_none=False) -> None:
+    """Stream ``rows`` under a header line, one fixed template per row.
+
+    ``get(*columns)`` reads a row's cells in column order: ``itemgetter``
+    for dict rows, ``attrgetter`` for dataclass rows. A cell is ``str`` of
+    its value, which for a float is its ``repr`` and for a numpy scalar
+    its plain digits; with ``blank_none`` a None cell is left empty.
+    """
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    cells = get(*columns)
+    if blank_none:
+        def cells(row, plain=cells):
+            return tuple("" if v is None else v for v in plain(row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % cells(row) for row in rows)
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+#: One ``events_*.jsonl`` line: what ``json.dumps(..., sort_keys=True)``
+#: writes for an event, with the keys already in sorted order.
+_EVENT_LINE = ('{"carrier": "%s", "frame": %s, "message_hex": %s, '
+               '"rb_alloc": %s, "rnti": %s, "rx_ps": %s, "subframe": %s}\n')
 
 
-def _event_to_json(event) -> dict:
-    message_hex = None
-    if event.message is not None:
-        message_hex = encode(event.message).hex()
-    return {
-        "frame": event.stamp.frame,
-        "subframe": event.stamp.subframe,
-        "rx_ps": event.stamp.rx_time,
-        "carrier": ("downlink" if event.stamp.carrier is Carrier.DOWNLINK
-                    else "uplink"),
-        "rnti": event.rnti.value if event.rnti is not None else None,
-        "rb_alloc": event.rb_alloc,
-        "message_hex": message_hex,
-    }
+def _write_events(path: Path, events) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_EVENT_LINE % (
+            e.stamp.carrier.value, e.stamp.frame,
+            "null" if e.message is None else f'"{encode(e.message).hex()}"',
+            "null" if e.rb_alloc is None else e.rb_alloc,
+            "null" if e.rnti is None else e.rnti.value,
+            e.stamp.rx_time, e.stamp.subframe) for e in events)
 
 
 _GT_COLUMNS = ("conn_id", "ue_index", "model", "imsi", "probe_id",
@@ -447,13 +454,10 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if "simulate" in stages:
         for probe_id in sorted(ctx.result.events):
-            lines = [json.dumps(_event_to_json(e), sort_keys=True)
-                     for e in ctx.result.events[probe_id]]
-            (out / f"events_{probe_id}.jsonl").write_text(
-                "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+            _write_events(out / f"events_{probe_id}.jsonl",
+                          ctx.result.events[probe_id])
         _write_csv(out / "ground_truth.csv", _GT_COLUMNS,
-                   [{c: getattr(r, c) for c in _GT_COLUMNS}
-                    for r in ctx.result.ground_truth])
+                   ctx.result.ground_truth, get=attrgetter)
     if "probe" in stages:
         pairs = ctx.result.attacker_pairs if "extract" in stages else None
         for probe_id in sorted(ctx.tables):
@@ -481,7 +485,8 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
                 "offset_m": view.offset_m,
                 "range_only": int(est is not None and est.range_only),
             })
-        _write_csv(out / "positions.csv", _POSITION_COLUMNS, rows)
+        _write_csv(out / "positions.csv", _POSITION_COLUMNS, rows,
+                   blank_none=True)
     if "track" in stages:
         ctx.track_db.dump_journal(out / "trackdb.jsonl")
         trace_rows = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -44,6 +45,9 @@ DEFAULT_TOA_SIGMA_PS = 70_000
 _STREAM_FAULTS = 1
 _STREAM_PROBE_BASE = 1_000
 _STREAM_UE_BASE = 2_000
+
+#: ToA noise draws fetched from a probe's stream at a time.
+_NOISE_BLOCK = 4096
 
 _MSG3_OFFSET = 4  # subframes between a grant and the uplink it schedules
 _ROUNDS_START = 16  # first data-round DCI, relative to connection start
@@ -92,8 +96,7 @@ class UeProfile:
             return points[0][1]
         if t_ps >= points[-1][0]:
             return points[-1][1]
-        times = [p[0] for p in points]
-        i = bisect_right(times, t_ps) - 1
+        i = bisect_right(points, t_ps, key=itemgetter(0)) - 1
         (t0, a), (t1, b) = points[i], points[i + 1]
         if t1 == t0:
             return b
@@ -247,6 +250,19 @@ def _connection_span(ue: UeProfile) -> int:
     return _ROUNDS_START + 4 * ue.n_data_rounds + 12
 
 
+def _toa_noise(seed: int, stream: int, sigma_ps: int):
+    """Rounded N(0, sigma) ToA noise from one Philox stream, in blocks.
+
+    A block draw yields the same values as one scalar ``normal`` call per
+    draw. The stream is first touched by the first ``next``, so a probe
+    that never receives an uplink leaves it unread.
+    """
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    while True:
+        block = rng.normal(0.0, sigma_ps, _NOISE_BLOCK)
+        yield from map(round, block.tolist())
+
+
 def _stamp(sf: int, rx_ps: int, carrier: Carrier) -> SubframeStamp:
     return SubframeStamp(frame=(sf // 10) % 1024, subframe=sf % 10,
                          rx_time=rx_ps, carrier=carrier)
@@ -282,10 +298,19 @@ class _Run:
         seed = scenario.seed
         self.rng_fault = np.random.Generator(
             np.random.Philox(key=[seed, _STREAM_FAULTS]))
-        self.rng_probe = {
-            probe.id: np.random.Generator(
-                np.random.Philox(key=[seed, _STREAM_PROBE_BASE + i]))
-            for i, probe in enumerate(scenario.probes)}
+        # Fixed per run: (id, eNodeB-to-probe delay) of each downlink
+        # listener and (id, position, ToA noise) of each uplink listener.
+        enb = scenario.enbs[0]
+        sigma = scenario.noise.toa_sigma_ps
+        self.dl_probes = tuple(
+            (probe.id, _delay_ps(enb.position, probe.position))
+            for probe in scenario.probes if probe.hears_downlink())
+        self.ul_probes = tuple(
+            (probe.id, probe.position,
+             _toa_noise(seed, _STREAM_PROBE_BASE + i, sigma)
+             if sigma > 0 else None)
+            for i, probe in enumerate(scenario.probes)
+            if probe.hears_uplink())
         self.rng_ue = [
             np.random.Generator(
                 np.random.Philox(key=[seed, _STREAM_UE_BASE + i]))
@@ -293,34 +318,29 @@ class _Run:
 
     # -- emission helpers --------------------------------------------------
 
-    def _emit_downlink(self, sf: int, enb: Enb, message, rnti) -> None:
+    def _emit_downlink(self, sf: int, message, rnti) -> None:
         t_n = sf * PS_PER_SUBFRAME
-        for probe in self.scenario.probes:
-            if not probe.hears_downlink():
-                continue
-            rx = t_n + _delay_ps(enb.position, probe.position)
+        for probe_id, delay in self.dl_probes:
             self.seq += 1
-            self.items.append((sf, 0, self.seq, probe.id, ProbeEvent(
-                _stamp(sf, rx, Carrier.DOWNLINK), message, rnti=rnti)))
+            self.items.append((sf, 0, self.seq, probe_id, ProbeEvent(
+                _stamp(sf, t_n + delay, Carrier.DOWNLINK), message,
+                rnti=rnti)))
 
     def _emit_uplink(self, sf: int, tx_ps: int, pos: Position, message,
                      rb: Optional[int], rnti: Optional[Rnti],
                      gt: Optional[dict]) -> None:
-        sigma = self.scenario.noise.toa_sigma_ps
-        for probe in self.scenario.probes:
-            if not probe.hears_uplink():
-                continue
-            rx = tx_ps + _delay_ps(pos, probe.position)
-            if sigma > 0:
-                rx += round(self.rng_probe[probe.id].normal(0.0, sigma))
+        for probe_id, probe_pos, noise in self.ul_probes:
+            d_probe = _delay_ps(pos, probe_pos)
+            rx = tx_ps + d_probe
+            if noise is not None:
+                rx += next(noise)
             self.seq += 1
-            self.items.append((sf, 1, self.seq, probe.id, ProbeEvent(
+            self.items.append((sf, 1, self.seq, probe_id, ProbeEvent(
                 _stamp(sf, rx, Carrier.UPLINK), message, rb_alloc=rb,
                 rnti=rnti)))
             if gt is not None:
-                d_probe = _delay_ps(pos, probe.position)
                 self.ground_truth.append(GroundTruthRow(
-                    probe_id=probe.id, d_probe_ps=d_probe,
+                    probe_id=probe_id, d_probe_ps=d_probe,
                     sum_true_ps=gt["d_ue_ps"] + d_probe, **gt))
 
     # -- one connection ------------------------------------------------------
@@ -366,7 +386,7 @@ class _Run:
 
         def uplink(sf: int, message, rb, rnti=None, measured=True) -> None:
             p = pos_at(sf)
-            d = d_ue(sf)
+            d = _delay_ps(p, enb.position)
             ta = ta_at(sf)
             tx = (sf * PS_PER_SUBFRAME + d + tx_extra - ta_span(ta))
             gt = None
@@ -407,7 +427,7 @@ class _Run:
 
         # Random access: RAR two subframes after the (unmodeled) preamble.
         rb_msg3 = self.alloc.rb()
-        self._emit_downlink(start_sf + 2, enb,
+        self._emit_downlink(start_sf + 2,
                             RandomAccessResponse(rnti, ta0,
                                                  UlGrant(_MSG3_OFFSET,
                                                          rb_msg3, 3)),
@@ -417,11 +437,11 @@ class _Run:
         attacker_sees(conn_request)
 
         setup = RrcConnectionSetup(1)
-        self._emit_downlink(start_sf + 8, enb, setup, rnti)
+        self._emit_downlink(start_sf + 8, setup, rnti)
         attacker_sees(setup)
 
         rb_nas = self.alloc.rb()
-        self._emit_downlink(start_sf + 8, enb,
+        self._emit_downlink(start_sf + 8,
                             DciFormat0(rnti, _MSG3_OFFSET, rb_nas, 5), rnti)
         if ue.connection_type == "attach":
             nas = AttachRequest(Tmsi(tmsi),
@@ -440,8 +460,7 @@ class _Run:
             self.extraction.record(inject_sf * PS_PER_SUBFRAME, attacker,
                                    outcome)
             if outcome == "replaced":
-                self._emit_downlink(inject_sf, enb, overshadow.message,
-                                    rnti)
+                self._emit_downlink(inject_sf, overshadow.message, rnti)
                 if not isinstance(overshadow.message, IdentityRequest):
                     # Service reject: the UE drops and will re-attach.
                     info.end_sf = start_sf + 16
@@ -450,7 +469,7 @@ class _Run:
                            or ue.answers_identity_after_service_request)
                 if answers:
                     rb_id = self.alloc.rb()
-                    self._emit_downlink(inject_sf, enb,
+                    self._emit_downlink(inject_sf,
                                         DciFormat0(rnti, _MSG3_OFFSET,
                                                    rb_id, 5), rnti)
                     response = IdentityResponse(Imsi(imsi))
@@ -477,20 +496,18 @@ class _Run:
         for j in range(ue.n_data_rounds):
             dci_sf = start_sf + _ROUNDS_START + 4 * j
             while next_slot is not None and next_slot < dci_sf:
-                self._ta_maintenance(next_slot, enb, rnti, ue, d_ue,
-                                     tx_extra, ta_timeline, ta_at, uplink,
-                                     info)
+                self._ta_maintenance(next_slot, rnti, d_ue, tx_extra,
+                                     ta_timeline, ta_at, uplink, info)
                 next_slot = next(slot_iter, None)
             rb = self.alloc.rb()
-            self._emit_downlink(dci_sf, enb,
-                                DciFormat0(rnti, _MSG3_OFFSET, rb, 5), rnti)
+            self._emit_downlink(dci_sf, DciFormat0(rnti, _MSG3_OFFSET, rb, 5),
+                                rnti)
             lost = (scn.faults.grant_loss_prob > 0
                     and self.rng_fault.random() < scn.faults.grant_loss_prob)
             if not lost:
                 uplink(dci_sf + 4, None, rb)
 
-    def _ta_maintenance(self, slot: int, enb: Enb, rnti: Rnti,
-                        ue: UeProfile, d_ue, tx_extra: int,
+    def _ta_maintenance(self, slot: int, rnti: Rnti, d_ue, tx_extra: int,
                         ta_timeline: list, ta_at, uplink, info) -> None:
         target = quantize_ta(2 * d_ue(slot) + tx_extra)
         current = ta_at(slot)
@@ -498,14 +515,14 @@ class _Run:
         if adjust == 0:
             return
         info.n_ta_commands += 1
-        self._emit_downlink(slot, enb, MacTaCommand(adjust), rnti)
+        self._emit_downlink(slot, MacTaCommand(adjust), rnti)
         rx_slot = slot
         lost = (self.scenario.faults.ta_resend_prob > 0
                 and self.rng_fault.random()
                 < self.scenario.faults.ta_resend_prob)
         if lost:
             rx_slot = slot + 8
-            self._emit_downlink(rx_slot, enb, MacTaCommand(adjust), rnti)
+            self._emit_downlink(rx_slot, MacTaCommand(adjust), rnti)
             info.ta_resend_sfs.append(rx_slot)
         # The UE acknowledges, then applies from the following subframe.
         uplink(rx_slot + 4, Ack(info.n_ta_commands % 8), None, rnti=rnti,

@@ -1,4 +1,5 @@
-"""Brute-force grid oracle for ring/ellipse intersection, test-only.
+"""Test-only references: a brute-force grid oracle for ring/ellipse
+intersection, and the artifact line formats the writer must reproduce.
 
 Independent of the production intersect(): rasterize the plane at 1 m,
 mark cells satisfying both constraints, and compare against the returned
@@ -8,6 +9,7 @@ oracle is ill-posed at tangency (a 1 m cell cannot decide which side of
 the edge a grazing curve is on).
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +18,8 @@ from scipy.spatial import cKDTree
 from tatrack import timebase as tb
 from tatrack.geometry import (AnnulusLocus, EllipseLocus, Position,
                               _ellipse_points, annulus_from_ta)
+from tatrack.messages import encode
+from tatrack.probe import Carrier
 
 #: Cells count as on-the-ellipse when their first-order plane distance to
 #: the curve (range-sum misfit over the local range-sum gradient) is below
@@ -160,3 +164,41 @@ def agreement_gaps(annulus, ellipse, arcs):
         ring_violation = max(annulus.r_inner - dc, dc - annulus.r_outer, 0.0)
         mid_gap = max(mid_gap, ring_violation, abs(sum_misfit(ellipse, p)))
     return cell_gap, mid_gap
+
+
+# -- artifact line formats ----------------------------------------------------
+
+def event_line(event) -> str:
+    """One ``events_*.jsonl`` line, built the slow, obvious way."""
+    message_hex = None
+    if event.message is not None:
+        message_hex = encode(event.message).hex()
+    return json.dumps({
+        "frame": event.stamp.frame,
+        "subframe": event.stamp.subframe,
+        "rx_ps": event.stamp.rx_time,
+        "carrier": ("downlink" if event.stamp.carrier is Carrier.DOWNLINK
+                    else "uplink"),
+        "rnti": event.rnti.value if event.rnti is not None else None,
+        "rb_alloc": event.rb_alloc,
+        "message_hex": message_hex,
+    }, sort_keys=True) + "\n"
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: empty for None, ``repr`` for a float, else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_text(columns, rows) -> str:
+    """A whole CSV file; a row is a dict or an object with the columns."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = ([row[c] for c in columns] if isinstance(row, dict)
+                 else [getattr(row, c) for c in columns])
+        lines.append(",".join(csv_cell(v) for v in cells))
+    return "\n".join(lines) + "\n"

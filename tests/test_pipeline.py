@@ -15,6 +15,8 @@ from tatrack.fingerprint import FingerprintDb, hw_error
 from tatrack.geometry import AnnulusLocus, Position
 from tatrack.timebase import RING_WIDTH_M, m_to_ps, ps_to_m
 
+from _oracle import csv_text, event_line
+
 DB = FingerprintDb.default()
 REPLICATION = Path(__file__).resolve().parent.parent / "scenarios" / \
     "replication.json"
@@ -188,6 +190,83 @@ def test_artifacts_written_and_deterministic(tmp_path):
         assert expected in names
     same, diff, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
     assert not diff and not errors
+
+
+def _format_scenarios():
+    """A run with every message kind and a run with no connection at all."""
+    waypoints = tuple((k * 10**12, Position(680.0 if k % 2 else 600.0, 0.0))
+                      for k in range(4))
+    ues = (_static_ue(60.0, imsi="001010000000001", tmsi=0xA0000001),
+           _static_ue(45.0, model="iPhone 8", imsi="001010000000002",
+                      tmsi=0xA0000002, connection_type="service"),
+           sim.UeProfile(model="Huawei P30", waypoints=waypoints,
+                         reconnect_rate=10.0, n_data_rounds=400,
+                         ta_interval=32))
+    probes = (sim.Probe(id="both", position=Position(0.0, 0.0)),
+              sim.Probe(id="ul", position=Position(250.0, 0.0), role="ul"),
+              sim.Probe(id="dl", position=Position(0.0, 250.0), role="dl"))
+    attack = sim.AttackConfig(enabled=True, use_service_reject=True)
+    faults = sim.FaultModel(ta_resend_prob=0.3, grant_loss_prob=0.05)
+    busy = _scenario(ues, probes=probes, attack=attack, faults=faults)
+    idle = sim.Scenario(enbs=busy.enbs, probes=probes, ues=ues[:1],
+                        duration_ps=50 * 10**9, seed=5, attack=attack)
+    return busy, idle
+
+
+@pytest.mark.parametrize("busy", [True, False], ids=["busy", "idle"])
+def test_artifacts_match_the_reference_formats(tmp_path, monkeypatch, busy):
+    scn = _format_scenarios()[0 if busy else 1]
+    ctx = pl.run_pipeline(scn)
+    if busy:
+        kinds = {type(e.message).__name__
+                 for events in ctx.result.events.values() for e in events}
+        assert kinds == {
+            "RandomAccessResponse", "RrcConnectionRequest",
+            "RrcConnectionSetup", "DciFormat0", "AttachRequest",
+            "ServiceRequest", "IdentityRequest", "IdentityResponse",
+            "ServiceReject", "MacTaCommand", "Ack", "NoneType"}
+        # A record whose TMSI was never heard leaves both identity cells
+        # of its measurement rows empty.
+        record = next(r for r in ctx.tables["both"].records
+                      if r.measurements and r.observed_imsi is None)
+        record.tmsi = None
+        assert any(v.offset_m is None for v in ctx.views)
+    written = {}
+    real_write_csv = pl._write_csv
+
+    def keep_rows(path, columns, rows, **kw):
+        rows = list(rows)
+        written[path.name] = csv_text(columns, rows)
+        real_write_csv(path, columns, rows, **kw)
+
+    monkeypatch.setattr(pl, "_write_csv", keep_rows)
+    pl.write_artifacts(ctx, tmp_path, pl.STAGES)
+    for probe in scn.probes:
+        text = (tmp_path / f"events_{probe.id}.jsonl").read_text()
+        events = ctx.result.events[probe.id]
+        assert text.splitlines(keepends=True) == [event_line(e)
+                                                  for e in events]
+        assert (text == "") == (not busy)
+    assert sorted(written) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for name, expected in written.items():
+        assert (tmp_path / name).read_text() == expected, name
+    if busy:
+        # The cases the templates special-case do occur in this run.
+        events = (tmp_path / "events_both.jsonl").read_text()
+        for null in ('"message_hex": null', '"rb_alloc": null',
+                     '"rnti": null'):
+            assert null in events
+        assert "\n,," in (tmp_path / "measurements_both.csv").read_text()
+        with open(tmp_path / "positions.csv", newline="") as fh:
+            assert {row["offset_m"] for row in csv.DictReader(fh)} == {""}
+
+
+def test_numpy_scalars_are_written_as_plain_digits(tmp_path):
+    path = tmp_path / "row.csv"
+    rows = [{"a": np.float64(1.5), "b": np.int64(-7),
+             "c": np.float64(1e-7), "d": None}]
+    pl._write_csv(path, ("a", "b", "c", "d"), rows, blank_none=True)
+    assert path.read_text() == "a,b,c,d\n1.5,-7,1e-07,\n"
 
 
 def test_positions_csv_row_per_connection(tmp_path):

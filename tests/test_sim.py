@@ -10,6 +10,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tatrack import sim
@@ -397,6 +398,55 @@ def test_calibration_tool_builds_the_shipped_replication_scenario():
     spec.loader.exec_module(tool)
     shipped = sim.load_scenario(root / "scenarios" / "replication.json")
     assert tool.replication_scenario() == shipped
+
+
+# -- time-of-arrival noise -------------------------------------------------------
+
+def _scalar_noise(seed, probe_index, sigma_ps, n):
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1000 + probe_index]))
+    return [round(rng.normal(0.0, sigma_ps)) for _ in range(n)]
+
+
+def test_block_noise_matches_scalar_draws():
+    # Two full blocks and part of a third: two block boundaries crossed.
+    n = 2 * sim._NOISE_BLOCK + 1_000
+    blocks = sim._toa_noise(9, 1002, 70_000)
+    assert [next(blocks) for _ in range(n)] == _scalar_noise(9, 2, 70_000, n)
+
+
+def _uplink_rx(result, probe_id):
+    return [e.stamp.rx_time for e in result.events[probe_id]
+            if e.stamp.carrier is Carrier.UPLINK]
+
+
+def test_each_uplink_probe_draws_from_its_own_stream(monkeypatch):
+    # The noise on every uplink a probe hears is the next scalar draw from
+    # Philox key [seed, 1000 + probe index]; a downlink-only probe, even
+    # one listed first, reads no stream.
+    drawn = []
+    block_noise = sim._toa_noise
+
+    def recording(seed, stream, sigma_ps):
+        for value in block_noise(seed, stream, sigma_ps):
+            drawn.append(stream)
+            yield value
+
+    monkeypatch.setattr(sim, "_toa_noise", recording)
+    probes = (sim.Probe("dl", Position(0.0, 0.0), role="dl"),
+              sim.Probe("both", Position(0.0, 0.0)),
+              sim.Probe("ul", Position(300.0, 0.0), role="ul"))
+    # One phone, so the uplinks are heard in the order they were drawn.
+    ues = [_static_ue(60.0, reconnect_rate=120.0)]
+    noisy, exact = (
+        sim.run(_scenario(ues, probes=probes, duration_s=10, seed=21,
+                          noise=sim.NoiseModel(toa_sigma_ps=sigma)))
+        for sigma in (70_000, 0))
+    assert 1000 not in drawn
+    for index, probe_id in ((1, "both"), (2, "ul")):
+        rx, rx_exact = _uplink_rx(noisy, probe_id), _uplink_rx(exact, probe_id)
+        assert drawn.count(1000 + index) == len(rx) > 100
+        noise = [a - b for a, b in zip(rx, rx_exact)]
+        assert noise == _scalar_noise(21, index, 70_000, len(rx))
 
 
 # -- multi-probe geometry --------------------------------------------------------
