@@ -25,15 +25,15 @@ import numpy as np
 from . import sim
 from .fingerprint import (FingerprintDb, HwErrorUnavailable, classify,
                           hw_error)
-from .geometry import (ConvergenceError, InfeasibleSumError, Position,
-                       PositionEstimate, annulus_from_ta, ellipse_from_sum,
-                       multilaterate, multilaterate_with_offset)
+from .geometry import (AnnulusLocus, ConvergenceError, InfeasibleSumError,
+                       Position, PositionEstimate, annulus_from_ta,
+                       ellipse_from_sum, multilaterate,
+                       multilaterate_with_offset)
 from .messages import CapabilityVector, encode
 from .probe import ConnectionTable
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (ConnectionSummary, TracePoint, TrackDb,
-                      connection_stats, corrected_loci, stats_csv_rows,
-                      trace_csv_rows)
+                      connection_stats, stats_csv_rows, trace_csv_rows)
 
 #: Every stage, in run order, with the stages it needs. Stage ``name`` is
 #: the function ``stage_<name>`` of this module.
@@ -167,20 +167,21 @@ def stage_localize(ctx: RunContext) -> None:
             leg.stats = connection_stats(leg.sums)
             groups.setdefault((start_ps, record.rnti.value), []).append(leg)
 
-    bias_by_tmsi: dict = {}
-    for (start_ps, rnti), legs in sorted(groups.items()):
-        view = _merge_legs(start_ps, rnti, legs)
+    views = [_merge_legs(start_ps, rnti, legs)
+             for (start_ps, rnti), legs in sorted(groups.items())]
+    for view in views:
         _classify_view(view, ctx.db)
-        stable_tmsi = view.tmsi is not None and not view.tmsi_is_random
-        if view.hw_bias_m is not None:
-            if stable_tmsi:
-                bias_by_tmsi[view.tmsi] = (view.model_hat, view.hw_bias_m)
-        elif stable_tmsi and view.tmsi in bias_by_tmsi:
-            # No capability vector this time; reuse the model this TMSI
-            # showed in an earlier connection.
+    # A connection that carried no capability vector takes the model its
+    # stable TMSI showed in any connection of the run, the latest winning.
+    bias_by_tmsi = {v.tmsi: (v.model_hat, v.hw_bias_m) for v in views
+                    if v.hw_bias_m is not None and v.tmsi is not None
+                    and not v.tmsi_is_random}
+    for view in views:
+        if (view.hw_bias_m is None and not view.tmsi_is_random
+                and view.tmsi in bias_by_tmsi):
             view.model_hat, view.hw_bias_m = bias_by_tmsi[view.tmsi]
         _solve_view(ctx, view, enb.position, probe_pos)
-        ctx.views.append(view)
+    ctx.views.extend(views)
 
 
 def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:
@@ -218,13 +219,26 @@ def _bias_correction_ps(view: ConnectionView) -> int:
     return m_to_ps(2 * view.hw_bias_m) if view.hw_bias_m is not None else 0
 
 
+def _corrected_ring(ring: AnnulusLocus, hw_bias_m: float) -> AnnulusLocus:
+    """Shift a TA ring's mid radius back by the bias, keeping its width.
+
+    A ring at TA 0 comes from an advance clamped at zero, which covers
+    every range the bias maps below the first step, so its inner edge
+    stays at zero.
+    """
+    width = ring.r_outer - ring.r_inner
+    mid = ring.mid_radius - hw_bias_m
+    inner = 0.0 if ring.r_inner == 0.0 else max(0.0, mid - width / 2)
+    return AnnulusLocus(center=ring.center, r_inner=inner,
+                        r_outer=max(inner + 1e-9, mid + width / 2))
+
+
 def _solve_view(ctx: RunContext, view: ConnectionView, enb_pos: Position,
                 probe_pos: dict) -> None:
-    """Build loci and solve, correcting sums when the model is known.
+    """Build loci and solve, correcting sums and ring when the bias is known.
 
-    Connections that carried no capability vector stay uncorrected here;
-    the tracker re-corrects their loci once the linked identity gains a
-    fingerprint from another connection.
+    This is the only place a bias correction is applied: the tracker
+    stores the estimate as solved here and never re-solves it.
     """
     corr_ps = _bias_correction_ps(view)
     loci = []
@@ -248,7 +262,7 @@ def _solve_view(ctx: RunContext, view: ConnectionView, enb_pos: Position,
     if view.ta_index is not None:
         annulus = annulus_from_ta(enb_pos, view.ta_index)
         if corr_ps:
-            annulus = corrected_loci((annulus,), view.hw_bias_m)[0]
+            annulus = _corrected_ring(annulus, view.hw_bias_m)
         loci.append(annulus)
     view.loci = tuple(loci)
     if not loci:

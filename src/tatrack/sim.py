@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Optional
 
@@ -327,8 +327,9 @@ class _Run:
                 rnti=rnti)))
 
     def _emit_uplink(self, sf: int, tx_ps: int, pos: Position, message,
-                     rb: Optional[int], rnti: Optional[Rnti],
-                     gt: Optional[dict]) -> None:
+                     rb: Optional[int], rnti: Optional[Rnti]) -> list:
+        """Emit a burst; return (probe id, UE-to-probe delay) per listener."""
+        heard = []
         for probe_id, probe_pos, noise in self.ul_probes:
             d_probe = _delay_ps(pos, probe_pos)
             rx = tx_ps + d_probe
@@ -338,10 +339,8 @@ class _Run:
             self.items.append((sf, 1, self.seq, probe_id, ProbeEvent(
                 _stamp(sf, rx, Carrier.UPLINK), message, rb_alloc=rb,
                 rnti=rnti)))
-            if gt is not None:
-                self.ground_truth.append(GroundTruthRow(
-                    probe_id=probe_id, d_probe_ps=d_probe,
-                    sum_true_ps=gt["d_ue_ps"] + d_probe, **gt))
+            heard.append((probe_id, d_probe))
+        return heard
 
     # -- one connection ------------------------------------------------------
 
@@ -388,15 +387,15 @@ class _Run:
             p = pos_at(sf)
             d = _delay_ps(p, enb.position)
             ta = ta_at(sf)
-            tx = (sf * PS_PER_SUBFRAME + d + tx_extra - ta_span(ta))
-            gt = None
+            t_n = sf * PS_PER_SUBFRAME
+            heard = self._emit_uplink(sf, t_n + d + tx_extra - ta_span(ta),
+                                      p, message, rb, rnti)
             if measured:
-                gt = {"conn_id": conn_id, "ue_index": ue_index,
-                      "model": ue.model, "imsi": imsi, "abs_subframe": sf,
-                      "t_n_ps": sf * PS_PER_SUBFRAME, "x_m": p.x,
-                      "y_m": p.y, "d_ue_ps": d, "tx_extra_ps": tx_extra,
-                      "ta_ue": ta}
-            self._emit_uplink(sf, tx, p, message, rb, rnti, gt)
+                self.ground_truth.extend(
+                    GroundTruthRow(conn_id, ue_index, ue.model, imsi,
+                                   probe_id, sf, t_n, p.x, p.y, d, d_probe,
+                                   d + d_probe, tx_extra, ta)
+                    for probe_id, d_probe in heard)
 
         rnti = self.alloc.rnti()
         info = ConnectionInfo(conn_id=conn_id, ue_index=ue_index,
@@ -603,8 +602,20 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _known_keys(obj: dict, cls, where: str) -> dict:
+    """``obj`` itself, once every key in it names a field of ``cls``."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {', '.join(unknown)} in {where}")
+    return obj
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
+        _known_keys(data, Scenario, "scenario")
+        for key, cls in (("enbs", Enb), ("probes", Probe), ("ues", UeProfile)):
+            for item in _require(data, key, "scenario"):
+                _known_keys(item, cls, key)
         enbs = tuple(Enb(id=e["id"], position=Position(*e["position"]))
                      for e in _require(data, "enbs", "scenario"))
         probes = tuple(Probe(id=p["id"], position=Position(*p["position"]),
@@ -622,10 +633,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             n_data_rounds=u.get("n_data_rounds", 12),
             ta_interval=u.get("ta_interval", 0),
         ) for u in _require(data, "ues", "scenario"))
-        noise_d = data.get("noise", {})
-        faults_d = data.get("faults", {})
-        cm_d = data.get("countermeasure", {})
-        attack_d = data.get("attack", {})
+        noise_d = _known_keys(data.get("noise", {}), NoiseModel, "noise")
+        faults_d = _known_keys(data.get("faults", {}), FaultModel, "faults")
+        cm_d = _known_keys(data.get("countermeasure", {}), Countermeasure,
+                           "countermeasure")
+        attack_d = _known_keys(data.get("attack", {}), AttackConfig, "attack")
         return Scenario(
             enbs=enbs, probes=probes, ues=ues,
             duration_ps=int(_require(data, "duration_ps", "scenario")),

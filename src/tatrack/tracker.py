@@ -2,7 +2,9 @@
 
 The database ingests finished-connection summaries, links each one to an
 IMSI (directly, via a stored TMSI pair, or via a captured identity), and
-accumulates time-ordered position estimates per identity.  Connections
+accumulates time-ordered position estimates per identity.  The estimates
+are stored as localization solved them, bias correction included: the
+database links, stores and journals, and never solves.  Connections
 that cannot be linked get a provisional anonymous id that is never merged
 by guesswork.  All connections are taken to come from one cell: there is
 no linkage across a handover.
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import json
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (AnnulusLocus, EllipseLocus, Position,
-                       PositionEstimate, multilaterate)
+                       PositionEstimate)
 
 MIN_MEASUREMENTS = 10
 OUTLIER_IQR_FACTOR = 10.0
@@ -190,23 +192,10 @@ class TrackDb:
     # -- trace assembly ------------------------------------------------------
 
     def build_trace(self, imsi: str) -> list[TracePoint]:
-        """Time-ordered estimates, re-corrected once a fingerprint exists."""
+        """Time-ordered estimates, as localize solved and corrected them."""
         if imsi not in self.traces:
             raise KeyError(imsi)
-        points = self.traces[imsi]
-        if imsi in self.fingerprints:
-            _, hw_error_m = self.fingerprints[imsi]
-            points = [self._corrected(p, hw_error_m) for p in points]
-            self.traces[imsi] = points
-        return list(points)
-
-    @staticmethod
-    def _corrected(point: TracePoint, hw_error_m: float) -> TracePoint:
-        if point.corrected or not point.loci:
-            return point
-        loci = corrected_loci(point.loci, hw_error_m)
-        estimate = multilaterate(loci, initial=point.position)
-        return replace(point, estimate=estimate, corrected=True)
+        return list(self.traces[imsi])
 
     # -- persistence ----------------------------------------------------------
 
@@ -214,35 +203,6 @@ class TrackDb:
         with open(path, "w", encoding="utf-8") as fh:
             for entry in self.journal:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def corrected_loci(loci: Sequence, hw_error_m: float) -> tuple:
-    """Undo a per-phone ranging bias on measurement loci.
-
-    A transmit-timing error inflates a two-leg delay sum by twice the
-    one-way bias and a timing-advance ring radius by the bias itself.
-    """
-    out = []
-    for locus in loci:
-        if isinstance(locus, EllipseLocus):
-            out.append(EllipseLocus(focus_enb=locus.focus_enb,
-                                    focus_probe=locus.focus_probe,
-                                    sum_dist=locus.sum_dist - 2 * hw_error_m,
-                                    sigma=locus.sigma))
-        elif isinstance(locus, AnnulusLocus):
-            width = locus.r_outer - locus.r_inner
-            mid = locus.mid_radius - hw_error_m
-            # A ring touching the eNodeB comes from a timing advance
-            # clamped at zero, which covers every range the bias maps
-            # below the first step boundary; its inner edge stays pinned.
-            inner = 0.0 if locus.r_inner == 0.0 else max(0.0,
-                                                         mid - width / 2)
-            out.append(AnnulusLocus(center=locus.center, r_inner=inner,
-                                    r_outer=max(inner + 1e-9,
-                                                mid + width / 2)))
-        else:
-            raise TypeError(f"unknown locus type {type(locus).__name__}")
-    return tuple(out)
 
 
 # -- journal serialization helpers --------------------------------------------

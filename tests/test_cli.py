@@ -104,6 +104,17 @@ def test_unknown_attack_policy_mode_is_refused(tmp_path, capsys, mode,
     assert not out.exists()
 
 
+def test_unknown_scenario_key_is_refused(tmp_path, capsys):
+    data = sim.scenario_to_dict(_scenario())
+    data["noise"] = {"toa_sigma": 0}  # a typo of toa_sigma_ps
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "toa_sigma in noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_the_run(tmp_path):
     path = _write_scenario(tmp_path, _scenario())
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -81,6 +81,17 @@ def test_bias_cancels_exactly_in_stats():
         assert row["err_corr_m"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_corrected_ring_shifts_mid_radius_and_keeps_width():
+    ring = AnnulusLocus(center=Position(0.0, 0.0),
+                        r_inner=380.0 - RING_WIDTH_M / 2,
+                        r_outer=380.0 + RING_WIDTH_M / 2)
+    fixed = pl._corrected_ring(ring, -10.0)
+    assert fixed.center == ring.center
+    assert fixed.mid_radius == pytest.approx(ring.mid_radius + 10.0)
+    assert fixed.r_outer - fixed.r_inner == pytest.approx(
+        ring.r_outer - ring.r_inner)
+
+
 def test_ta_zero_ring_keeps_zero_inner_edge():
     # A P30 at 30 m transmits 24.51 m early, so its timing advance clamps
     # at zero; the corrected ring must keep covering the short ranges the
@@ -100,18 +111,31 @@ def test_ta_zero_ring_keeps_zero_inner_edge():
                                                                     abs=0.05)
 
 
-def test_service_connection_inherits_bias_from_tmsi():
+@pytest.mark.parametrize("service_first", [False, True],
+                         ids=["attach_first", "service_first"])
+def test_service_connection_inherits_bias_from_tmsi(service_first):
+    # Service first, the attach that shows the model comes later in the
+    # run; the extractor links the earlier service connection's TMSI.
     shared = dict(imsi="001010000012345", tmsi=0xBEEF0001)
-    attach = _static_ue(60.0, **shared)
-    service = _static_ue(45.0, connection_type="service", **shared)
-    ctx = pl.run_pipeline(_scenario((attach, service),
-                                    probes=TRIANGLE_PROBES, noise=BIASED))
+    ues = (_static_ue(60.0, **shared),
+           _static_ue(45.0, connection_type="service", **shared))
+    ctx = pl.run_pipeline(_scenario(
+        ues[::-1] if service_first else ues, probes=TRIANGLE_PROBES,
+        noise=BIASED, attack=sim.AttackConfig(enabled=service_first)))
     served = [v for v in ctx.views if v.had_service_request]
     assert served
     for view in served:
         assert view.capabilities is None
         assert view.hw_bias_m == hw_error("Huawei P30", DB)
         assert view.estimate.position.distance_to(Position(45.0, 0.0)) < 0.05
+    # positions.csv and traces.csv report the same point per connection.
+    db = ctx.track_db
+    for view in ctx.views:
+        key = (view.cell_id, view.rnti, view.start_ps)
+        [point] = [p for p in db.build_trace(db.link_of[key])
+                   if p.t_ps == view.start_ps]
+        assert point.estimate == view.estimate
+        assert point.corrected == (view.hw_bias_m is not None)
 
 
 def test_extraction_links_views_to_imsis():

@@ -390,14 +390,18 @@ def test_load_scenario_reports_json_position(tmp_path):
         sim.load_scenario(path)
 
 
-def test_calibration_tool_builds_the_shipped_replication_scenario():
+def test_calibration_tool_builds_the_shipped_replication_scenario(tmp_path):
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "calibrate_sigma", root / "tools" / "calibrate_sigma.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    shipped = sim.load_scenario(root / "scenarios" / "replication.json")
-    assert tool.replication_scenario() == shipped
+    shipped_path = root / "scenarios" / "replication.json"
+    assert tool.replication_scenario() == sim.load_scenario(shipped_path)
+    # The shipped file is the tool's output, byte for byte.
+    written = tmp_path / "replication.json"
+    assert tool.main(["--write-scenario", str(written)]) == 0
+    assert written.read_bytes() == shipped_path.read_bytes()
 
 
 # -- time-of-arrival noise -------------------------------------------------------

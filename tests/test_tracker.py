@@ -2,22 +2,19 @@
 
 import pytest
 
-from tatrack.geometry import (AnnulusLocus, EllipseLocus, Position,
-                              PositionEstimate, multilaterate)
-from tatrack.timebase import RING_WIDTH_M
+from tatrack.geometry import Position, PositionEstimate
 from tatrack.tracker import (ConnectionStats, ConnectionSummary,
                              IntegrityError, TracePoint, TrackDb,
-                             connection_stats, corrected_loci,
-                             provisional_id, stats_csv_rows, trace_csv_rows)
+                             connection_stats, provisional_id,
+                             stats_csv_rows, trace_csv_rows)
 
 SEC = 10**12
 IMSI = "001010000000017"
 
 
-def _point(t_ps, x, y, loci=(), corrected=False):
+def _point(t_ps, x, y):
     est = PositionEstimate(position=Position(x, y), residual_rms=0.0)
-    return TracePoint(t_ps=t_ps, estimate=est, loci=loci,
-                      corrected=corrected)
+    return TracePoint(t_ps=t_ps, estimate=est)
 
 
 def _conn(conn_id, start, end, cell=0, rnti=0x4A, tmsi=None,
@@ -153,7 +150,7 @@ def test_service_request_never_handover_matched():
     assert db.ingest(new).startswith("anon-")
 
 
-# -- traces and retroactive correction ----------------------------------------
+# -- traces: stored as localize solved them -----------------------------------
 
 def test_trace_points_time_ordered():
     db = TrackDb()
@@ -164,76 +161,11 @@ def test_trace_points_time_ordered():
     db.ingest(conn)
     trace = db.build_trace(IMSI)
     assert [p.t_ps for p in trace] == [10 * SEC, 11 * SEC, 12 * SEC]
+    # A fingerprint is journaled; the stored points are not re-solved.
+    db.set_fingerprint(IMSI, "Huawei P30", -24.51)
+    assert db.build_trace(IMSI) == trace
     with pytest.raises(KeyError):
         db.build_trace("unknown")
-
-
-def _biased_scene(hw_error_m):
-    enb = Position(0.0, 0.0)
-    probe1 = Position(400.0, 0.0)
-    probe2 = Position(100.0, 500.0)
-    ue = Position(250.0, 300.0)
-    d_enb = ue.distance_to(enb)
-    sums = [d_enb + ue.distance_to(probe1), d_enb + ue.distance_to(probe2)]
-    loci = [EllipseLocus(focus_enb=enb, focus_probe=probe1,
-                         sum_dist=sums[0] + 2 * hw_error_m, sigma=1.0),
-            EllipseLocus(focus_enb=enb, focus_probe=probe2,
-                         sum_dist=sums[1] + 2 * hw_error_m, sigma=1.0),
-            AnnulusLocus(center=enb,
-                         r_inner=d_enb + hw_error_m - RING_WIDTH_M / 2,
-                         r_outer=d_enb + hw_error_m + RING_WIDTH_M / 2)]
-    return ue, tuple(loci)
-
-
-def test_fingerprint_corrects_earlier_points():
-    hw = -24.51
-    ue, loci = _biased_scene(hw)
-    biased = multilaterate(loci)
-    point = TracePoint(t_ps=10 * SEC, estimate=biased, loci=loci)
-    db = TrackDb()
-    db.ingest(_conn("c1", 10 * SEC, 11 * SEC, tmsi=0x1111, imsi=IMSI,
-                    points=(point,)))
-
-    before = db.build_trace(IMSI)[0]
-    assert not before.corrected
-    assert before.position.distance_to(ue) > 5.0
-
-    db.set_fingerprint(IMSI, "Huawei P30", hw)
-    after = db.build_trace(IMSI)[0]
-    assert after.corrected
-    assert after.position.distance_to(ue) < 0.1
-
-
-def test_concentric_point_is_recorrected_as_range_only():
-    hw = -24.51
-    enb = Position(0.0, 0.0)
-    r_true = 300.0
-    loci = (EllipseLocus(focus_enb=enb, focus_probe=enb,
-                         sum_dist=2 * (r_true + hw), sigma=1.0),
-            AnnulusLocus(center=enb, r_inner=r_true + hw - RING_WIDTH_M / 2,
-                         r_outer=r_true + hw + RING_WIDTH_M / 2))
-    biased = multilaterate(loci)
-    assert biased.range_only
-    db = TrackDb()
-    db.ingest(_conn("c1", 10 * SEC, 11 * SEC, tmsi=0x1111, imsi=IMSI,
-                    points=(TracePoint(t_ps=10 * SEC, estimate=biased,
-                                       loci=loci),)))
-    db.set_fingerprint(IMSI, "Huawei P30", hw)
-    after = db.build_trace(IMSI)[0]
-    assert after.corrected and after.estimate.range_only
-    assert after.position.y == 0.0
-    assert after.position.x == pytest.approx(biased.position.x - hw,
-                                             abs=1e-9)
-    assert after.position.x == pytest.approx(r_true, abs=1e-9)
-
-
-def test_corrected_loci_arithmetic():
-    _, loci = _biased_scene(-10.0)
-    fixed = corrected_loci(loci, -10.0)
-    assert fixed[0].sum_dist == pytest.approx(loci[0].sum_dist + 20.0)
-    assert fixed[2].mid_radius == pytest.approx(loci[2].mid_radius + 10.0)
-    assert fixed[2].r_outer - fixed[2].r_inner == pytest.approx(
-        loci[2].r_outer - loci[2].r_inner)
 
 
 def test_two_tmsis_one_trace():
