@@ -7,10 +7,13 @@ intersects them, and runs weighted nonlinear least squares over any
 mixture of them.
 
 Ring and ellipse share the eNodeB as centre and focus, which gives their
-intersection a closed form; ``intersect`` refuses any other ring. Its arcs
-are also where the iterative solver starts: the midpoints of every
-ring/ellipse pair's arcs, and their centroid. Levenberg-Marquardt runs
-from there with fixed step and gradient tolerances.
+intersection a closed form; ``intersect`` refuses any other ring, and the
+solver any loci without one shared focus. With that focus at the origin
+and R the UE's range, every locus is one equation linear in (x, y, R):
+the spherical-intersection method of multistatic passive radar. Its
+roots, one or a pair of crossings, are the solver's starts, and
+Levenberg-Marquardt only polishes them, with fixed step and gradient
+tolerances.
 
 When every locus is a circle about one point (each ring centred there,
 each ellipse with both foci there, as for a sniffer beside the eNodeB),
@@ -257,6 +260,9 @@ class _Packed(NamedTuple):
 
 
 def _pack(loci) -> _Packed:
+    """Pack loci that share one eNodeB focus; ValueError if they do not."""
+    if not loci:
+        raise ValueError("need at least one locus")
     rows = []
     for locus in loci:
         if isinstance(locus, EllipseLocus):
@@ -269,6 +275,8 @@ def _pack(loci) -> _Packed:
         else:
             raise TypeError(f"unknown locus type {type(locus).__name__}")
     a, b, e, k, target, w = zip(*rows)
+    if any(focus != a[0] for focus in a):
+        raise ValueError("loci must share one eNodeB focus")
     return _Packed(np.array([[p.x, p.y] for p in a]),
                    np.array([[p.x, p.y] for p in b]), np.array(e),
                    np.array(k), np.array(target), np.array(w))
@@ -375,77 +383,66 @@ def _estimate_at(pk: _Packed, x: np.ndarray,
     )
 
 
-def _candidate_starts(loci) -> list[np.ndarray]:
-    """Start points for the solver when the caller gives no initial.
+def _roots(pk: _Packed) -> list[np.ndarray]:
+    """Closed-form start points: the spherical-intersection roots.
 
-    Every ring/ellipse pair contributes the midpoints of its ``intersect``
-    arcs. First comes their centroid (nudged off the mirror axis, where
-    the cost is stationary), then the first eight midpoints themselves:
-    the centroid of a symmetric pair lands between basins, so the raw
-    points keep the solver honest. With no arc, the one start is the
-    first locus's centre, nudged off the axis likewise.
+    With the shared eNodeB focus at the origin and R = |x| the UE range,
+    ellipse i (sniffer p_i, range sum s_i) gives 2 p_i.x - 2 s_i R =
+    |p_i|^2 - s_i^2, linear in (x, y, R). A ring of mid radius r is the
+    same row for a sniffer at the origin with sum 2r at half the weight.
+    Rows are weighted by w_i / (2 (s_i - R0)), their linearised misfit, R0
+    being the ring's mid radius (0 without a ring); s_i - R0 is the
+    UE-to-sniffer distance, floored at half a ring width. Ellipses that fix
+    (x, y, R) give one weighted solve. Sniffers that span the plane but
+    fix no more leave x = u + R v, and the roots of |u + R v|^2 = R^2 are
+    the two crossings. Collinear sniffers fix the along-axis coordinate
+    and R, which places a mirror pair across the axis.
     """
-    points: list[Position] = []
-    for i, a in enumerate(loci):
-        for b in loci[i + 1:]:
-            if isinstance(a, AnnulusLocus) and isinstance(b, EllipseLocus):
-                points.extend(arc.midpoint for arc in intersect(a, b))
-            elif isinstance(a, EllipseLocus) and isinstance(b, AnnulusLocus):
-                points.extend(arc.midpoint for arc in intersect(b, a))
-    if not points:
-        first = loci[0]
-        anchor = (first.center if isinstance(first, AnnulusLocus)
-                  else first.focus_enb)
-        return [anchor.as_array() + _off_axis_nudge(loci)]
-    xs = np.array([[p.x, p.y] for p in points])
-    starts = [xs.mean(axis=0) + _off_axis_nudge(loci)]
-    starts.extend(p.as_array() for p in points[:8])
-    return starts
+    centre = pk.a[0]
+    p = pk.b - centre
+    s = pk.target / pk.k
+    rings = pk.e == 0.0
+    r0 = float(np.mean(pk.target[rings])) if rings.any() else 0.0
+    w = pk.w * pk.k / (2.0 * np.maximum(s - r0, 0.5 * RING_WIDTH_M))
+    Z = w[:, None] * np.column_stack([2.0 * p, -2.0 * s])
+    rhs = w * (np.sum(p * p, axis=1) - s * s)
+    if np.linalg.matrix_rank(Z[~rings]) == 3:
+        return [centre + np.linalg.lstsq(Z, rhs, rcond=None)[0][:2]]
+    if np.linalg.matrix_rank(Z[:, :2]) == 2:
+        u, v = np.linalg.lstsq(Z[:, :2], np.column_stack([rhs, -Z[:, 2]]),
+                               rcond=None)[0].T
+        # A complex pair of roots means the loci do not cross; its real
+        # part is their closest approach.
+        ranges = {float(r.real)
+                  for r in np.roots([v @ v - 1.0, 2.0 * (u @ v), u @ u])}
+        return ([centre + u + r * v for r in sorted(ranges) if r >= 0.0]
+                or [centre + u])
+    axis = p[np.argmax(np.hypot(p[:, 0], p[:, 1]))]
+    axis = axis / float(np.hypot(*axis))
+    t, r = np.linalg.lstsq(Z @ np.array([[axis[0], 0.0], [axis[1], 0.0],
+                                         [0.0, 1.0]]), rhs, rcond=None)[0]
+    foot = centre + t * axis
+    h = math.sqrt(max(r * r - t * t, 0.0))  # 0: the ring misses the line
+    normal = np.array([-axis[1], axis[0]])
+    return [foot + h * normal, foot - h * normal] if h else [foot]
 
 
-def _baseline(loci):
-    """Foci axis of the first proper ellipse, if any: (anchor, unit)."""
-    for locus in loci:
-        if isinstance(locus, EllipseLocus):
-            d = locus.focus_probe.as_array() - locus.focus_enb.as_array()
-            n = float(np.hypot(*d))
-            if n > 1e-9:
-                return locus.focus_enb.as_array(), d / n
-    return None
+def _polish(pk: _Packed, starts, with_offset: bool, max_iter: int):
+    """Run LM from every (x, y) start; return (ok, cost, x, it) per run.
 
-
-def _off_axis_nudge(loci) -> np.ndarray:
-    base = _baseline(loci)
-    if base is None:
-        return np.array([0.0, 0.5])
-    _, u = base
-    return 0.5 * np.array([-u[1], u[0]])
-
-
-def _mirror_across_baseline(xy: np.ndarray, base) -> np.ndarray:
-    anchor, u = base
-    rel = xy - anchor
-    along = float(rel @ u) * u
-    return anchor + 2.0 * along - rel
-
-
-def _multistart(pk: _Packed, starts, with_offset: bool, max_iter: int):
-    """Run the solver from every (x, y) start and keep the best iterate.
-
-    A converged iterate beats one that is not; among equals the lower
-    weighted cost, which LM minimises, wins: the unweighted RMS would let
-    a ring's quantization misfit (sigma 22.5 m) outweigh an ellipse missed
-    by metres at a millimetre sigma. With ``with_offset`` each start gains
-    a zero offset. Returns (x, ok, it), ``it`` being the last run's count.
+    The runs come best first. A converged iterate beats one that is not;
+    among equals the lower weighted cost, which LM minimises, wins: the
+    unweighted RMS would let a ring's quantization misfit (sigma 22.5 m)
+    outweigh an ellipse missed by metres at a millimetre sigma. With
+    ``with_offset`` each start gains a zero offset.
     """
-    x = ok = cost = None
+    runs = []
     for xy0 in starts:
         x0 = np.array([xy0[0], xy0[1], 0.0]) if with_offset else xy0
-        x_k, ok_k, it = _levenberg_marquardt(pk, x0, with_offset, max_iter)
-        cost_k = _cost(pk, x_k, with_offset)
-        if x is None or (ok_k and not ok) or (ok_k == ok and cost_k < cost):
-            x, ok, cost = x_k, ok_k, cost_k
-    return x, ok, it
+        x, ok, it = _levenberg_marquardt(pk, x0, with_offset, max_iter)
+        runs.append((ok, _cost(pk, x, with_offset), x, it))
+    runs.sort(key=lambda run: (not run[0], run[1]))
+    return runs
 
 
 def _concentric_range(pk: _Packed) -> Optional[PositionEstimate]:
@@ -479,14 +476,15 @@ def multilaterate(loci, initial: Position | None = None, *,
     """Weighted nonlinear least squares over a mixture of loci.
 
     Ellipses contribute (d1 + d2 - sum)/sigma, rings contribute their
-    mid-radius as a soft range with the uniform-equivalent sigma. Without
-    ``initial``, Levenberg-Marquardt runs from the centroid and midpoints
-    of every ring/ellipse pair's ``intersect`` arcs and keeps the best
-    fix; each run stops on the fixed tolerances ``_XTOL`` and ``_GTOL`` or
-    after ``max_iter`` iterations. When the configuration admits the
-    classic two-fold ambiguity, the solve is repeated from the mirror
-    image across the first ellipse's foci axis and both fixes are
-    reported in ``candidates``, lowest weighted cost first.
+    mid-radius as a soft range with the uniform-equivalent sigma. Every
+    locus must share one eNodeB focus (else ValueError). Without
+    ``initial``, the spherical-intersection roots (``_roots``) are the
+    starts, and Levenberg-Marquardt only polishes each of them; a run stops
+    on the fixed tolerances ``_XTOL`` and ``_GTOL`` or after ``max_iter``
+    iterations. The best converged fix, by weighted cost, is the position;
+    ``candidates`` holds every distinct converged fix, best first, so the
+    classic two-fold ambiguity of two sniffers, or of one sniffer and the
+    ring, reports both crossings.
 
     Concentric loci (every ring centre and ellipse focus at one point)
     fix a range but no bearing. They take a direct path with no iteration:
@@ -498,51 +496,40 @@ def multilaterate(loci, initial: Position | None = None, *,
     Other degenerate configurations (all foci collinear with the UE) are
     not rejected; they surface as a huge condition number in
     ``covariance``. Raises ConvergenceError (carrying the best iterate)
-    if the iteration budget runs out.
+    if no run converges within the iteration budget.
     """
-    if not loci:
-        raise ValueError("need at least one locus")
     pk = _pack(loci)
     direct = _concentric_range(pk)
     if direct is not None:
         return direct
-    starts = ([initial.as_array()] if initial is not None
-              else _candidate_starts(loci))
-    x, ok, it = _multistart(pk, starts, False, max_iter)
-    primary = _estimate_at(pk, x, False)
+    starts = [initial.as_array()] if initial is not None else _roots(pk)
+    runs = _polish(pk, starts, False, max_iter)
+    ok, _, x, it = runs[0]
+    best = _estimate_at(pk, x, False)
     if not ok:
-        raise ConvergenceError(primary, it)
-
-    fixes = [(_cost(pk, x, False), primary)]
-    base = _baseline(loci)
-    if base is not None:
-        xm = _mirror_across_baseline(x, base)
-        if float(np.hypot(*(xm - x))) > 1e-3:
-            xm, ok_m, _ = _levenberg_marquardt(pk, xm, False, max_iter)
-            mirror = _estimate_at(pk, xm, False)
-            far = float(np.hypot(*(xm - x))) > 1e-3
-            if ok_m and far and (mirror.residual_rms
-                                 <= 2.0 * primary.residual_rms + 0.5):
-                fixes.append((_cost(pk, xm, False), mirror))
-                fixes.sort(key=lambda fix: fix[0])
-    return replace(fixes[0][1],
-                   candidates=tuple(e.position for _, e in fixes))
+        raise ConvergenceError(best, it)
+    fixes = [x]
+    for ok, _, x, _ in runs[1:]:
+        if ok and all(float(np.hypot(*(x - f))) > 1e-3 for f in fixes):
+            fixes.append(x)
+    return replace(best, candidates=tuple(
+        Position(float(f[0]), float(f[1])) for f in fixes))
 
 
 def multilaterate_with_offset(loci, initial: Position | None = None, *,
                               max_iter: int = 100):
     """Joint solve for position plus a shared transmit-offset range bias.
 
-    Needs at least three loci to be determined. Returns the estimate and
+    Needs at least three loci to be determined. Starts from the same roots
+    as ``multilaterate``, each with a zero offset. Returns the estimate and
     the recovered offset in metres of range sum (c times the time offset);
     divide by c for the time value.
     """
     if len(loci) < 3:
         raise ValueError("offset recovery needs at least 3 loci")
     pk = _pack(loci)
-    starts = ([initial.as_array()] if initial is not None
-              else _candidate_starts(loci))
-    x, ok, it = _multistart(pk, starts, True, max_iter)
+    starts = [initial.as_array()] if initial is not None else _roots(pk)
+    ok, _, x, it = _polish(pk, starts, True, max_iter)[0]
     est = _estimate_at(pk, x, True)
     if not ok:
         raise ConvergenceError(est, it)

@@ -549,7 +549,8 @@ def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:
     for start, ue_index, conn_index in schedule:
         runner.run_connection(ue_index, conn_index, start)
 
-    runner.items.sort(key=lambda item: item[:3])
+    # seq is unique, so no comparison reaches the probe id or the event.
+    runner.items.sort()
     events: dict = {probe.id: [] for probe in scenario.probes}
     for _, _, _, probe_id, event in runner.items:
         events[probe_id].append(event)

@@ -197,25 +197,66 @@ def test_single_probe_gives_two_candidates():
     assert abs(sum_misfit(loci[0], b)) < 1e-3
 
 
+def _at(r_m, angle):
+    return Position(r_m * math.cos(angle), r_m * math.sin(angle))
+
+
+def _sniffer_geometry(rng, n_sniffers):
+    """Sniffers at 80-300 m, a UE at 50-500 m; exact sums, quantized ring."""
+    probes = [_at(rng.uniform(80, 300), rng.uniform(0, 2 * math.pi))
+              for _ in range(n_sniffers)]
+    d_ue = rng.uniform(50, 500)
+    ue = _at(d_ue, rng.uniform(0, 2 * math.pi))
+    loci = [EllipseLocus(O, p, d_ue + ue.distance_to(p)) for p in probes]
+    loci.append(annulus_from_ta(O, tb.quantize_ta(2 * tb.m_to_ps(d_ue))))
+    return loci, ue
+
+
 def test_seedless_three_sniffer_solves_land_on_the_truth():
-    # No initial: the solver starts only from the ring/ellipse arcs. Exact
+    # No initial: the solver starts only from its closed-form roots. Exact
     # sums and the quantized TA ring, as the pipeline builds them. The
     # ring misses the truth by up to half its width, so ranking fixes by
     # unweighted RMS instead of weighted cost picks wrong ones here.
     rng = np.random.default_rng(808)
-
-    def at(r_m, angle):
-        return Position(r_m * math.cos(angle), r_m * math.sin(angle))
-
     for _ in range(200):
-        probes = [at(rng.uniform(80, 300), rng.uniform(0, 2 * math.pi))
-                  for _ in range(3)]
-        d_ue = rng.uniform(50, 500)
-        ue = at(d_ue, rng.uniform(0, 2 * math.pi))
-        loci = [EllipseLocus(O, p, d_ue + ue.distance_to(p)) for p in probes]
-        loci.append(annulus_from_ta(O, tb.quantize_ta(2 * tb.m_to_ps(d_ue))))
+        loci, ue = _sniffer_geometry(rng, 3)
         est = multilaterate(loci)
-        assert est.position.distance_to(ue) < 1e-3, (probes, ue)
+        assert est.position.distance_to(ue) < 1e-3, (loci, ue)
+
+
+@pytest.mark.parametrize("seed, index", [(2, 135), (5, 155)])
+def test_three_sniffers_with_apsis_arcs_land_on_the_truth(seed, index):
+    # Each ellipse meets the ring in one long arc around an apsis, so every
+    # arc midpoint lies on a foci axis, far from the crossing: LM started
+    # from those midpoints settles 202 m and 166 m off the truth.
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        loci, ue = _sniffer_geometry(rng, 3)
+    assert multilaterate(loci).position.distance_to(ue) < 1e-3
+
+
+def test_two_sniffers_keep_the_truth_among_candidates():
+    # Two ellipses cross twice; both crossings are roots of the start
+    # quadratic, so the true one is a candidate even when the quantized
+    # ring ranks the other first.
+    found = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            loci, ue = _sniffer_geometry(rng, 2)
+            est = multilaterate(loci)
+            found += min(c.distance_to(ue) for c in est.candidates) < 1e-3
+    assert found >= 990
+
+
+def test_loci_without_a_shared_focus_are_refused():
+    loci = [EllipseLocus(O, Position(300.0, 0.0), 500.0),
+            EllipseLocus(Position(0.0, 1.0), Position(0.0, 300.0), 500.0)]
+    with pytest.raises(ValueError, match="focus"):
+        multilaterate(loci)
+    loci.append(EllipseLocus(O, Position(-300.0, 0.0), 500.0))
+    with pytest.raises(ValueError, match="focus"):
+        multilaterate_with_offset(loci)
 
 
 def test_jacobian_matches_finite_differences():

@@ -310,17 +310,34 @@ def test_positions_csv_row_per_connection(tmp_path):
 
 
 def test_colocated_views_match_the_iterative_range():
-    # The direct range of every replication view agrees with where the
-    # multistart LM driver settles on the same loci.
+    # The direct range of every replication view agrees with where LM
+    # settles on the same loci, started 0.5 m from the centre and off the
+    # +x axis on which the direct path places its fix.
     ctx = pl.run_pipeline(sim.load_scenario(REPLICATION))
     assert len(ctx.views) == 180
     for view in ctx.views:
         est = view.estimate
         assert est.range_only
         pk = geometry._pack(view.loci)
-        x, _, _ = geometry._multistart(
-            pk, geometry._candidate_starts(view.loci), False, 100)
-        assert abs(est.position.x - np.hypot(*x)) < 2e-3, view.key
+        centre = pk.a[0]
+        x, ok, _ = geometry._levenberg_marquardt(
+            pk, centre + np.array([0.0, 0.5]), False, 100)
+        assert ok, view.key
+        rho = est.position.x - centre[0]
+        assert abs(rho - np.hypot(*(x - centre))) < 2e-3, view.key
+
+
+def test_one_sniffer_crowd_views_all_get_a_position():
+    # One off-site sniffer and the TA ring: a mirror pair of crossings.
+    # From a start on the foci axis, LM creeps along the shallow crossing
+    # until max_iter and leaves the view without an estimate.
+    from perfbench import workloads
+    for seed in range(3):
+        layout = workloads.crowd(seed)
+        layout["probes"] = layout["probes"][:1]
+        ctx = pl.run_pipeline(sim.scenario_from_dict(layout))
+        assert ctx.views
+        assert all(view.estimate is not None for view in ctx.views), seed
 
 
 def test_empirical_cdf_values():
