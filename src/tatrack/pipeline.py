@@ -5,8 +5,10 @@ extract branching off simulate and feeding track. Stage products accumulate
 on a RunContext so later stages and the file writers share one source of
 truth. The writers stream each artifact to its file a line at a time; the
 CSV files and event logs come from one template per file with a fixed
-column (or JSON key) order. With stable row ordering, a rerun with the same
-scenario and seed is byte-identical.
+column (or JSON key) order. A message that several sniffers heard is one
+object in the simulator's events, and the event logs encode it once per
+write. With stable row ordering, a rerun with the same scenario and seed
+is byte-identical.
 
 A scenario has exactly one eNodeB (``Scenario.validate`` refuses more):
 localization takes its foci and downlink delays from that eNodeB, and
@@ -16,7 +18,7 @@ every connection view carries cell 0.
 import json
 import statistics
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -407,12 +409,13 @@ def _write_csv(path: Path, columns, rows, *, get=itemgetter,
     """Stream ``rows`` under a header line, one fixed template per row.
 
     ``get(*columns)`` reads a row's cells in column order: ``itemgetter``
-    for dict rows, ``attrgetter`` for dataclass rows. A cell is ``str`` of
-    its value, which for a float is its ``repr`` and for a numpy scalar
-    its plain digits; with ``blank_none`` a None cell is left empty.
+    for dict rows; ``get=None`` for tuple rows that hold the columns in
+    order. A cell is ``str`` of its value, which for a float is its
+    ``repr`` and for a numpy scalar its plain digits; with ``blank_none``
+    a None cell is left empty.
     """
     line = ",".join(["%s"] * len(columns)) + "\n"
-    cells = get(*columns)
+    cells = tuple if get is None else get(*columns)
     if blank_none:
         def cells(row, plain=cells):
             return tuple("" if v is None else v for v in plain(row))
@@ -427,19 +430,27 @@ _EVENT_LINE = ('{"carrier": "%s", "frame": %s, "message_hex": %s, '
                '"rb_alloc": %s, "rnti": %s, "rx_ps": %s, "subframe": %s}\n')
 
 
-def _write_events(path: Path, events) -> None:
+def _write_events(path: Path, events, hex_of: dict) -> None:
+    """Write one event log; ``hex_of`` maps ``id(message)`` to its cell.
+
+    A message missing from ``hex_of`` is encoded and added. Every sniffer
+    that heard a message holds the same object, so a map shared by all
+    logs encodes it once; the events keep it alive, so no id is reused.
+    """
+    def cell(message) -> str:
+        key = id(message)
+        if key not in hex_of:
+            hex_of[key] = f'"{encode(message).hex()}"'
+        return hex_of[key]
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_EVENT_LINE % (
-            e.stamp.carrier.value, e.stamp.frame,
-            "null" if e.message is None else f'"{encode(e.message).hex()}"',
-            "null" if e.rb_alloc is None else e.rb_alloc,
-            "null" if e.rnti is None else e.rnti.value,
-            e.stamp.rx_time, e.stamp.subframe) for e in events)
+            carrier, frame, cell(message),
+            "null" if rb_alloc is None else rb_alloc,
+            "null" if rnti is None else rnti.value, rx_time, subframe)
+            for (frame, subframe, rx_time, carrier), message, rb_alloc, rnti
+            in events)
 
-
-_GT_COLUMNS = ("conn_id", "ue_index", "model", "imsi", "probe_id",
-               "abs_subframe", "t_n_ps", "x_m", "y_m", "d_ue_ps",
-               "d_probe_ps", "sum_true_ps", "tx_extra_ps", "ta_ue")
 
 _MEAS_COLUMNS = ("imsi", "tmsi", "rnti", "frame", "subframe", "toa_ps",
                  "tn_ps", "dta_ps", "sum_ps")
@@ -467,11 +478,12 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if "simulate" in stages:
+        hex_of = {id(None): "null"}
         for probe_id in sorted(ctx.result.events):
             _write_events(out / f"events_{probe_id}.jsonl",
-                          ctx.result.events[probe_id])
-        _write_csv(out / "ground_truth.csv", _GT_COLUMNS,
-                   ctx.result.ground_truth, get=attrgetter)
+                          ctx.result.events[probe_id], hex_of)
+        _write_csv(out / "ground_truth.csv", sim.GroundTruthRow._fields,
+                   ctx.result.ground_truth, get=None)
     if "probe" in stages:
         pairs = ctx.result.attacker_pairs if "extract" in stages else None
         for probe_id in sorted(ctx.tables):

@@ -16,13 +16,15 @@ Grants and unacknowledged TA commands expire 8 subframes after issue,
 counted from the newest subframe seen on either carrier, so a late stamp
 cannot bring an expired grant back. Unmatched bursts are counted and
 dropped, mirroring a sniffer that cannot decode unscheduled traffic.
+
+Stamps, events and measurements are named tuples. The table dispatches
+on each message's type and range-checks each stamp as it comes in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .messages import (Ack, AttachRequest, CapabilityVector, DciFormat0,
                        IdentityResponse, Imsi, MacTaCommand, Message,
@@ -38,23 +40,18 @@ SUBFRAME_PERIOD = 10_240
 EXPIRY_SUBFRAMES = 8
 
 
-class Carrier(str, Enum):
+class Carrier:
+    """The two receive chains, as the strings the event logs carry."""
+
     DOWNLINK = "downlink"
     UPLINK = "uplink"
 
 
-@dataclass(frozen=True)
-class SubframeStamp:
+class SubframeStamp(NamedTuple):
     frame: int
     subframe: int
     rx_time: Instant
-    carrier: Carrier
-
-    def __post_init__(self):
-        if not 0 <= self.frame <= 1023:
-            raise ValueError(f"frame {self.frame} outside [0, 1023]")
-        if not 0 <= self.subframe <= 9:
-            raise ValueError(f"subframe {self.subframe} outside [0, 9]")
+    carrier: str
 
     @property
     def index(self) -> int:
@@ -62,8 +59,7 @@ class SubframeStamp:
         return self.frame * 10 + self.subframe
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     subframe: SubframeStamp
     toa: Instant
     t_n: Instant
@@ -71,8 +67,7 @@ class Measurement:
     sum_delay: Span
 
 
-@dataclass(frozen=True)
-class ProbeEvent:
+class ProbeEvent(NamedTuple):
     """One received item: a stamp plus whatever was decodable.
 
     ``message`` is None for uplink data bursts the probe cannot decode but
@@ -114,6 +109,35 @@ class ConnectionRecord:
     _pending_tas: list[tuple[int, int]] = field(default_factory=list)
 
 
+def _note_rrc_request(rec: ConnectionRecord, msg) -> None:
+    rec.tmsi, rec.tmsi_is_random = msg.tmsi, msg.is_random
+
+
+def _note_service_request(rec: ConnectionRecord, msg) -> None:
+    rec.tmsi, rec.had_service_request = msg.tmsi, True
+
+
+def _note_attach_request(rec: ConnectionRecord, msg) -> None:
+    rec.capabilities = msg.capabilities
+    if type(msg.id) is Imsi:
+        rec.observed_imsi = msg.id.digits
+    else:
+        rec.tmsi = msg.id
+
+
+def _note_identity_response(rec: ConnectionRecord, msg) -> None:
+    rec.observed_imsi = msg.imsi.digits
+
+
+#: What each decodable uplink message tells a record about its phone.
+_UPLINK_NOTES = {
+    RrcConnectionRequest: _note_rrc_request,
+    ServiceRequest: _note_service_request,
+    AttachRequest: _note_attach_request,
+    IdentityResponse: _note_identity_response,
+}
+
+
 class ConnectionTable:
     """Single-writer per-probe state; a pure function of the event stream."""
 
@@ -132,7 +156,12 @@ class ConnectionTable:
 
     def _advance(self, stamp: SubframeStamp) -> int:
         """Unwrapped subframe counter; tolerates slight cross-carrier skew."""
-        raw = stamp.index
+        # Stamps built outside the simulator enter here: check their range.
+        frame, subframe = stamp.frame, stamp.subframe
+        if not (0 <= frame <= 1023 and 0 <= subframe <= 9):
+            raise ValueError(f"frame {frame} outside [0, 1023] or "
+                             f"subframe {subframe} outside [0, 9]")
+        raw = frame * 10 + subframe
         if self._cursor is None:
             self._cursor = (raw, raw)
             return raw
@@ -159,38 +188,38 @@ class ConnectionTable:
 
     def ingest(self, event: ProbeEvent) -> list[Measurement]:
         """Feed one event; returns measurements it produced (0 or 1)."""
-        stamp = event.stamp
-        abs_idx = self._advance(stamp)
-        if stamp.carrier is Carrier.DOWNLINK:
+        abs_idx = self._advance(event.stamp)
+        if event.stamp.carrier is Carrier.DOWNLINK:
             self._ingest_downlink(event, abs_idx)
             return []
         return self._ingest_uplink(event, abs_idx)
 
     def _ingest_downlink(self, event: ProbeEvent, abs_idx: int) -> None:
-        self._tn_anchor = (abs_idx,
-                           infer_t_n(event.stamp.rx_time, self.d_dlprobe_ps))
+        rx_time = event.stamp.rx_time
+        self._tn_anchor = (abs_idx, infer_t_n(rx_time, self.d_dlprobe_ps))
         msg = event.message
-        if isinstance(msg, RandomAccessResponse):
+        kind = type(msg)
+        if kind is RandomAccessResponse:
             rnti = rnti_of_rar(msg)
             rec = ConnectionRecord(rnti=rnti, ta_current=msg.ta)
-            rec.ta_history.append((event.stamp.rx_time, msg.ta))
+            rec.ta_history.append((rx_time, msg.ta))
             self._grants[msg.grant.rb_alloc] = (rec, abs_idx)
             self.records.append(rec)
             # A reused RNTI replaces the old record, whose grants and TA
             # commands can then no longer match.
             self.by_rnti[rnti.value] = rec
-        elif isinstance(msg, DciFormat0):
+        elif kind is DciFormat0:
             rec = self.by_rnti.get(msg.rnti.value)
             if rec is not None:
                 self._grants[msg.rb_alloc] = (rec, abs_idx)
-        elif isinstance(msg, MacTaCommand):
+        elif kind is MacTaCommand:
             rnti = event.rnti
             rec = self.by_rnti.get(rnti.value) if rnti else None
             if rec is not None:
                 if self.ack_gating:
                     rec._pending_tas.append((msg.adjust, abs_idx))
                 else:
-                    self._apply_ta(rec, msg.adjust, event.stamp.rx_time)
+                    self._apply_ta(rec, msg.adjust, rx_time)
 
     def _apply_ta(self, rec: ConnectionRecord, adjust: int,
                   t: Instant) -> None:
@@ -199,52 +228,34 @@ class ConnectionTable:
 
     def _ingest_uplink(self, event: ProbeEvent,
                        abs_idx: int) -> list[Measurement]:
-        msg = event.message
-        if isinstance(msg, Ack):
-            rec = self.by_rnti.get(event.rnti.value) if event.rnti else None
+        stamp, msg, rb_alloc, rnti = event
+        if type(msg) is Ack:
+            rec = self.by_rnti.get(rnti.value) if rnti else None
             if rec is not None:
                 rec._pending_tas = [p for p in rec._pending_tas
                                     if self._live(p[1])]
                 if rec._pending_tas:
                     adjust, _ = rec._pending_tas.pop(0)
-                    self._apply_ta(rec, adjust, event.stamp.rx_time)
+                    self._apply_ta(rec, adjust, stamp.rx_time)
             return []
 
-        rec, issued_idx = self._grants.pop(event.rb_alloc, (None, 0))
+        rec, issued_idx = self._grants.pop(rb_alloc, (None, 0))
         if (rec is None or not self._live(issued_idx)
                 or self.by_rnti[rec.rnti.value] is not rec):
             self.dropped_uplinks += 1
             return []
-        self._note_uplink_content(rec, msg)
+        if msg is not None and type(msg) in _UPLINK_NOTES:
+            _UPLINK_NOTES[type(msg)](rec, msg)
 
         t_n = self._t_n_at(abs_idx)
         if t_n is None:
             self.dropped_uplinks += 1
             return []
-        toa = event.stamp.rx_time
+        toa = stamp.rx_time
         d_ta = ta_span(rec.ta_current)
-        meas = Measurement(subframe=event.stamp, toa=toa, t_n=t_n,
-                           d_ta=d_ta, sum_delay=toa - t_n + d_ta)
+        meas = Measurement(stamp, toa, t_n, d_ta, toa - t_n + d_ta)
         rec.measurements.append(meas)
         return [meas]
-
-    @staticmethod
-    def _note_uplink_content(rec: ConnectionRecord,
-                             msg: Optional[Message]) -> None:
-        if isinstance(msg, RrcConnectionRequest):
-            rec.tmsi = msg.tmsi
-            rec.tmsi_is_random = msg.is_random
-        elif isinstance(msg, ServiceRequest):
-            rec.tmsi = msg.tmsi
-            rec.had_service_request = True
-        elif isinstance(msg, AttachRequest):
-            rec.capabilities = msg.capabilities
-            if isinstance(msg.id, Imsi):
-                rec.observed_imsi = msg.id.digits
-            elif isinstance(msg.id, Tmsi):
-                rec.tmsi = msg.id
-        elif isinstance(msg, IdentityResponse):
-            rec.observed_imsi = msg.imsi.digits
 
     # -- output ----------------------------------------------------------------
 

@@ -20,7 +20,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -189,8 +189,7 @@ class Scenario:
                     f"({span} subframes)")
 
 
-@dataclass(frozen=True)
-class GroundTruthRow:
+class GroundTruthRow(NamedTuple):
     """Exact state behind one uplink burst as one probe received it."""
 
     conn_id: str
@@ -263,11 +262,6 @@ def _toa_noise(seed: int, stream: int, sigma_ps: int):
         yield from map(round, block.tolist())
 
 
-def _stamp(sf: int, rx_ps: int, carrier: Carrier) -> SubframeStamp:
-    return SubframeStamp(frame=(sf // 10) % 1024, subframe=sf % 10,
-                         rx_time=rx_ps, carrier=carrier)
-
-
 class _Allocator:
     """Run-wide unique RNTI and resource-block counters."""
 
@@ -320,15 +314,17 @@ class _Run:
 
     def _emit_downlink(self, sf: int, message, rnti) -> None:
         t_n = sf * PS_PER_SUBFRAME
+        frame, subframe = (sf // 10) % 1024, sf % 10
         for probe_id, delay in self.dl_probes:
             self.seq += 1
             self.items.append((sf, 0, self.seq, probe_id, ProbeEvent(
-                _stamp(sf, t_n + delay, Carrier.DOWNLINK), message,
-                rnti=rnti)))
+                SubframeStamp(frame, subframe, t_n + delay, Carrier.DOWNLINK),
+                message, None, rnti)))
 
     def _emit_uplink(self, sf: int, tx_ps: int, pos: Position, message,
                      rb: Optional[int], rnti: Optional[Rnti]) -> list:
         """Emit a burst; return (probe id, UE-to-probe delay) per listener."""
+        frame, subframe = (sf // 10) % 1024, sf % 10
         heard = []
         for probe_id, probe_pos, noise in self.ul_probes:
             d_probe = _delay_ps(pos, probe_pos)
@@ -337,8 +333,8 @@ class _Run:
                 rx += next(noise)
             self.seq += 1
             self.items.append((sf, 1, self.seq, probe_id, ProbeEvent(
-                _stamp(sf, rx, Carrier.UPLINK), message, rb_alloc=rb,
-                rnti=rnti)))
+                SubframeStamp(frame, subframe, rx, Carrier.UPLINK),
+                message, rb, rnti)))
             heard.append((probe_id, d_probe))
         return heard
 

@@ -229,20 +229,32 @@ def test_criterion_11_codec_fuzz_and_round_trip():
     rng = np.random.default_rng(11)
     pyrng = random.Random(11)
     pool = [messages.encode(_random_message(pyrng)) for _ in range(2000)]
+    n_blobs = 500_000
 
+    # The fuzz inputs are drawn in bulk: blob lengths uniform on [0, 64]
+    # and their bytes, then pool picks, 1-3 mutations per pick, and the
+    # position (uniform over the picked blob) and new byte of each.
     decoded = 0
     rejected = 0
-    for _ in range(500_000):
-        blob = rng.bytes(int(rng.integers(0, 65)))
+    ends = np.cumsum(rng.integers(0, 65, n_blobs)).tolist()
+    data = rng.bytes(ends[-1])
+    start = 0
+    for end in ends:
         try:
-            messages.decode(blob)
+            messages.decode(data[start:end])
             decoded += 1
         except messages.DecodeError:
             rejected += 1
-    for _ in range(500_000):
-        blob = bytearray(pool[int(rng.integers(0, len(pool)))])
-        for _ in range(int(rng.integers(1, 4))):
-            blob[int(rng.integers(0, len(blob)))] = int(rng.integers(0, 256))
+        start = end
+    picks = rng.integers(0, len(pool), n_blobs)
+    counts = rng.integers(1, 4, n_blobs)
+    sizes = np.array([len(blob) for blob in pool])[picks.repeat(counts)]
+    positions = iter(rng.integers(0, sizes).tolist())
+    values = iter(rng.integers(0, 256, sizes.size).tolist())
+    for pick, count in zip(picks.tolist(), counts.tolist()):
+        blob = bytearray(pool[pick])
+        for _ in range(count):
+            blob[next(positions)] = next(values)
         try:
             messages.decode(bytes(blob))
             decoded += 1

@@ -82,30 +82,38 @@ def test_round_trip_bulk_seeded():
 
 
 def _random_message(rng):
-    pick = rng.randrange(13)
-    rnti = m.Rnti(rng.randrange(0x10000))
-    tmsi = m.Tmsi(rng.randrange(1 << 32))
-    imsi = m.Imsi("".join(rng.choice("0123456789") for _ in range(15)))
-    cap = m.CapabilityVector(bytes(rng.randrange(256) for _ in range(32)))
-    grant = m.UlGrant(rng.randrange(256), rng.randrange(0x10000),
-                      rng.randrange(32))
+    """A message of a uniformly drawn kind; only its own fields are drawn."""
+    def rnti():
+        return m.Rnti(rng.randrange(0x10000))
+
+    def tmsi():
+        return m.Tmsi(rng.randrange(1 << 32))
+
+    def imsi():
+        return m.Imsi("".join(rng.choices("0123456789", k=15)))
+
     return [
         lambda: m.RandomAccessPreamble(rng.randrange(64)),
-        lambda: m.RandomAccessResponse(rnti, rng.randrange(1283), grant),
-        lambda: m.DciFormat0(rnti, rng.randrange(256), rng.randrange(0x10000),
+        lambda: m.RandomAccessResponse(
+            rnti(), rng.randrange(1283),
+            m.UlGrant(rng.randrange(256), rng.randrange(0x10000),
+                      rng.randrange(32))),
+        lambda: m.DciFormat0(rnti(), rng.randrange(256),
+                             rng.randrange(0x10000), rng.randrange(32)),
+        lambda: m.DciFormat1(rnti(), rng.randrange(0x10000),
                              rng.randrange(32)),
-        lambda: m.DciFormat1(rnti, rng.randrange(0x10000), rng.randrange(32)),
         lambda: m.MacTaCommand(rng.randrange(-31, 33)),
-        lambda: m.RrcConnectionRequest(tmsi, rng.randrange(256),
+        lambda: m.RrcConnectionRequest(tmsi(), rng.randrange(256),
                                        rng.random() < 0.5),
         lambda: m.RrcConnectionSetup(rng.randrange(256)),
-        lambda: m.AttachRequest(tmsi if rng.random() < 0.5 else imsi, cap),
-        lambda: m.ServiceRequest(tmsi),
+        lambda: m.AttachRequest(tmsi() if rng.random() < 0.5 else imsi(),
+                                m.CapabilityVector(rng.randbytes(32))),
+        lambda: m.ServiceRequest(tmsi()),
         lambda: m.IdentityRequest(rng.choice(list(m.IdType))),
-        lambda: m.IdentityResponse(imsi),
+        lambda: m.IdentityResponse(imsi()),
         lambda: m.Ack(rng.randrange(16)),
         lambda: m.ServiceReject(rng.randrange(256)),
-    ][pick]()
+    ][rng.randrange(13)]()
 
 
 # --- totality ---------------------------------------------------------------

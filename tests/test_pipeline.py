@@ -285,6 +285,31 @@ def test_artifacts_match_the_reference_formats(tmp_path, monkeypatch, busy):
             assert {row["offset_m"] for row in csv.DictReader(fh)} == {""}
 
 
+def test_each_message_is_encoded_once_per_write(tmp_path, monkeypatch):
+    # Every sniffer that hears a message holds the same object, and the
+    # event logs encode each object once, not once per sniffer.
+    ues = (_static_ue(60.0, imsi="001010000000001", tmsi=0xA0000001),
+           _static_ue(45.0, model="iPhone 8", connection_type="service"))
+    scn = _scenario(ues, probes=TRIANGLE_PROBES,
+                    attack=sim.AttackConfig(enabled=True))
+    ctx = pl.run_pipeline(scn, stages=("simulate",))
+    encoded = []
+
+    def counting_encode(message, real=pl.encode):
+        encoded.append(message)
+        return real(message)
+
+    monkeypatch.setattr(pl, "encode", counting_encode)
+    pl.write_artifacts(ctx, tmp_path, ("simulate",))
+    heard = [e.message for events in ctx.result.events.values()
+             for e in events if e.message is not None]
+    assert len(encoded) == len({id(m) for m in heard}) < len(heard)
+    for probe in scn.probes:
+        events = ctx.result.events[probe.id]
+        assert (tmp_path / f"events_{probe.id}.jsonl").read_text() == \
+            "".join(event_line(e) for e in events)
+
+
 def test_numpy_scalars_are_written_as_plain_digits(tmp_path):
     path = tmp_path / "row.csv"
     rows = [{"a": np.float64(1.5), "b": np.int64(-7),

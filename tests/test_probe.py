@@ -198,6 +198,20 @@ def test_subframe_wraparound_keeps_timeline():
     assert out[0].sum_delay == 2 * D_UE
 
 
+@pytest.mark.parametrize("frame, subframe",
+                         [(1024, 0), (-1, 0), (0, 10), (0, -1)])
+@pytest.mark.parametrize("carrier", [Carrier.DOWNLINK, Carrier.UPLINK])
+def test_out_of_range_stamp_refused_at_ingest(frame, subframe, carrier):
+    # Stamps are plain records; the table checks each one as it comes in.
+    table = ConnectionTable()
+    table.ingest(dl(10, 10 * 10**9))
+    for edge in ((0, 0), (1023, 9)):
+        table.ingest(ProbeEvent(SubframeStamp(*edge, 10**9, carrier)))
+    bad = ProbeEvent(SubframeStamp(frame, subframe, 10**9, carrier))
+    with pytest.raises(ValueError):
+        table.ingest(bad)
+
+
 def test_measurement_rows_shape():
     table = ConnectionTable()
     table.ingest(dl(10, 10 * 10**9,
