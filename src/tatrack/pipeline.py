@@ -1,14 +1,17 @@
 """Batch stage runner: scenario in, measurement/position/track artifacts out.
 
 Stages chain as simulate -> probe -> localize -> track -> stats, with
-extract branching off simulate and feeding track. Stage products accumulate
+extract branching off simulate and feeding localize when it runs.
+Localize first links every connection to an IMSI or a provisional id, so
+a model's bias carries over between connections of one phone; track then
+only stores what localize linked and solved. Stage products accumulate
 on a RunContext so later stages and the file writers share one source of
-truth. The writers stream each artifact to its file a line at a time; the
-CSV files and event logs come from one template per file with a fixed
-column (or JSON key) order. A message that several sniffers heard is one
-object in the simulator's events, and the event logs encode it once per
-write. With stable row ordering, a rerun with the same scenario and seed
-is byte-identical.
+truth. The writers stream each artifact to its file a line at a time;
+the CSV files and event logs come from one template per file with a
+fixed column (or JSON key) order. A message that several sniffers heard
+is one object in the simulator's events, and the event logs encode it
+once per write. With stable row ordering, a rerun with the same scenario
+and seed is byte-identical.
 
 A scenario has exactly one eNodeB (``Scenario.validate`` refuses more):
 localization takes its foci and downlink delays from that eNodeB, and
@@ -17,7 +20,7 @@ every connection view carries cell 0.
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
@@ -35,7 +38,8 @@ from .messages import CapabilityVector, encode
 from .probe import ConnectionTable
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (ConnectionSummary, TracePoint, TrackDb,
-                      connection_stats, stats_csv_rows, trace_csv_rows)
+                      connection_stats, provisional_id, stats_csv_rows,
+                      trace_csv_rows)
 
 #: Every stage, in run order, with the stages it needs. Stage ``name`` is
 #: the function ``stage_<name>`` of this module.
@@ -44,7 +48,7 @@ _STAGE_DEPS = {
     "probe": ("simulate",),
     "extract": ("simulate",),
     "localize": ("probe",),
-    "track": ("localize", "extract"),
+    "track": ("localize",),
     "stats": ("track",),
 }
 
@@ -91,18 +95,11 @@ class ProbeLeg:
 class ConnectionView:
     """One physical connection merged across every probe that heard it."""
 
-    key: str
-    rnti: int
-    start_ps: int
-    end_ps: int
-    cell_id: int
-    tmsi: Optional[int]
-    tmsi_is_random: bool
-    observed_imsi: Optional[str]
+    conn: ConnectionSummary
     capabilities: Optional[CapabilityVector]
-    had_service_request: bool
     legs: dict
     ta_index: Optional[int]
+    linked: Optional[str] = None  # the IMSI or provisional id it links to
     loci: tuple = ()
     estimate: Optional[PositionEstimate] = None
     offset_m: Optional[float] = None
@@ -171,19 +168,30 @@ def stage_localize(ctx: RunContext) -> None:
 
     views = [_merge_legs(start_ps, rnti, legs)
              for (start_ps, rnti), legs in sorted(groups.items())]
+    ctx.track_db = TrackDb()
     for view in views:
+        view.linked = ctx.track_db.link_connection(view.conn,
+                                                   ctx.extraction_entries)
         _classify_view(view, ctx.db)
     # A connection that carried no capability vector takes the model its
-    # stable TMSI showed in any connection of the run, the latest winning.
-    bias_by_tmsi = {v.tmsi: (v.model_hat, v.hw_bias_m) for v in views
-                    if v.hw_bias_m is not None and v.tmsi is not None
-                    and not v.tmsi_is_random}
+    # phone showed in any connection of the run, the latest winning.
+    bias_by_phone = {_phone(v): (v.model_hat, v.hw_bias_m) for v in views
+                     if v.hw_bias_m is not None}
     for view in views:
-        if (view.hw_bias_m is None and not view.tmsi_is_random
-                and view.tmsi in bias_by_tmsi):
-            view.model_hat, view.hw_bias_m = bias_by_tmsi[view.tmsi]
+        if view.hw_bias_m is None and _phone(view) in bias_by_phone:
+            view.model_hat, view.hw_bias_m = bias_by_phone[_phone(view)]
         _solve_view(ctx, view, enb.position, probe_pos)
     ctx.views.extend(views)
+
+
+def _phone(view: ConnectionView):
+    """Who a view's bias belongs to: the IMSI it links to or, while it
+    links provisionally, its stable TMSI, as a provisional id is one
+    connection's own."""
+    stable = view.conn.stable_tmsi
+    if stable is not None and view.linked == provisional_id(view.conn.conn_id):
+        return stable
+    return view.linked
 
 
 def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:
@@ -207,13 +215,15 @@ def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:
         for meas in rec.measurements:
             end_ps = max(end_ps, meas.t_n)
             d_ta_values.append(meas.d_ta)
-    return ConnectionView(
-        key=f"0-{rnti:#06x}-{start_ps}", rnti=rnti, start_ps=start_ps,
-        end_ps=end_ps, cell_id=0, tmsi=tmsi, tmsi_is_random=tmsi_is_random,
-        observed_imsi=observed_imsi, capabilities=capabilities,
-        had_service_request=had_service,
-        legs={leg.probe_id: leg for leg in legs},
-        ta_index=_ta_index(d_ta_values))
+    conn = ConnectionSummary(
+        conn_id=f"0-{rnti:#06x}-{start_ps}", cell_id=0, rnti=rnti,
+        start_ps=start_ps, end_ps=end_ps, tmsi=tmsi,
+        tmsi_is_random=tmsi_is_random, had_service_request=had_service,
+        observed_imsi=observed_imsi,
+        distances_m=tuple(ps_to_m(s) / 2 for s in legs[0].sums))
+    return ConnectionView(conn=conn, capabilities=capabilities,
+                          legs={leg.probe_id: leg for leg in legs},
+                          ta_index=_ta_index(d_ta_values))
 
 
 def _bias_correction_ps(view: ConnectionView) -> int:
@@ -281,26 +291,16 @@ def _solve_view(ctx: RunContext, view: ConnectionView, enb_pos: Position,
 
 
 def stage_track(ctx: RunContext) -> None:
-    db = TrackDb()
+    db = ctx.track_db
     for view in ctx.views:
         points = ()
         if view.estimate is not None:
-            points = (TracePoint(t_ps=view.start_ps, estimate=view.estimate,
-                                 loci=view.loci,
+            points = (TracePoint(t_ps=view.conn.start_ps,
+                                 estimate=view.estimate, loci=view.loci,
                                  corrected=view.hw_bias_m is not None),)
-        first_leg = view.legs[sorted(view.legs)[0]]
-        summary = ConnectionSummary(
-            conn_id=view.key, cell_id=view.cell_id, rnti=view.rnti,
-            start_ps=view.start_ps, end_ps=view.end_ps, tmsi=view.tmsi,
-            tmsi_is_random=view.tmsi_is_random,
-            had_service_request=view.had_service_request,
-            observed_imsi=view.observed_imsi,
-            distances_m=tuple(ps_to_m(s) / 2 for s in first_leg.sums),
-            points=points)
-        linked = db.ingest(summary, ctx.extraction_entries)
+        db.ingest(replace(view.conn, points=points), view.linked)
         if view.model_hat is not None and view.hw_bias_m is not None:
-            db.set_fingerprint(linked, view.model_hat, view.hw_bias_m)
-    ctx.track_db = db
+            db.set_fingerprint(view.linked, view.model_hat, view.hw_bias_m)
 
 
 def _classify_view(view: ConnectionView, db: FingerprintDb) -> None:
@@ -326,7 +326,7 @@ def stage_stats(ctx: RunContext) -> None:
             leg = view.legs[probe_id]
             if leg.stats is None:
                 continue
-            rows = [truth.get((probe_id, m.t_n, view.rnti))
+            rows = [truth.get((probe_id, m.t_n, view.conn.rnti))
                     for m in leg.record.measurements]
             rows = [r for r in rows if r is not None]
             if not rows:
@@ -335,7 +335,7 @@ def stage_stats(ctx: RunContext) -> None:
             err_raw_ps = leg.stats.median - true_sum
             err_corr_ps = err_raw_ps - _bias_correction_ps(view)
             ctx.stats_rows.append({
-                "conn": view.key,
+                "conn": view.conn.conn_id,
                 "sim_conn": rows[0].conn_id,
                 "probe": probe_id,
                 "imsi": rows[0].imsi,
@@ -489,7 +489,7 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
         for probe_id in sorted(ctx.tables):
             rows = ctx.tables[probe_id].measurement_rows(pairs)
             _write_csv(out / f"measurements_{probe_id}.csv", _MEAS_COLUMNS,
-                       rows)
+                       rows, get=None)
     if "extract" in stages:
         ctx.result.extraction.dump(out / "extraction.jsonl")
         (out / "extracted_pairs.json").write_text(
@@ -499,11 +499,11 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
     if "localize" in stages:
         rows = []
         for view in ctx.views:
-            est = view.estimate
+            est, conn = view.estimate, view.conn
             rows.append({
-                "conn": view.key, "rnti": view.rnti,
-                "start_ps": view.start_ps, "tmsi": view.tmsi,
-                "imsi_observed": view.observed_imsi or "",
+                "conn": conn.conn_id, "rnti": conn.rnti,
+                "start_ps": conn.start_ps, "tmsi": conn.tmsi,
+                "imsi_observed": conn.observed_imsi or "",
                 "ta_index": view.ta_index, "n_loci": len(view.loci),
                 "x_m": est.position.x if est else None,
                 "y_m": est.position.y if est else None,

@@ -53,11 +53,6 @@ class SubframeStamp(NamedTuple):
     rx_time: Instant
     carrier: str
 
-    @property
-    def index(self) -> int:
-        """Position within the 10240-subframe numbering period."""
-        return self.frame * 10 + self.subframe
-
 
 class Measurement(NamedTuple):
     subframe: SubframeStamp
@@ -260,22 +255,17 @@ class ConnectionTable:
     # -- output ----------------------------------------------------------------
 
     def measurement_rows(self, imsi_by_tmsi: Optional[dict[int, str]] = None
-                         ) -> Iterator[dict]:
-        """Flat per-measurement dicts in the measurement CSV column order."""
+                         ) -> Iterator[tuple]:
+        """One tuple per measurement, in the measurement CSV column order.
+
+        An identity the probe never learned is ``""``.
+        """
         for rec in self.records:
             tmsi = rec.tmsi.value if rec.tmsi else None
             imsi = rec.observed_imsi
             if imsi is None and imsi_by_tmsi and tmsi is not None:
                 imsi = imsi_by_tmsi.get(tmsi)
-            for meas in rec.measurements:
-                yield {
-                    "imsi": imsi or "",
-                    "tmsi": tmsi if tmsi is not None else "",
-                    "rnti": rec.rnti.value,
-                    "frame": meas.subframe.frame,
-                    "subframe": meas.subframe.subframe,
-                    "toa_ps": meas.toa,
-                    "tn_ps": meas.t_n,
-                    "dta_ps": meas.d_ta,
-                    "sum_ps": meas.sum_delay,
-                }
+            ids = (imsi or "", "" if tmsi is None else tmsi, rec.rnti.value)
+            for stamp, toa, t_n, d_ta, sum_delay in rec.measurements:
+                yield (*ids, stamp.frame, stamp.subframe, toa, t_n, d_ta,
+                       sum_delay)

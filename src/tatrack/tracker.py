@@ -1,19 +1,20 @@
 """Linkage database: ties connections to identities and assembles traces.
 
-The database ingests finished-connection summaries, links each one to an
-IMSI (directly, via a stored TMSI pair, or via a captured identity), and
-accumulates time-ordered position estimates per identity.  The estimates
-are stored as localization solved them, bias correction included: the
-database links, stores and journals, and never solves.  Connections
-that cannot be linked get a provisional anonymous id that is never merged
-by guesswork.  All connections are taken to come from one cell: there is
-no linkage across a handover.
+Linkage resolves a finished connection to an IMSI (directly, via a stored
+TMSI pair, or via a captured identity), or to a provisional anonymous id
+that is never merged by guesswork.  Localization links every connection
+before it solves any; ``ingest`` then stores a linked connection and
+extends its identity's time-ordered trace with the estimates as
+localization solved them, bias correction included.  The database links,
+stores and journals, and never solves.  All connections are taken to
+come from one cell: there is no linkage across a handover.
 
 Each TMSI maps to the one IMSI it was last bound to, the only binding
-linkage reads.  State is a deterministic function of the ingested
-stream.  Every connection, and every pair or fingerprint that changes
-what is stored, is also appended to a JSONL journal: an append-only
-record of the run, from which the database cannot be rebuilt.
+linkage reads.  State is a deterministic function of the linked and
+ingested stream.  Every connection, and every pair or fingerprint that
+changes what is stored, is also appended to a JSONL journal as it
+happens, so a run's pairs precede its connections: an append-only record
+of the run, from which the database cannot be rebuilt.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class ConnectionSummary:
     def key(self) -> tuple:
         return (self.cell_id, self.rnti, self.start_ps)
 
+    @property
+    def stable_tmsi(self) -> Optional[int]:
+        """The TMSI, unless the phone drew it at random for this request."""
+        return None if self.tmsi_is_random else self.tmsi
+
 
 def provisional_id(conn_id: str) -> str:
     return "anon-" + str(uuid.uuid5(_PROVISIONAL_NS, conn_id))
@@ -147,31 +153,23 @@ class TrackDb:
                         extraction_entries: Iterable[Mapping] = (),
                         ) -> str:
         """Resolve a connection to an IMSI or a provisional id."""
-        extracted = None
-        if conn.tmsi is not None and not conn.tmsi_is_random:
+        imsi = conn.observed_imsi
+        stable = conn.stable_tmsi
+        if stable is not None:
             extracted = _extraction_imsi(conn, extraction_entries)
-        if conn.observed_imsi is not None:
-            if extracted is not None and extracted != conn.observed_imsi:
+            if None not in (imsi, extracted) and imsi != extracted:
                 raise IntegrityError(
                     f"connection {conn.conn_id} attached as "
-                    f"{conn.observed_imsi} but extraction says {extracted}")
-            extracted = conn.observed_imsi
-        if extracted is not None:
-            if conn.tmsi is not None and not conn.tmsi_is_random:
-                self.record_pair(conn.tmsi, extracted, conn.start_ps)
-            return extracted
-        if conn.tmsi is not None and not conn.tmsi_is_random:
-            known = self.imsi_for(conn.tmsi)
-            if known is not None:
-                return known
-        return provisional_id(conn.conn_id)
+                    f"{imsi} but extraction says {extracted}")
+            imsi = imsi or extracted or self.imsi_for(stable)
+            if imsi is not None:
+                self.record_pair(stable, imsi, conn.start_ps)
+        return imsi or provisional_id(conn.conn_id)
 
     # -- ingest -------------------------------------------------------------
 
-    def ingest(self, conn: ConnectionSummary,
-               extraction_entries: Iterable[Mapping] = ()) -> str:
-        """Link a connection, store it, extend its trace and journal it."""
-        linked = self.link_connection(conn, extraction_entries)
+    def ingest(self, conn: ConnectionSummary, linked: str) -> None:
+        """Store a linked connection, extend its trace and journal it."""
         self.connections[conn.key] = conn
         self.link_of[conn.key] = linked
         trace = self.traces.setdefault(linked, [])
@@ -179,7 +177,6 @@ class TrackDb:
         trace.sort(key=lambda p: p.t_ps)
         self.journal.append({"event": "connection", "linked": linked,
                              **_conn_to_json(conn)})
-        return linked
 
     def set_fingerprint(self, imsi: str, model: str,
                         hw_error_m: float) -> None:

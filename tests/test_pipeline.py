@@ -111,31 +111,74 @@ def test_ta_zero_ring_keeps_zero_inner_edge():
                                                                     abs=0.05)
 
 
-@pytest.mark.parametrize("service_first", [False, True],
-                         ids=["attach_first", "service_first"])
-def test_service_connection_inherits_bias_from_tmsi(service_first):
-    # Service first, the attach that shows the model comes later in the
-    # run; the extractor links the earlier service connection's TMSI.
-    shared = dict(imsi="001010000012345", tmsi=0xBEEF0001)
-    ues = (_static_ue(60.0, **shared),
-           _static_ue(45.0, connection_type="service", **shared))
-    ctx = pl.run_pipeline(_scenario(
-        ues[::-1] if service_first else ues, probes=TRIANGLE_PROBES,
-        noise=BIASED, attack=sim.AttackConfig(enabled=service_first)))
-    served = [v for v in ctx.views if v.had_service_request]
+def _assert_service_views_corrected(ctx):
+    """Service views take the attach's bias and land on the phone at
+    (45, 0) in positions.csv and traces.csv alike."""
+    served = [v for v in ctx.views if v.conn.had_service_request]
     assert served
     for view in served:
         assert view.capabilities is None
         assert view.hw_bias_m == hw_error("Huawei P30", DB)
         assert view.estimate.position.distance_to(Position(45.0, 0.0)) < 0.05
-    # positions.csv and traces.csv report the same point per connection.
     db = ctx.track_db
     for view in ctx.views:
-        key = (view.cell_id, view.rnti, view.start_ps)
-        [point] = [p for p in db.build_trace(db.link_of[key])
-                   if p.t_ps == view.start_ps]
+        [point] = [p for p in db.build_trace(db.link_of[view.conn.key])
+                   if p.t_ps == view.conn.start_ps]
         assert point.estimate == view.estimate
         assert point.corrected == (view.hw_bias_m is not None)
+
+
+@pytest.mark.parametrize("service_first, extract", [
+    pytest.param(False, False, id="attach_first"),
+    pytest.param(True, True, id="service_first"),
+    pytest.param(False, True, id="attach_first_extracted"),
+    pytest.param(True, False, id="service_first_unextracted"),
+])
+def test_service_connection_inherits_bias_from_tmsi(service_first, extract):
+    # Service first, the attach that shows the model comes later in the
+    # run. With the extractor on, every view links to the IMSI; with it
+    # off, every view links provisionally and the bias follows the TMSI.
+    shared = dict(imsi="001010000012345", tmsi=0xBEEF0001)
+    ues = (_static_ue(60.0, **shared),
+           _static_ue(45.0, connection_type="service", **shared))
+    ctx = pl.run_pipeline(_scenario(
+        ues[::-1] if service_first else ues, probes=TRIANGLE_PROBES,
+        noise=BIASED, attack=sim.AttackConfig(enabled=extract)))
+    linked = {v.linked for v in ctx.views}
+    if extract:
+        assert linked == {"001010000012345"}
+    else:
+        assert all(i.startswith("anon-") for i in linked)
+    _assert_service_views_corrected(ctx)
+
+
+def test_service_connection_inherits_bias_from_the_imsi():
+    # Attach and service request come under two TMSIs that the identity
+    # responses link to one IMSI: the bias follows the phone, not the TMSI.
+    ues = (_static_ue(60.0, imsi="001010000012345", tmsi=0xBEEF0001),
+           _static_ue(45.0, connection_type="service",
+                      imsi="001010000012345", tmsi=0xBEEF0002))
+    ctx = pl.run_pipeline(_scenario(ues, probes=TRIANGLE_PROBES,
+                                    noise=BIASED,
+                                    attack=sim.AttackConfig(enabled=True)))
+    assert {v.linked for v in ctx.views} == {"001010000012345"}
+    _assert_service_views_corrected(ctx)
+
+
+def test_track_without_extract_links_by_observed_imsis():
+    # The sniffer hears the identity responses itself, so localize links
+    # the connections to IMSIs with no extraction entries.
+    ues = (_static_ue(60.0, imsi="001010000000001", tmsi=0xA0000001),
+           _static_ue(45.0, model="iPhone 8", imsi="001010000000002",
+                      tmsi=0xA0000002))
+    scn = _scenario(ues, noise=ZERO, attack=sim.AttackConfig(enabled=True))
+    stages = pl.check_stages(("simulate", "probe", "localize", "track"))
+    ctx = pl.run_pipeline(scn, stages)
+    assert ctx.extraction_entries == []
+    assert set(ctx.track_db.link_of.values()) == {"001010000000001",
+                                                  "001010000000002"}
+    for imsi in ("001010000000001", "001010000000002"):
+        assert ctx.track_db.build_trace(imsi)
 
 
 def test_extraction_links_views_to_imsis():
@@ -161,7 +204,7 @@ def test_offset_solver_recovers_position_and_offset():
     assert ctx.views
     for view in ctx.views:
         assert view.offset_m is not None
-        expected = ps_to_m(offsets[view.rnti])
+        expected = ps_to_m(offsets[view.conn.rnti])
         assert view.offset_m == pytest.approx(expected, abs=0.05)
         assert view.estimate.position.distance_to(Position(250.0, 300.0)) < 0.05
 
@@ -173,7 +216,7 @@ def test_stats_join_truth_of_the_same_connection():
     ues = [_static_ue(40.0 + 50.0 * i, n_data_rounds=48) for i in range(5)]
     ctx = pl.run_pipeline(_scenario(ues, noise=ZERO))
     conn_of_rnti = {c.rnti: c.conn_id for c in ctx.result.connections}
-    view_rnti = {view.key: view.rnti for view in ctx.views}
+    view_rnti = {view.conn.conn_id: view.conn.rnti for view in ctx.views}
     assert len(ctx.stats_rows) == len(ctx.result.connections)
     for row in ctx.stats_rows:
         assert row["err_raw_m"] == 0.0, row["conn"]
@@ -347,9 +390,9 @@ def test_colocated_views_match_the_iterative_range():
         centre = pk.a[0]
         x, ok, _ = geometry._levenberg_marquardt(
             pk, centre + np.array([0.0, 0.5]), False, 100)
-        assert ok, view.key
+        assert ok, view.conn.conn_id
         rho = est.position.x - centre[0]
-        assert abs(rho - np.hypot(*(x - centre))) < 2e-3, view.key
+        assert abs(rho - np.hypot(*(x - centre))) < 2e-3, view.conn.conn_id
 
 
 def test_one_sniffer_crowd_views_all_get_a_position():

@@ -220,10 +220,6 @@ def test_measurement_rows_shape():
                     RrcConnectionRequest(Tmsi(0xAABBCCDD), 0), rb=0x10))
     rows = list(table.measurement_rows({0xAABBCCDD: "001010000000001"}))
     assert len(rows) == 1
-    row = rows[0]
-    assert row["imsi"] == "001010000000001"
-    assert row["tmsi"] == 0xAABBCCDD
-    assert row["rnti"] == RNTI.value
-    assert row["sum_ps"] == 2 * D_UE
-    assert set(row) == {"imsi", "tmsi", "rnti", "frame", "subframe",
-                        "toa_ps", "tn_ps", "dta_ps", "sum_ps"}
+    [meas] = table.records[0].measurements
+    assert rows[0] == ("001010000000001", 0xAABBCCDD, RNTI.value, 1, 4,
+                       meas.toa, meas.t_n, meas.d_ta, 2 * D_UE)

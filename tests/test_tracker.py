@@ -28,6 +28,13 @@ def _conn(conn_id, start, end, cell=0, rnti=0x4A, tmsi=None,
                              points=points)
 
 
+def _ingest(db, conn, entries=()):
+    """Link a connection, then store it, as localize and track do."""
+    linked = db.link_connection(conn, entries)
+    db.ingest(conn, linked)
+    return linked
+
+
 # -- per-connection statistics ---------------------------------------------
 
 def test_stats_requires_ten_measurements():
@@ -112,7 +119,7 @@ def test_tmsi_reassignment_binds_newest_imsi():
 
 def test_journal_skips_unchanged_pairs_and_fingerprints():
     db = TrackDb()
-    db.ingest(_conn("c1", 10 * SEC, 11 * SEC, tmsi=0x6666, imsi=IMSI))
+    _ingest(db, _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x6666, imsi=IMSI))
     db.set_fingerprint(IMSI, "Huawei P30", -24.51)
     n_lines = len(db.journal)
     db.record_pair(0x6666, IMSI, 12 * SEC)
@@ -128,7 +135,7 @@ def test_journal_skips_unchanged_pairs_and_fingerprints():
 def test_attach_imsi_links_directly():
     db = TrackDb()
     conn = _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x5555, imsi=IMSI)
-    assert db.ingest(conn) == IMSI
+    assert _ingest(db, conn) == IMSI
     assert db.imsi_for(0x5555) == IMSI
 
 
@@ -138,7 +145,7 @@ def _halted_conn(db, conn_id, cell, end_s, x, y, imsi):
     conn = _conn(conn_id, (end_s - 1) * SEC, end_s * SEC, cell=cell,
                  tmsi=0x1000 + cell, points=(_point(end_s * SEC, x, y),))
     db.record_pair(0x1000 + cell, imsi, 0)
-    db.ingest(conn)
+    _ingest(db, conn)
     return conn
 
 
@@ -147,7 +154,7 @@ def test_service_request_never_handover_matched():
     _halted_conn(db, "old", cell=1, end_s=100, x=0.0, y=40.0, imsi=IMSI)
     new = _conn("new", int(100.5 * SEC), 102 * SEC, cell=2, service=True,
                 points=(_point(101 * SEC, 0.0, 20.0),))
-    assert db.ingest(new).startswith("anon-")
+    assert _ingest(db, new).startswith("anon-")
 
 
 # -- traces: stored as localize solved them -----------------------------------
@@ -158,7 +165,7 @@ def test_trace_points_time_ordered():
                  points=(_point(12 * SEC, 1.0, 0.0),
                          _point(10 * SEC, 0.0, 0.0),
                          _point(11 * SEC, 0.5, 0.0)))
-    db.ingest(conn)
+    _ingest(db, conn)
     trace = db.build_trace(IMSI)
     assert [p.t_ps for p in trace] == [10 * SEC, 11 * SEC, 12 * SEC]
     # A fingerprint is journaled; the stored points are not re-solved.
@@ -172,10 +179,10 @@ def test_two_tmsis_one_trace():
     db = TrackDb()
     e1 = [{"t_ps": 10 * SEC, "tmsi": 0xA1, "imsi": IMSI}]
     e2 = [{"t_ps": 20 * SEC, "tmsi": 0xB2, "imsi": IMSI}]
-    db.ingest(_conn("c1", 10 * SEC, 11 * SEC, tmsi=0xA1,
-                    points=(_point(10 * SEC, 0.0, 0.0),)), e1)
-    db.ingest(_conn("c2", 20 * SEC, 21 * SEC, tmsi=0xB2,
-                    points=(_point(20 * SEC, 5.0, 0.0),)), e2)
+    _ingest(db, _conn("c1", 10 * SEC, 11 * SEC, tmsi=0xA1,
+                       points=(_point(10 * SEC, 0.0, 0.0),)), e1)
+    _ingest(db, _conn("c2", 20 * SEC, 21 * SEC, tmsi=0xB2,
+                       points=(_point(20 * SEC, 5.0, 0.0),)), e2)
     trace = db.build_trace(IMSI)
     assert len(trace) == 2
     assert db.imsi_for(0xA1) == IMSI and db.imsi_for(0xB2) == IMSI
@@ -186,11 +193,12 @@ def test_two_tmsis_one_trace():
 def _populated_db():
     db = TrackDb()
     db.record_pair(0x1111, IMSI, 0)
-    db.ingest(_conn("c1", 10 * SEC, 11 * SEC, tmsi=0x1111,
-                    points=(_point(10 * SEC, 1.0, 2.0),),
-                    distances=tuple(float(30 + i) for i in range(12))))
-    db.ingest(_conn("c2", 12 * SEC, 13 * SEC, tmsi=0x9999, is_random=True,
-                    service=True, points=(_point(12 * SEC, 7.0, 8.0),)))
+    _ingest(db, _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x1111,
+                       points=(_point(10 * SEC, 1.0, 2.0),),
+                       distances=tuple(float(30 + i) for i in range(12))))
+    _ingest(db, _conn("c2", 12 * SEC, 13 * SEC, tmsi=0x9999,
+                       is_random=True, service=True,
+                       points=(_point(12 * SEC, 7.0, 8.0),)))
     db.set_fingerprint(IMSI, "Huawei P30", -24.51)
     return db
 
