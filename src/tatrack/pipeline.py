@@ -175,23 +175,25 @@ def stage_localize(ctx: RunContext) -> None:
         _classify_view(view, ctx.db)
     # A connection that carried no capability vector takes the model its
     # phone showed in any connection of the run, the latest winning.
-    bias_by_phone = {_phone(v): (v.model_hat, v.hw_bias_m) for v in views
-                     if v.hw_bias_m is not None}
-    for view in views:
-        if view.hw_bias_m is None and _phone(view) in bias_by_phone:
-            view.model_hat, view.hw_bias_m = bias_by_phone[_phone(view)]
+    phones = [_phone(view, ctx.track_db) for view in views]
+    bias_by_phone = {phone: (view.model_hat, view.hw_bias_m)
+                     for view, phone in zip(views, phones)
+                     if view.hw_bias_m is not None}
+    for view, phone in zip(views, phones):
+        if view.hw_bias_m is None and phone in bias_by_phone:
+            view.model_hat, view.hw_bias_m = bias_by_phone[phone]
         _solve_view(ctx, view, enb.position, probe_pos)
     ctx.views.extend(views)
 
 
-def _phone(view: ConnectionView):
-    """Who a view's bias belongs to: the IMSI it links to or, while it
-    links provisionally, its stable TMSI, as a provisional id is one
-    connection's own."""
+def _phone(view: ConnectionView, db: TrackDb):
+    """Whose bias a linked view carries: its IMSI or, if it links
+    provisionally, the IMSI its stable TMSI is paired with once every view
+    is linked, else that TMSI. A provisional id is one connection's own."""
     stable = view.conn.stable_tmsi
-    if stable is not None and view.linked == provisional_id(view.conn.conn_id):
-        return stable
-    return view.linked
+    if stable is None or view.linked != provisional_id(view.conn.conn_id):
+        return view.linked
+    return db.imsi_for(stable) or stable
 
 
 def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:

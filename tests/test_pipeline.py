@@ -14,6 +14,7 @@ from tatrack import sim
 from tatrack.fingerprint import FingerprintDb, hw_error
 from tatrack.geometry import AnnulusLocus, Position
 from tatrack.timebase import RING_WIDTH_M, m_to_ps, ps_to_m
+from tatrack.tracker import provisional_id
 
 from _oracle import csv_text, event_line
 
@@ -149,6 +150,32 @@ def test_service_connection_inherits_bias_from_tmsi(service_first, extract):
         assert linked == {"001010000012345"}
     else:
         assert all(i.startswith("anon-") for i in linked)
+    _assert_service_views_corrected(ctx)
+
+
+def test_unextracted_service_request_takes_its_phones_bias():
+    # The phone leaves the identity request after its service request
+    # unanswered, so that connection is not extracted and links
+    # provisionally. The attach that pairs its TMSI to the IMSI starts
+    # after the service connection ends (two other phones come between);
+    # the service views still take the bias of the phone the TMSI is
+    # paired with.
+    imsi = "001010000012345"
+    ues = (_static_ue(45.0, connection_type="service", imsi=imsi,
+                      tmsi=0xBEEF0001,
+                      answers_identity_after_service_request=False),
+           _static_ue(0.0, 60.0, model="iPhone 8", imsi="001010000000001",
+                      tmsi=0xA0000001),
+           _static_ue(0.0, 90.0, model="iPhone 8", imsi="001010000000002",
+                      tmsi=0xA0000002),
+           _static_ue(60.0, imsi=imsi, tmsi=0xBEEF0001))
+    ctx = pl.run_pipeline(_scenario(ues, probes=TRIANGLE_PROBES,
+                                    duration_s=2, noise=BIASED,
+                                    attack=sim.AttackConfig(enabled=True)))
+    [served] = [v for v in ctx.views if v.conn.had_service_request]
+    assert served.linked == provisional_id(served.conn.conn_id)
+    assert {v.linked for v in ctx.views if v is not served} == {
+        imsi, "001010000000001", "001010000000002"}
     _assert_service_views_corrected(ctx)
 
 
