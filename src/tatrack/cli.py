@@ -9,11 +9,18 @@ Exit codes: 0 on success, 1 for runtime failures, 2 for unusable input
 (missing files, malformed JSON, bad stage lists). Re-running ``run`` with
 the same manifest rewrites byte-identical artifacts; repeats fan out to
 ``repeat_NNN`` subdirectories with consecutive seeds.
+
+``run`` pauses the cyclic garbage collector while its scenarios run and
+restores it as it found it. A run's data is acyclic, so reference counting
+frees it all; the only cyclic garbage is about 32 objects per run, the
+closures of the JSON encoder that indented output uses. Collections would
+only walk the run's live records again and again.
 """
 
 import argparse
 import csv
 import dataclasses
+import gc
 import os
 import sys
 from dataclasses import dataclass
@@ -72,6 +79,8 @@ def cmd_run(manifest: RunManifest) -> int:
     if manifest.seed is not None:
         scenario = dataclasses.replace(scenario, seed=manifest.seed)
     out_root = Path(manifest.out_dir)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for i in range(manifest.repeat):
             if manifest.repeat == 1:
@@ -90,6 +99,9 @@ def cmd_run(manifest: RunManifest) -> int:
     except OSError as exc:
         _fail(str(exc))
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 0
 
 

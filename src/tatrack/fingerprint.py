@@ -154,7 +154,12 @@ def hw_error(model: str, db: FingerprintDb) -> float:
 
 def estimate_hw_error(estimated: Sequence[float],
                       actual: Sequence[float]) -> float:
-    """Mean difference between estimated and actual distances."""
+    """Mean difference between estimated and actual distances.
+
+    This is the paper's estimator of a model's hardware bias. No stage
+    calls it, since runs read the bias from the database; it stays so that
+    ``test_estimate_hw_error_arithmetic`` can reproduce the estimator.
+    """
     if len(estimated) != len(actual) or not estimated:
         raise ValueError("need equal-length nonempty sequences")
     return float(np.mean(np.asarray(estimated) - np.asarray(actual)))

@@ -48,11 +48,6 @@ def _div_round(num: int, den: int) -> int:
     return -((-2 * num + den) // (2 * den))
 
 
-def subframe_start(n: int) -> Instant:
-    """Start of uplink subframe ``n`` in ps. Exact by definition."""
-    return n * PS_PER_SUBFRAME
-
-
 def ta_span(ta: TaIndex) -> Span:
     """Round-trip time commanded by TA index ``ta``, in ps (rounded).
 

@@ -98,7 +98,7 @@ def test_criterion_03_timing_advance_cancels_in_sum_delay():
     probe = rng.integers(0, tb.m_to_ps(5000.0) + 1, size=10**5).tolist()
     frames = rng.integers(0, 10**7, size=10**5).tolist()
     for d_ue, d_probe, n in zip(ue, probe, frames):
-        t_n = tb.subframe_start(int(n))
+        t_n = int(n) * tb.PS_PER_SUBFRAME
         ta = tb.quantize_ta(2 * d_ue)
         toa = tb.uplink_toa(t_n, d_ue, d_probe, ta)
         assert tb.sum_delay(toa, t_n, ta) == d_ue + d_probe

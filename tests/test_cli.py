@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import gc
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from tatrack import sim
 from tatrack.cli import RunManifest, cmd_cdf, cmd_run, main
 from tatrack.geometry import Position
+from tatrack.pipeline import run_pipeline
 
 RUN_STAGES = "simulate,probe,extract,localize,track,stats"
 
@@ -148,6 +150,69 @@ def test_rerun_is_byte_identical(tmp_path):
     names = sorted(p.name for p in out_a.iterdir())
     assert names == sorted(p.name for p in out_b.iterdir())
     same, diff, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
+    assert not diff and not errors
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    path = _write_scenario(tmp_path, _scenario())
+    in_the_way = tmp_path / "a_file"
+    in_the_way.write_text("")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["run", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["run", "--scenario", str(path),
+                     "--out", str(in_the_way)]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _cyclic_garbage_of_a_run(tmp_path, n_data_rounds):
+    ue = sim.UeProfile(model="Huawei P30",
+                       waypoints=((0, Position(60.0, 0.0)),),
+                       imsi="001010000000001", tmsi=0xA0000001,
+                       n_data_rounds=n_data_rounds)
+    path = _write_scenario(tmp_path, _scenario(
+        ues=(ue,), attack=sim.AttackConfig(enabled=True)),
+        name=f"rounds_{n_data_rounds}.json")
+    gc.collect()
+    assert main(["run", "--scenario", str(path),
+                 "--out", str(tmp_path / f"out_{n_data_rounds}")]) == 0
+    return gc.collect()
+
+
+def test_run_builds_no_cycles_that_grow_with_its_events(tmp_path, capsys):
+    # The collector pause in `run` is safe only because reference counting
+    # frees a run's records: what cyclic garbage a run leaves must not
+    # scale with the number of events.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _cyclic_garbage_of_a_run(tmp_path, 12)  # first-call imports
+        small = _cyclic_garbage_of_a_run(tmp_path, 12)
+        large = _cyclic_garbage_of_a_run(tmp_path, 48)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert small == large
+
+
+def test_run_artifacts_match_run_pipeline_with_the_collector_on(tmp_path,
+                                                                capsys):
+    scenario = _scenario(attack=sim.AttackConfig(enabled=True))
+    path = _write_scenario(tmp_path, scenario)
+    via_cli, via_library = tmp_path / "cli", tmp_path / "library"
+    assert main(["run", "--scenario", str(path), "--out", str(via_cli)]) == 0
+    assert gc.isenabled()
+    run_pipeline(sim.load_scenario(path), out_dir=via_library)
+    names = sorted(p.name for p in via_cli.iterdir())
+    assert names == sorted(p.name for p in via_library.iterdir())
+    same, diff, errors = filecmp.cmpfiles(via_cli, via_library, names,
+                                          shallow=False)
     assert not diff and not errors
 
 

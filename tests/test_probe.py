@@ -48,7 +48,7 @@ TA0 = tb.quantize_ta(2 * D_UE)
 
 
 def _uplink_rx(idx, ta):
-    return tb.uplink_toa(tb.subframe_start(idx), D_UE, D_UE, ta)
+    return tb.uplink_toa(idx * tb.PS_PER_SUBFRAME, D_UE, D_UE, ta)
 
 
 def test_full_flow_emits_exact_measurement():

@@ -108,7 +108,8 @@ def test_downlink_never_precedes_its_subframe_start():
     for event in result.events["probe0"]:
         if event.stamp.carrier is not Carrier.DOWNLINK:
             continue
-        start = tb.subframe_start(event.stamp.frame * 10 + event.stamp.subframe)
+        start = ((event.stamp.frame * 10 + event.stamp.subframe)
+                 * tb.PS_PER_SUBFRAME)
         assert event.stamp.rx_time >= start
         checked += 1
     assert checked
@@ -126,7 +127,8 @@ def test_uplink_lands_within_quantization_of_subframe_start():
     for event in result.events["probe0"]:
         if event.stamp.carrier is not Carrier.UPLINK:
             continue
-        start = tb.subframe_start(event.stamp.frame * 10 + event.stamp.subframe)
+        start = ((event.stamp.frame * 10 + event.stamp.subframe)
+                 * tb.PS_PER_SUBFRAME)
         assert abs(event.stamp.rx_time - start) <= bound
         checked += 1
     assert checked
@@ -242,7 +244,7 @@ def test_ungated_probe_double_applies_resent_ta_commands():
     for err in nonzero:
         assert 0 < abs(err) <= 2 * one_step + 2
         assert abs(err) % one_step in (0, 1, one_step - 1)
-    resend_t = tb.subframe_start(info.ta_resend_sfs[0])
+    resend_t = info.ta_resend_sfs[0] * tb.PS_PER_SUBFRAME
     tail = [err for t_n, err in errors
             if t_n > resend_t + 10 * tb.PS_PER_SUBFRAME]
     assert len(tail) > 100
@@ -300,7 +302,7 @@ def test_known_tmsi_not_reengaged_under_unknown_only_policy():
     assert len(result.connections) >= 2
     lines = [json.loads(line) for line in result.extraction.dump_lines()]
     injected = {rec["t_ps"] for rec in lines}
-    first_end = tb.subframe_start(result.connections[0].end_sf)
+    first_end = result.connections[0].end_sf * tb.PS_PER_SUBFRAME
     assert injected and all(t <= first_end for t in injected)
     assert len(result.attacker_pairs) == 1
 

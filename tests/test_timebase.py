@@ -49,14 +49,14 @@ def test_quantize_ta_clamps():
 
 
 def test_uplink_toa_frozen_example():
-    tn = tb.subframe_start(5)
+    tn = 5 * tb.PS_PER_SUBFRAME
     d = tb.m_to_ps(500.0)
     toa = tb.uplink_toa(tn, d, d, 6)
     assert toa == 5_000_000_000 + 210_640
 
 
 def test_sum_delay_inverts_exactly():
-    tn = tb.subframe_start(5)
+    tn = 5 * tb.PS_PER_SUBFRAME
     d = tb.m_to_ps(500.0)
     toa = tb.uplink_toa(tn, d, d, 6)
     assert tb.sum_delay(toa, tn, 6) == 2 * d
@@ -87,7 +87,7 @@ def test_epsilon_bound_in_range(one_way):
 def test_sum_delay_cancellation_is_exact(n, d_ue, d_probe, ta):
     # Whatever TA is in force, recovering the delay sum from the observed
     # arrival time is exact: the rounded ta_span cancels itself.
-    tn = tb.subframe_start(n)
+    tn = n * tb.PS_PER_SUBFRAME
     toa = tb.uplink_toa(tn, d_ue, d_probe, ta)
     assert tb.sum_delay(toa, tn, ta) == d_ue + d_probe
 
