@@ -93,6 +93,7 @@ def cmd_run(manifest: RunManifest) -> int:
             _print_summary(ctx.summary_rows,
                            f"{out_dir} seed={run.seed} "
                            f"stages={','.join(stages)}")
+            del ctx  # so the next run starts with this one's data freed
     except (sim.ScenarioError, StageError) as exc:
         _fail(str(exc))
         return 2

@@ -12,13 +12,25 @@ The injected-identity attack, when enabled, is driven by the real
 state machine from the extractor module; its downlink transmissions are
 emitted from the serving eNodeB's position, an overshadowing
 idealization that keeps the sniffer's subframe anchor exact.
+
+The scenario dataclasses are the scenario file format: each field is a
+JSON key, and its default applies when the key is absent. An ``int``
+takes a JSON integer only (not ``12.0``, not ``true``), a ``float`` any
+finite number, a ``bool`` or ``str`` its own type, an ``Optional`` field
+also ``null``, and a Position an ``[x, y]`` list. A missing, unknown or
+mistyped key is a ScenarioError that names it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import reprlib
+import sys
+import typing
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -81,7 +93,7 @@ class UeProfile:
     """One device: identity, movement, and behavioral quirks."""
 
     model: str
-    waypoints: tuple  # ((t_ps, Position), ...) time-ordered
+    waypoints: tuple[tuple[int, Position], ...]  # time-ordered
     reconnect_rate: float = 30.0  # connections per minute
     answers_identity_after_service_request: bool = True
     imsi: Optional[str] = None
@@ -133,9 +145,9 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    enbs: tuple
-    probes: tuple
-    ues: tuple
+    enbs: tuple[Enb, ...]
+    probes: tuple[Probe, ...]
+    ues: tuple[UeProfile, ...]
     duration_ps: int
     seed: int
     noise: NoiseModel = NoiseModel()
@@ -182,6 +194,15 @@ class Scenario:
                 raise ScenarioError("waypoints must be time-ordered")
             if ue.reconnect_rate <= 0:
                 raise ScenarioError("reconnect_rate must be positive")
+            if ue.imsi is not None and not (
+                    len(ue.imsi) == 15 and ue.imsi.isascii()
+                    and ue.imsi.isdigit()):
+                raise ScenarioError(
+                    f"imsi {ue.imsi!r} is not 15 decimal digits")
+            if ue.tmsi is not None and not 0 <= ue.tmsi < 2**32:
+                raise ScenarioError(f"tmsi {ue.tmsi} does not fit in 32 bits")
+            if ue.n_data_rounds < 0:
+                raise ScenarioError("n_data_rounds must be >= 0")
             span = _connection_span(ue)
             if _reconnect_interval(ue) <= span:
                 raise ScenarioError(
@@ -559,109 +580,82 @@ def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:
 
 # -- scenario (de)serialization ------------------------------------------------
 
+#: What a JSON value must be to fill a field of each scalar type.
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string"}
+#: A Position is written as its [x, y] pair.
+_XY = tuple[float, float]
+#: Each field of a scenario dataclass and its type, resolved once a class.
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _encode(value):
+    if isinstance(value, Position):
+        return [value.x, value.y]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(tp, value, where: str):
+    """``value``, read from JSON, as a ``tp``; refusals name ``where``."""
+    if tp in _KINDS:
+        if tp is float:
+            # A bound on abs() also refuses NaN, the infinities and any
+            # integer too large for a float.
+            ok = (type(value) in (int, float)
+                  and abs(value) <= sys.float_info.max)
+        else:
+            ok = type(value) is tp  # so a bool is no integer
+        if not ok:
+            raise ScenarioError(
+                f"{where} must be {_KINDS[tp]}, got {reprlib.repr(value)}")
+        return float(value) if tp is float else value
+    if tp is Position:
+        return Position(*_decode(_XY, value, where))
+    if dataclasses.is_dataclass(tp):
+        name = where or "scenario"
+        if type(value) is not dict:
+            raise ScenarioError(
+                f"{name} must be an object, got {reprlib.repr(value)}")
+        types = _field_types(tp)
+        unknown = sorted(set(value) - types.keys())
+        if unknown:
+            raise ScenarioError(
+                f"unknown key(s) {', '.join(unknown)} in {name}")
+        kwargs = {}
+        for f in dataclasses.fields(tp):
+            if f.name in value:
+                kwargs[f.name] = _decode(
+                    types[f.name], value[f.name],
+                    f"{where}.{f.name}" if where else f.name)
+            elif f.default is dataclasses.MISSING:
+                raise ScenarioError(f"missing {f.name!r} in {name}")
+        return tp(**kwargs)
+    args = typing.get_args(tp)
+    if type(None) in args:  # Optional[X]
+        return None if value is None else _decode(args[0], value, where)
+    if type(value) is not list:
+        raise ScenarioError(
+            f"{where} must be a list, got {reprlib.repr(value)}")
+    if args[-1] is Ellipsis:  # tuple[X, ...]
+        args = args[:1] * len(value)
+    elif len(value) != len(args):
+        raise ScenarioError(f"{where} must be a list of {len(args)} items, "
+                            f"got {reprlib.repr(value)}")
+    return tuple(_decode(t, item, f"{where}[{i}]")
+                 for i, (t, item) in enumerate(zip(args, value)))
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "enbs": [{"id": e.id, "position": [e.position.x, e.position.y]}
-                 for e in scenario.enbs],
-        "probes": [{"id": p.id, "position": [p.position.x, p.position.y],
-                    "role": p.role} for p in scenario.probes],
-        "ues": [{
-            "model": u.model,
-            "waypoints": [[t, [p.x, p.y]] for t, p in u.waypoints],
-            "reconnect_rate": u.reconnect_rate,
-            "answers_identity_after_service_request":
-                u.answers_identity_after_service_request,
-            "imsi": u.imsi, "tmsi": u.tmsi,
-            "connection_type": u.connection_type,
-            "n_data_rounds": u.n_data_rounds,
-            "ta_interval": u.ta_interval,
-        } for u in scenario.ues],
-        "duration_ps": scenario.duration_ps,
-        "seed": scenario.seed,
-        "noise": {"toa_sigma_ps": scenario.noise.toa_sigma_ps,
-                  "hw_bias": scenario.noise.hw_bias},
-        "faults": {"ta_resend_prob": scenario.faults.ta_resend_prob,
-                   "grant_loss_prob": scenario.faults.grant_loss_prob},
-        "countermeasure": {"mode": scenario.countermeasure.mode,
-                           "max_offset_ps":
-                               scenario.countermeasure.max_offset_ps},
-        "attack": {"enabled": scenario.attack.enabled,
-                   "policy_mode": scenario.attack.policy_mode,
-                   "use_service_reject": scenario.attack.use_service_reject,
-                   "power_margin_db": scenario.attack.power_margin_db,
-                   "alignment_error_ps": scenario.attack.alignment_error_ps},
-    }
-
-
-def _require(data: dict, key: str, context: str):
-    if key not in data:
-        raise ScenarioError(f"missing {key!r} in {context}")
-    return data[key]
-
-
-def _known_keys(obj: dict, cls, where: str) -> dict:
-    """``obj`` itself, once every key in it names a field of ``cls``."""
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {', '.join(unknown)} in {where}")
-    return obj
+    return _encode(scenario)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    try:
-        _known_keys(data, Scenario, "scenario")
-        for key, cls in (("enbs", Enb), ("probes", Probe), ("ues", UeProfile)):
-            for item in _require(data, key, "scenario"):
-                _known_keys(item, cls, key)
-        enbs = tuple(Enb(id=e["id"], position=Position(*e["position"]))
-                     for e in _require(data, "enbs", "scenario"))
-        probes = tuple(Probe(id=p["id"], position=Position(*p["position"]),
-                             role=p.get("role", "both"))
-                       for p in _require(data, "probes", "scenario"))
-        ues = tuple(UeProfile(
-            model=u["model"],
-            waypoints=tuple((int(t), Position(*p))
-                            for t, p in u["waypoints"]),
-            reconnect_rate=u.get("reconnect_rate", 30.0),
-            answers_identity_after_service_request=u.get(
-                "answers_identity_after_service_request", True),
-            imsi=u.get("imsi"), tmsi=u.get("tmsi"),
-            connection_type=u.get("connection_type", "attach"),
-            n_data_rounds=u.get("n_data_rounds", 12),
-            ta_interval=u.get("ta_interval", 0),
-        ) for u in _require(data, "ues", "scenario"))
-        noise_d = _known_keys(data.get("noise", {}), NoiseModel, "noise")
-        faults_d = _known_keys(data.get("faults", {}), FaultModel, "faults")
-        cm_d = _known_keys(data.get("countermeasure", {}), Countermeasure,
-                           "countermeasure")
-        attack_d = _known_keys(data.get("attack", {}), AttackConfig, "attack")
-        return Scenario(
-            enbs=enbs, probes=probes, ues=ues,
-            duration_ps=int(_require(data, "duration_ps", "scenario")),
-            seed=int(_require(data, "seed", "scenario")),
-            noise=NoiseModel(
-                toa_sigma_ps=int(noise_d.get("toa_sigma_ps",
-                                             DEFAULT_TOA_SIGMA_PS)),
-                hw_bias=bool(noise_d.get("hw_bias", True))),
-            faults=FaultModel(
-                ta_resend_prob=float(faults_d.get("ta_resend_prob", 0.0)),
-                grant_loss_prob=float(faults_d.get("grant_loss_prob", 0.0))),
-            countermeasure=Countermeasure(
-                mode=cm_d.get("mode", "off"),
-                max_offset_ps=int(cm_d.get("max_offset_ps", 0))),
-            attack=AttackConfig(
-                enabled=bool(attack_d.get("enabled", False)),
-                policy_mode=attack_d.get("policy_mode", ext.MODE_ALL),
-                use_service_reject=bool(
-                    attack_d.get("use_service_reject", False)),
-                power_margin_db=float(attack_d.get("power_margin_db", 3.0)),
-                alignment_error_ps=int(
-                    attack_d.get("alignment_error_ps", 0))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
+    return _decode(Scenario, data, "")
 
 
 def load_scenario(path) -> Scenario:

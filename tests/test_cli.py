@@ -4,14 +4,18 @@ import csv
 import filecmp
 import gc
 import json
+import weakref
+from pathlib import Path
 
 import pytest
 
-from tatrack import sim
+from tatrack import cli, sim
 from tatrack.cli import RunManifest, cmd_cdf, cmd_run, main
 from tatrack.geometry import Position
 from tatrack.pipeline import run_pipeline
 
+SHIPPED_SCENARIO = (Path(__file__).resolve().parent.parent
+                    / "scenarios" / "replication.json")
 RUN_STAGES = "simulate,probe,extract,localize,track,stats"
 
 
@@ -115,6 +119,51 @@ def test_unknown_scenario_key_is_refused(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "toa_sigma in noise" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, attack", [
+    ("reconnect_rate", "fast", False),
+    ("n_data_rounds", "12", False),
+    ("n_data_rounds", 12.5, False),
+    ("ta_interval", "x", False),
+    ("tmsi", "abc", False),
+    ("tmsi", 2**40, False),
+    ("imsi", 12345, False),
+    ("answers_identity_after_service_request", "no", False),
+    ("n_data_rounds", -3, False),
+    ("imsi", "12345", False),
+    ("imsi", "12345", True),
+], ids=["rate_string", "rounds_string", "rounds_float", "ta_interval_string",
+        "tmsi_string", "tmsi_40_bits", "imsi_number", "answers_string",
+        "rounds_negative", "imsi_short", "imsi_short_attack_on"])
+def test_malformed_ue_field_is_refused(tmp_path, capsys, field, value,
+                                       attack):
+    data = json.loads(SHIPPED_SCENARIO.read_text(encoding="utf-8"))
+    data["ues"][0][field] = value
+    data["attack"]["enabled"] = attack
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeat_keeps_one_run_alive_at_a_time(tmp_path, monkeypatch,
+                                              capsys):
+    runs, alive_at_start = [], []
+
+    def run_pipeline_watched(*args, **kwargs):
+        alive_at_start.append([ref() is not None for ref in runs])
+        ctx = run_pipeline(*args, **kwargs)
+        runs.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline_watched)
+    path = _write_scenario(tmp_path, _scenario())
+    assert main(["run", "--scenario", str(path), "--out",
+                 str(tmp_path / "out"), "--repeat", "3"]) == 0
+    assert alive_at_start == [[], [False], [False, False]]
 
 
 def test_seed_override_changes_the_run(tmp_path):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tatrack import sim
 from tatrack import timebase as tb
@@ -19,6 +20,8 @@ from tatrack.fingerprint import FingerprintDb, hw_error
 from tatrack.geometry import Position
 from tatrack.probe import Carrier, ConnectionTable
 
+SHIPPED_SCENARIO = (Path(__file__).resolve().parent.parent
+                    / "scenarios" / "replication.json")
 ZERO_NOISE = sim.NoiseModel(toa_sigma_ps=0, hw_bias=False)
 
 
@@ -360,6 +363,16 @@ def test_validate_rejects_bad_probe_role():
         sim.run(_scenario([_static_ue(60.0)], probes=probes))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("imsi", "12345"),
+    ("tmsi", 2**32),
+    ("n_data_rounds", -3),
+], ids=["short_imsi", "tmsi_over_32_bits", "negative_rounds"])
+def test_validate_rejects_values_the_simulator_cannot_encode(field, value):
+    with pytest.raises(sim.ScenarioError, match=field):
+        sim.run(_scenario([_static_ue(60.0, **{field: value})]))
+
+
 def test_validate_rejects_reconnect_faster_than_a_connection():
     ue = _static_ue(60.0, reconnect_rate=10_000.0)
     with pytest.raises(sim.ScenarioError, match="reconnect"):
@@ -377,12 +390,70 @@ def test_scenario_dict_round_trip():
                                 policy_mode="unknown_tmsi_only"))
     data = json.loads(json.dumps(sim.scenario_to_dict(scn)))
     assert sim.scenario_from_dict(data) == scn
+    shipped = json.loads(SHIPPED_SCENARIO.read_text(encoding="utf-8"))
+    assert sim.scenario_to_dict(sim.load_scenario(SHIPPED_SCENARIO)) == shipped
 
 
 def test_scenario_from_dict_reports_missing_keys():
     with pytest.raises(sim.ScenarioError, match="duration_ps"):
         sim.scenario_from_dict({"enbs": [], "probes": [], "ues": [],
                                 "seed": 1})
+
+
+def _nodes(node, path=()):
+    """(path, value) of ``node`` and of everything inside it."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scenario_loader_returns_a_scenario_or_refuses_by_name(data):
+    scenario = json.loads(SHIPPED_SCENARIO.read_text(encoding="utf-8"))
+    nodes = list(_nodes(scenario))
+
+    def parent(path):
+        node = scenario
+        for key in path[:-1]:
+            node = node[key]
+        return node
+
+    mutation = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if mutation == "replace":
+        path, old = data.draw(st.sampled_from(
+            [(p, v) for p, v in nodes
+             if not isinstance(v, (dict, list))]))
+        parent(path)[path[-1]] = data.draw(
+            _JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    elif mutation == "delete":
+        path = data.draw(st.sampled_from(
+            [p for p, _ in nodes if p and isinstance(p[-1], str)]))
+        del parent(path)[path[-1]]
+    else:
+        obj = data.draw(st.sampled_from(
+            [v for _, v in nodes if isinstance(v, dict)]))
+        key = data.draw(st.text(max_size=6).filter(lambda k: k not in obj))
+        obj[key] = data.draw(_JSON_VALUES)
+        path = (key,)
+    try:
+        assert isinstance(sim.scenario_from_dict(scenario), sim.Scenario)
+    except sim.ScenarioError as exc:
+        # The refusal names the innermost key on the mutated path.
+        assert [k for k in path if isinstance(k, str)][-1] in str(exc)
 
 
 def test_load_scenario_reports_json_position(tmp_path):
