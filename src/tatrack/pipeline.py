@@ -13,19 +13,32 @@ is one object in the simulator's events, and the event logs encode it
 once per write. With stable row ordering, a rerun with the same scenario
 and seed is byte-identical.
 
+The simulator's artifacts, the event logs and ``ground_truth.csv``, need
+nothing after simulate. ``run_pipeline`` forks a process to write them as
+soon as simulate returns, while it runs probe -> stats and writes the
+rest itself; it reaps the child before it returns or raises, and a child
+that failed raises OSError. The child runs only the formatting code here
+and in ``messages`` (no numpy) and leaves through ``os._exit``. Its
+copy-on-write cost is the pages either process dirties meanwhile, about
+28 MB on the benchmark's crowd and drive runs. Python 3.12 and later
+emit a DeprecationWarning when a process with threads forks, as with the
+threads of a multi-threaded BLAS under numpy; the child calls no BLAS.
+Where ``os.fork`` is missing, the same writer runs in this process.
+
 A scenario has exactly one eNodeB (``Scenario.validate`` refuses more):
 localization takes its foci and downlink delays from that eNodeB, and
 every connection view carries cell 0.
 """
 
 import json
+import os
 import statistics
+import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import sim
 from .fingerprint import (FingerprintDb, HwErrorUnavailable, classify,
@@ -38,8 +51,8 @@ from .messages import CapabilityVector, encode
 from .probe import ConnectionTable
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (ConnectionSummary, TracePoint, TrackDb,
-                      connection_stats, provisional_id, stats_csv_rows,
-                      trace_csv_rows)
+                      connection_stats, median_of_sorted, provisional_id,
+                      quantile_of_sorted, stats_csv_rows, trace_csv_rows)
 
 #: Every stage, in run order, with the stages it needs. Stage ``name`` is
 #: the function ``stage_<name>`` of this module.
@@ -375,12 +388,12 @@ def _summarize(stats_rows, group_by: str) -> list:
             abs(row["err_corr_m"]))
     out = []
     for key in sorted(groups):
-        errs = np.asarray(groups[key])
+        errs = sorted(groups[key])
         out.append({
             "group": key,
             "n_connections": len(errs),
-            "median_m": float(np.median(errs)),
-            "p90_m": float(np.percentile(errs, 90.0)),
+            "median_m": median_of_sorted(errs),
+            "p90_m": quantile_of_sorted(errs, 0.9),
         })
     return out
 
@@ -388,19 +401,60 @@ def _summarize(stats_rows, group_by: str) -> list:
 def run_pipeline(scenario: sim.Scenario, stages=STAGES, *,
                  db: Optional[FingerprintDb] = None, out_dir=None,
                  group_by: str = "imsi") -> RunContext:
-    """Run the requested stages and optionally write their artifacts."""
+    """Run the requested stages and optionally write their artifacts.
+
+    With ``out_dir`` set, a forked process writes the simulator's artifacts
+    while the later stages run; it is reaped before this returns or
+    raises, and its failure raises OSError.
+    """
     ordered = check_stages(stages)
     if group_by not in GROUP_CHOICES:
         raise StageError(f"unknown group-by {group_by!r}")
     ctx = RunContext(scenario=scenario, db=db or FingerprintDb.default(),
                      group_by=group_by)
-    for stage in ordered:
-        # Looked up on every run, so a wrapper installed on the module
-        # attribute (a tracer, a test double) is the one that runs.
-        globals()[f"stage_{stage}"](ctx)
-    if out_dir is not None:
-        write_artifacts(ctx, out_dir, ordered)
+    writer = None
+    try:
+        for stage in ordered:
+            # Looked up on every run, so a wrapper installed on the module
+            # attribute (a tracer, a test double) is the one that runs.
+            globals()[f"stage_{stage}"](ctx)
+            if stage == "simulate" and out_dir is not None:
+                writer = _start_simulation_writer(ctx.result, Path(out_dir))
+        if out_dir is not None:
+            write_artifacts(ctx, out_dir,
+                            tuple(s for s in ordered if s != "simulate"))
+    finally:
+        status = 0 if writer is None else os.waitpid(writer, 0)[1]
+    if status:
+        raise OSError(f"writing the simulator's artifacts to {out_dir} "
+                      f"failed (exit status "
+                      f"{os.waitstatus_to_exitcode(status)})")
     return ctx
+
+
+def _start_simulation_writer(result: sim.SimResult,
+                             out: Path) -> Optional[int]:
+    """Write the simulator's artifacts in a forked child; return its pid.
+
+    Where ``os.fork`` is missing, write them here and return None. The
+    child leaves only through ``os._exit``, never back into the caller.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    if not hasattr(os, "fork"):
+        _write_simulation(result, out)
+        return None
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        _write_simulation(result, out)
+        code = 0
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 # -- artifact writers ------------------------------------------------------
@@ -476,16 +530,21 @@ _TRACE_COLUMNS = ("imsi", "t_ps", "x_m", "y_m", "residual_rms_m",
                   "corrected")
 
 
+def _write_simulation(result: sim.SimResult, out: Path) -> None:
+    """One event log per sniffer, and the ground truth behind them."""
+    hex_of = {id(None): "null"}
+    for probe_id in sorted(result.events):
+        _write_events(out / f"events_{probe_id}.jsonl",
+                      result.events[probe_id], hex_of)
+    _write_csv(out / "ground_truth.csv", sim.GroundTruthRow._fields,
+               result.ground_truth, get=None)
+
+
 def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if "simulate" in stages:
-        hex_of = {id(None): "null"}
-        for probe_id in sorted(ctx.result.events):
-            _write_events(out / f"events_{probe_id}.jsonl",
-                          ctx.result.events[probe_id], hex_of)
-        _write_csv(out / "ground_truth.csv", sim.GroundTruthRow._fields,
-                   ctx.result.ground_truth, get=None)
+        _write_simulation(ctx.result, out)
     if "probe" in stages:
         pairs = ctx.result.attacker_pairs if "extract" in stages else None
         for probe_id in sorted(ctx.tables):

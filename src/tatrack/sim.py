@@ -44,7 +44,8 @@ from .messages import (Ack, AttachRequest, DciFormat0, IdentityRequest,
                        RandomAccessResponse, Rnti, RrcConnectionRequest,
                        RrcConnectionSetup, ServiceRequest, Tmsi, UlGrant)
 from .probe import Carrier, ProbeEvent, SubframeStamp
-from .timebase import PS_PER_SUBFRAME, m_to_ps, quantize_ta, ta_span
+from .timebase import (DECODE_GATE_PS, PS_PER_SUBFRAME, m_to_ps, quantize_ta,
+                       ta_span)
 
 #: Per-measurement uplink ToA jitter, pinned by the Monte-Carlo sweep in
 #: tools/calibrate_sigma.py: with 14 sum-delay measurements per connection
@@ -175,8 +176,14 @@ class Scenario:
         if self.countermeasure.mode not in ("off", "random_offset"):
             raise ScenarioError(
                 f"unknown countermeasure {self.countermeasure.mode!r}")
-        if self.countermeasure.max_offset_ps < 0:
-            raise ScenarioError("countermeasure offset must be >= 0")
+        # The offset is meant to blur a phone's range by a few TA rings.
+        # Cap it at the decode gate (4 us: 7.7 TA steps, 600 m of range),
+        # which also keeps the simulator's draw of it within int64.
+        if not 0 <= self.countermeasure.max_offset_ps <= DECODE_GATE_PS:
+            raise ScenarioError(
+                f"countermeasure max_offset_ps "
+                f"{self.countermeasure.max_offset_ps} outside "
+                f"[0, {DECODE_GATE_PS}]")
         if self.attack.policy_mode not in ext.POLICY_MODES:
             raise ScenarioError(
                 f"unknown attack policy mode {self.attack.policy_mode!r}")

@@ -24,8 +24,6 @@ import uuid
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .geometry import (AnnulusLocus, EllipseLocus, Position,
                        PositionEstimate)
 
@@ -49,6 +47,31 @@ class ConnectionStats:
     iqr: float
 
 
+def median_of_sorted(values: list) -> float:
+    """``np.median`` of an ascending list of finite floats, bit for bit.
+
+    numpy's median and percentile import ``numpy.ma`` on their first call
+    in a process, about 10 ms that every ``tatrack run`` would pay.
+    """
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return (values[mid - 1] + values[mid]) / 2
+
+
+def quantile_of_sorted(values: list, q: float) -> float:
+    """``np.quantile(values, q)`` (its default "linear" method) of an
+    ascending list of finite floats, with numpy's arithmetic."""
+    pos = (len(values) - 1) * q
+    lo = int(pos)
+    if lo >= len(values) - 1:
+        return values[-1]
+    t = pos - lo
+    a, b = values[lo], values[lo + 1]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def connection_stats(meas: Sequence[float]) -> Optional[ConnectionStats]:
     """Median of one connection's values, or None if too sparse.
 
@@ -57,15 +80,13 @@ def connection_stats(meas: Sequence[float]) -> Optional[ConnectionStats]:
     """
     if len(meas) < MIN_MEASUREMENTS:
         return None
-    values = np.asarray(meas, dtype=float)
-    med = float(np.median(values))
-    q25, q75 = np.percentile(values, [25.0, 75.0])
-    iqr = float(q75 - q25)
-    keep = np.abs(values - med) <= OUTLIER_IQR_FACTOR * iqr
-    kept = values[keep]
-    return ConnectionStats(median=float(np.median(kept)),
+    values = sorted(map(float, meas))
+    med = median_of_sorted(values)
+    iqr = quantile_of_sorted(values, 0.75) - quantile_of_sorted(values, 0.25)
+    kept = [v for v in values if abs(v - med) <= OUTLIER_IQR_FACTOR * iqr]
+    return ConnectionStats(median=median_of_sorted(kept),
                            n_measurements=len(meas),
-                           n_outliers_removed=int(len(values) - len(kept)),
+                           n_outliers_removed=len(values) - len(kept),
                            iqr=iqr)
 
 

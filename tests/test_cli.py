@@ -4,6 +4,7 @@ import csv
 import filecmp
 import gc
 import json
+import os
 import weakref
 from pathlib import Path
 
@@ -218,6 +219,33 @@ def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_event_log_write_exits_1_and_names_the_file(tmp_path,
+                                                             capfd):
+    # The event logs are written by a forked process; its failure must
+    # still fail the run, not leave it at exit 0 with a file missing.
+    path = _write_scenario(tmp_path, _scenario())
+    out = tmp_path / "out"
+    (out / "events_probe0.jsonl").mkdir(parents=True)
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    assert "events_probe0.jsonl" in capfd.readouterr().err
+    _no_child_left()
+
+
+def test_repeat_leaves_no_child_process(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _scenario())
+    assert main(["run", "--scenario", str(path), "--out",
+                 str(tmp_path / "out"), "--repeat", "3"]) == 0
+    for i in range(3):
+        assert (tmp_path / "out" / f"repeat_{i:03d}"
+                / "ground_truth.csv").stat().st_size > 0
+    _no_child_left()
 
 
 def _cyclic_garbage_of_a_run(tmp_path, n_data_rounds):

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import importlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,38 @@ def test_artifacts_written_and_deterministic(tmp_path):
         assert expected in names
     same, diff, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
     assert not diff and not errors
+
+
+def test_forked_writer_matches_writing_every_stage_in_process(tmp_path):
+    # The forked event-log writer and a direct write of every stage run the
+    # same code: three sniffers, extraction on.
+    ues = (_static_ue(60.0, imsi="001010000000001", tmsi=0xA0000001),
+           _static_ue(45.0, model="iPhone 8", imsi="001010000000002",
+                      tmsi=0xA0000002, connection_type="service"))
+    scn = _scenario(ues, probes=TRIANGLE_PROBES,
+                    attack=sim.AttackConfig(enabled=True))
+    forked, direct = tmp_path / "forked", tmp_path / "direct"
+    pl.run_pipeline(scn, out_dir=forked)
+    pl.write_artifacts(pl.run_pipeline(scn), direct, pl.STAGES)
+    names = sorted(p.name for p in direct.iterdir())
+    assert names == sorted(p.name for p in forked.iterdir())
+    assert {f"events_{p.id}.jsonl" for p in TRIANGLE_PROBES} <= set(names)
+    same, diff, errors = filecmp.cmpfiles(forked, direct, names,
+                                          shallow=False)
+    assert not diff and not errors
+
+
+def test_a_failing_stage_reaps_the_writer(tmp_path, monkeypatch):
+    def fail(ctx):
+        raise RuntimeError("localize failed")
+
+    monkeypatch.setattr(pl, "stage_localize", fail)
+    with pytest.raises(RuntimeError, match="localize failed"):
+        pl.run_pipeline(_scenario((_static_ue(60.0),)), out_dir=tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # The writer finished before the run gave up.
+    assert (tmp_path / "ground_truth.csv").stat().st_size > 0
 
 
 def _format_scenarios():

@@ -363,14 +363,18 @@ def test_validate_rejects_bad_probe_role():
         sim.run(_scenario([_static_ue(60.0)], probes=probes))
 
 
-@pytest.mark.parametrize("field, value", [
-    ("imsi", "12345"),
-    ("tmsi", 2**32),
-    ("n_data_rounds", -3),
-], ids=["short_imsi", "tmsi_over_32_bits", "negative_rounds"])
-def test_validate_rejects_values_the_simulator_cannot_encode(field, value):
+@pytest.mark.parametrize("field, ue, scenario", [
+    ("imsi", {"imsi": "12345"}, {}),
+    ("tmsi", {"tmsi": 2**32}, {}),
+    ("n_data_rounds", {"n_data_rounds": -3}, {}),
+    ("max_offset_ps", {}, {"countermeasure": sim.Countermeasure(
+        mode="random_offset", max_offset_ps=2**70)}),
+], ids=["short_imsi", "tmsi_over_32_bits", "negative_rounds",
+        "offset_over_int64"])
+def test_validate_rejects_values_the_simulator_cannot_encode(field, ue,
+                                                             scenario):
     with pytest.raises(sim.ScenarioError, match=field):
-        sim.run(_scenario([_static_ue(60.0, **{field: value})]))
+        sim.run(_scenario([_static_ue(60.0, **ue)], **scenario))
 
 
 def test_validate_rejects_reconnect_faster_than_a_connection():

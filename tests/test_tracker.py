@@ -1,11 +1,14 @@
 """Linkage-database behavior on scripted connection streams."""
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tatrack.geometry import Position, PositionEstimate
 from tatrack.tracker import (ConnectionStats, ConnectionSummary,
                              IntegrityError, TracePoint, TrackDb,
-                             connection_stats, provisional_id,
+                             connection_stats, median_of_sorted,
+                             provisional_id, quantile_of_sorted,
                              stats_csv_rows, trace_csv_rows)
 
 SEC = 10**12
@@ -67,6 +70,19 @@ def test_stats_keeps_wide_but_consistent_spread():
     stats = connection_stats(values)
     assert stats.n_outliers_removed == 0
     assert stats.median == pytest.approx(15.0)
+
+
+@given(st.lists(st.one_of(
+    st.integers(min_value=0, max_value=10**12).map(float),
+    st.floats(min_value=0.0, max_value=1e4)),
+    min_size=1, max_size=60))
+def test_sorted_median_and_quantiles_match_numpy_bit_for_bit(values):
+    # Delay sums in ps and errors in m: the two kinds the helpers see.
+    ordered = sorted(values)
+    assert median_of_sorted(ordered) == np.median(values)
+    for percent in (25.0, 75.0, 90.0):
+        assert quantile_of_sorted(ordered, percent / 100) == \
+            np.percentile(values, percent), percent
 
 
 # -- identity linkage ---------------------------------------------------------
