@@ -55,6 +55,8 @@ class BadField(DecodeError):
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    if type(value) is int and lo <= value <= hi:
+        return
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if not lo <= value <= hi:

@@ -147,8 +147,9 @@ def stage_probe(ctx: RunContext) -> None:
     for probe in ctx.scenario.probes:
         d_dl = m_to_ps(probe.position.distance_to(enb.position))
         table = ConnectionTable(d_dlprobe_ps=d_dl)
+        ingest = table.ingest
         for event in ctx.result.events[probe.id]:
-            table.ingest(event)
+            ingest(event)
         ctx.tables[probe.id] = table
 
 

@@ -30,7 +30,7 @@ from .messages import (Ack, AttachRequest, CapabilityVector, DciFormat0,
                        IdentityResponse, Imsi, MacTaCommand, Message,
                        RandomAccessResponse, Rnti, RrcConnectionRequest,
                        ServiceRequest, Tmsi, rnti_of_rar)
-from .timebase import (PS_PER_SUBFRAME, Instant, Span, TaIndex, ta_span)
+from .timebase import PS_PER_SUBFRAME, TA_SPAN_PS, Instant, Span, TaIndex
 
 #: Subframes in one radio-frame numbering period (1024 frames x 10).
 SUBFRAME_PERIOD = 10_240
@@ -149,26 +149,6 @@ class ConnectionTable:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _advance(self, stamp: SubframeStamp) -> int:
-        """Unwrapped subframe counter; tolerates slight cross-carrier skew."""
-        # Stamps built outside the simulator enter here: check their range.
-        frame, subframe = stamp.frame, stamp.subframe
-        if not (0 <= frame <= 1023 and 0 <= subframe <= 9):
-            raise ValueError(f"frame {frame} outside [0, 1023] or "
-                             f"subframe {subframe} outside [0, 9]")
-        raw = frame * 10 + subframe
-        if self._cursor is None:
-            self._cursor = (raw, raw)
-            return raw
-        prev_raw, prev_abs = self._cursor
-        delta = (raw - prev_raw) % SUBFRAME_PERIOD
-        if delta >= SUBFRAME_PERIOD - 64:
-            delta -= SUBFRAME_PERIOD  # a stamp arriving marginally late
-        abs_idx = prev_abs + delta
-        if delta >= 0:
-            self._cursor = (raw, abs_idx)
-        return abs_idx
-
     def _live(self, issued_idx: int) -> bool:
         """Whether a grant or TA command issued then has not yet expired."""
         return self._cursor[1] - issued_idx <= EXPIRY_SUBFRAMES
@@ -183,8 +163,26 @@ class ConnectionTable:
 
     def ingest(self, event: ProbeEvent) -> list[Measurement]:
         """Feed one event; returns measurements it produced (0 or 1)."""
-        abs_idx = self._advance(event.stamp)
-        if event.stamp.carrier is Carrier.DOWNLINK:
+        stamp = event.stamp
+        # Stamps built outside the simulator enter here: check their range.
+        frame, subframe = stamp.frame, stamp.subframe
+        if not (0 <= frame <= 1023 and 0 <= subframe <= 9):
+            raise ValueError(f"frame {frame} outside [0, 1023] or "
+                             f"subframe {subframe} outside [0, 9]")
+        # Unwrap the subframe counter, tolerating slight cross-carrier skew.
+        raw = frame * 10 + subframe
+        if self._cursor is None:
+            self._cursor = (raw, raw)
+            abs_idx = raw
+        else:
+            prev_raw, abs_idx = self._cursor
+            delta = (raw - prev_raw) % SUBFRAME_PERIOD
+            if delta >= SUBFRAME_PERIOD - 64:
+                delta -= SUBFRAME_PERIOD  # a stamp arriving marginally late
+            abs_idx += delta
+            if delta > 0:
+                self._cursor = (raw, abs_idx)
+        if stamp.carrier is Carrier.DOWNLINK:
             self._ingest_downlink(event, abs_idx)
             return []
         return self._ingest_uplink(event, abs_idx)
@@ -247,7 +245,7 @@ class ConnectionTable:
             self.dropped_uplinks += 1
             return []
         toa = stamp.rx_time
-        d_ta = ta_span(rec.ta_current)
+        d_ta = TA_SPAN_PS[rec.ta_current]  # clamped or checked on entry
         meas = Measurement(stamp, toa, t_n, d_ta, toa - t_n + d_ta)
         rec.measurements.append(meas)
         return [meas]

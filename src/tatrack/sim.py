@@ -8,6 +8,10 @@ offsets.  Every random choice comes from a counter-based generator keyed
 by (scenario seed, stream id), so identical scenarios replay bit-exactly
 and per-entity streams stay independent.
 
+Each sniffer's stream is ordered by subframe, then downlink before
+uplink, then emission order. It is built in that order as the events are
+emitted, one list per subframe and carrier, with no global sort.
+
 The injected-identity attack, when enabled, is driven by the real
 state machine from the extractor module; its downlink transmissions are
 emitted from the serving eNodeB's position, an overshadowing
@@ -30,7 +34,10 @@ import reprlib
 import sys
 import typing
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from math import hypot
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -44,8 +51,8 @@ from .messages import (Ack, AttachRequest, DciFormat0, IdentityRequest,
                        RandomAccessResponse, Rnti, RrcConnectionRequest,
                        RrcConnectionSetup, ServiceRequest, Tmsi, UlGrant)
 from .probe import Carrier, ProbeEvent, SubframeStamp
-from .timebase import (DECODE_GATE_PS, PS_PER_SUBFRAME, m_to_ps, quantize_ta,
-                       ta_span)
+from .timebase import (DECODE_GATE_PS, PS_PER_SUBFRAME, TA_SPAN_PS, m_to_ps,
+                       quantize_ta)
 
 #: Per-measurement uplink ToA jitter, pinned by the Monte-Carlo sweep in
 #: tools/calibrate_sigma.py: with 14 sum-delay measurements per connection
@@ -59,8 +66,8 @@ _STREAM_FAULTS = 1
 _STREAM_PROBE_BASE = 1_000
 _STREAM_UE_BASE = 2_000
 
-#: ToA noise draws fetched from a probe's stream at a time.
-_NOISE_BLOCK = 4096
+#: Draws fetched from a random stream at a time.
+_DRAW_BLOCK = 4096
 
 _MSG3_OFFSET = 4  # subframes between a grant and the uplink it schedules
 _ROUNDS_START = 16  # first data-round DCI, relative to connection start
@@ -103,18 +110,16 @@ class UeProfile:
     n_data_rounds: int = 12
     ta_interval: int = 0  # subframes between TA maintenance checks; 0 = off
 
-    def position_at(self, t_ps: int) -> Position:
+    def position_at(self, t_ps: int) -> tuple[float, float]:
+        """(x, y) in metres, linear between the waypoints around ``t_ps``."""
         points = self.waypoints
-        if t_ps <= points[0][0]:
-            return points[0][1]
-        if t_ps >= points[-1][0]:
-            return points[-1][1]
-        i = bisect_right(points, t_ps, key=itemgetter(0)) - 1
-        (t0, a), (t1, b) = points[i], points[i + 1]
-        if t1 == t0:
-            return b
-        w = (t_ps - t0) / (t1 - t0)
-        return Position(a.x + w * (b.x - a.x), a.y + w * (b.y - a.y))
+        if points[0][0] < t_ps < points[-1][0]:
+            i = bisect_right(points, t_ps, key=itemgetter(0)) - 1
+            (t0, a), (t1, b) = points[i], points[i + 1]  # t0 <= t_ps < t1
+            w = (t_ps - t0) / (t1 - t0)
+            return a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
+        a = points[0 if t_ps <= points[0][0] else -1][1]
+        return a.x, a.y
 
 
 @dataclass(frozen=True)
@@ -265,10 +270,6 @@ class SimResult:
     attacker_pairs: dict
 
 
-def _delay_ps(a: Position, b: Position) -> int:
-    return m_to_ps(a.distance_to(b))
-
-
 def _reconnect_interval(ue: UeProfile) -> int:
     return max(1, round(60_000.0 / ue.reconnect_rate))  # subframes
 
@@ -277,17 +278,27 @@ def _connection_span(ue: UeProfile) -> int:
     return _ROUNDS_START + 4 * ue.n_data_rounds + 12
 
 
-def _toa_noise(seed: int, stream: int, sigma_ps: int):
-    """Rounded N(0, sigma) ToA noise from one Philox stream, in blocks.
+def _draws(seed: int, stream: int, draw):
+    """Values of ``draw(rng, n)`` on one Philox stream, a block at a time.
 
-    A block draw yields the same values as one scalar ``normal`` call per
-    draw. The stream is first touched by the first ``next``, so a probe
-    that never receives an uplink leaves it unread.
+    A block draw yields the same values as one scalar draw per value. The
+    first ``next`` makes the first draw, so a stream that is never read
+    (a probe that hears no uplink, a run without faults) stays unread.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
     while True:
-        block = rng.normal(0.0, sigma_ps, _NOISE_BLOCK)
-        yield from map(round, block.tolist())
+        yield from draw(rng, _DRAW_BLOCK).tolist()
+
+
+def _toa_noise(seed: int, stream: int, sigma_ps: int):
+    """Rounded N(0, sigma) ToA noise from one Philox stream."""
+    return map(round, _draws(seed, stream,
+                             lambda rng, n: rng.normal(0.0, sigma_ps, n)))
+
+
+def _fault_uniforms(seed: int):
+    """The U[0, 1) draws behind grant losses and TA resends, in call order."""
+    return _draws(seed, _STREAM_FAULTS, np.random.Generator.random)
 
 
 class _Allocator:
@@ -311,24 +322,27 @@ class _Run:
         self.scenario = scenario
         self.db = db
         self.alloc = _Allocator()
-        self.seq = 0
-        self.items: list = []  # (sf, carrier_rank, seq, probe_id, event)
         self.ground_truth: list = []
         self.connections: list = []
         self.extraction = ext.ExtractionLog()
         self.attacker_pairs: dict = {}
         seed = scenario.seed
-        self.rng_fault = np.random.Generator(
-            np.random.Philox(key=[seed, _STREAM_FAULTS]))
-        # Fixed per run: (id, eNodeB-to-probe delay) of each downlink
-        # listener and (id, position, ToA noise) of each uplink listener.
+        self.faults = _fault_uniforms(seed)
+        # Each probe's events by 2 * subframe + carrier rank (downlink 0,
+        # uplink 1), every list in emission order.
+        self.streams = {probe.id: defaultdict(list)
+                        for probe in scenario.probes}
+        # Fixed per run: (stream, eNodeB-to-probe delay) of each downlink
+        # listener and (id, stream, x, y, ToA noise) of each uplink one.
         enb = scenario.enbs[0]
         sigma = scenario.noise.toa_sigma_ps
         self.dl_probes = tuple(
-            (probe.id, _delay_ps(enb.position, probe.position))
+            (self.streams[probe.id],
+             m_to_ps(enb.position.distance_to(probe.position)))
             for probe in scenario.probes if probe.hears_downlink())
         self.ul_probes = tuple(
-            (probe.id, probe.position,
+            (probe.id, self.streams[probe.id], probe.position.x,
+             probe.position.y,
              _toa_noise(seed, _STREAM_PROBE_BASE + i, sigma)
              if sigma > 0 else None)
             for i, probe in enumerate(scenario.probes)
@@ -338,33 +352,13 @@ class _Run:
                 np.random.Philox(key=[seed, _STREAM_UE_BASE + i]))
             for i in range(len(scenario.ues))]
 
-    # -- emission helpers --------------------------------------------------
-
     def _emit_downlink(self, sf: int, message, rnti) -> None:
         t_n = sf * PS_PER_SUBFRAME
-        frame, subframe = (sf // 10) % 1024, sf % 10
-        for probe_id, delay in self.dl_probes:
-            self.seq += 1
-            self.items.append((sf, 0, self.seq, probe_id, ProbeEvent(
+        frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf
+        for stream, delay in self.dl_probes:
+            stream[key].append(ProbeEvent(
                 SubframeStamp(frame, subframe, t_n + delay, Carrier.DOWNLINK),
-                message, None, rnti)))
-
-    def _emit_uplink(self, sf: int, tx_ps: int, pos: Position, message,
-                     rb: Optional[int], rnti: Optional[Rnti]) -> list:
-        """Emit a burst; return (probe id, UE-to-probe delay) per listener."""
-        frame, subframe = (sf // 10) % 1024, sf % 10
-        heard = []
-        for probe_id, probe_pos, noise in self.ul_probes:
-            d_probe = _delay_ps(pos, probe_pos)
-            rx = tx_ps + d_probe
-            if noise is not None:
-                rx += next(noise)
-            self.seq += 1
-            self.items.append((sf, 1, self.seq, probe_id, ProbeEvent(
-                SubframeStamp(frame, subframe, rx, Carrier.UPLINK),
-                message, rb, rnti)))
-            heard.append((probe_id, d_probe))
-        return heard
+                message, None, rnti))
 
     # -- one connection ------------------------------------------------------
 
@@ -375,11 +369,6 @@ class _Run:
         imsi = ue.imsi or f"00101{ue_index:010d}"
         tmsi = ue.tmsi if ue.tmsi is not None else 0xA0000000 + ue_index
         conn_id = f"c{ue_index}-{conn_index}"
-
-        def pos_at(sf: int) -> Position:
-            return ue.position_at(sf * PS_PER_SUBFRAME)
-
-        enb = scn.enbs[0]
 
         tx_extra = 0
         if scn.noise.hw_bias:
@@ -393,33 +382,45 @@ class _Run:
                 0, scn.countermeasure.max_offset_ps + 1))
             tx_extra += cm_offset
 
-        def d_ue(sf: int) -> int:
-            return _delay_ps(pos_at(sf), enb.position)
+        enb = scn.enbs[0].position
+        ex, ey = enb.x, enb.y
+
+        def at(sf: int) -> tuple[float, float, int]:
+            """The phone's x, y and its delay from the eNodeB at ``sf``."""
+            x, y = ue.position_at(sf * PS_PER_SUBFRAME)
+            return x, y, m_to_ps(hypot(x - ex, y - ey))
 
         # UE-side advance timeline: (effective_from_sf, ta) pairs.
-        ta0 = quantize_ta(2 * d_ue(start_sf) + tx_extra)
+        ta0 = quantize_ta(2 * at(start_sf)[2] + tx_extra)
         ta_timeline = [(start_sf, ta0)]
 
         def ta_at(sf: int) -> int:
-            current = ta_timeline[0][1]
-            for eff, value in ta_timeline:
+            """The last entry in list order effective by ``sf`` wins."""
+            for eff, value in reversed(ta_timeline):
                 if eff <= sf:
-                    current = value
-            return current
+                    return value
+            return ta0
+
+        ground_truth, ul_probes = self.ground_truth, self.ul_probes
 
         def uplink(sf: int, message, rb, rnti=None, measured=True) -> None:
-            p = pos_at(sf)
-            d = _delay_ps(p, enb.position)
+            x, y, d = at(sf)
             ta = ta_at(sf)
             t_n = sf * PS_PER_SUBFRAME
-            heard = self._emit_uplink(sf, t_n + d + tx_extra - ta_span(ta),
-                                      p, message, rb, rnti)
-            if measured:
-                self.ground_truth.extend(
-                    GroundTruthRow(conn_id, ue_index, ue.model, imsi,
-                                   probe_id, sf, t_n, p.x, p.y, d, d_probe,
-                                   d + d_probe, tx_extra, ta)
-                    for probe_id, d_probe in heard)
+            tx = t_n + d + tx_extra - TA_SPAN_PS[ta]  # ta is clamped
+            frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf + 1
+            for probe_id, stream, px, py, noise in ul_probes:
+                d_probe = m_to_ps(hypot(x - px, y - py))
+                rx = tx + d_probe
+                if noise is not None:
+                    rx += next(noise)
+                stream[key].append(ProbeEvent(
+                    SubframeStamp(frame, subframe, rx, Carrier.UPLINK),
+                    message, rb, rnti))
+                if measured:
+                    ground_truth.append(GroundTruthRow(
+                        conn_id, ue_index, ue.model, imsi, probe_id, sf, t_n,
+                        x, y, d, d_probe, d + d_probe, tx_extra, ta))
 
         rnti = self.alloc.rnti()
         info = ConnectionInfo(conn_id=conn_id, ue_index=ue_index,
@@ -516,23 +517,22 @@ class _Run:
         slot_iter = iter(ta_slots)
         next_slot = next(slot_iter, None)
 
-        for j in range(ue.n_data_rounds):
-            dci_sf = start_sf + _ROUNDS_START + 4 * j
+        emit_downlink, next_rb = self._emit_downlink, self.alloc.rb
+        loss_prob, faults = scn.faults.grant_loss_prob, self.faults
+        first_dci = start_sf + _ROUNDS_START
+        for dci_sf in range(first_dci, first_dci + 4 * ue.n_data_rounds, 4):
             while next_slot is not None and next_slot < dci_sf:
-                self._ta_maintenance(next_slot, rnti, d_ue, tx_extra,
+                self._ta_maintenance(next_slot, rnti, at, tx_extra,
                                      ta_timeline, ta_at, uplink, info)
                 next_slot = next(slot_iter, None)
-            rb = self.alloc.rb()
-            self._emit_downlink(dci_sf, DciFormat0(rnti, _MSG3_OFFSET, rb, 5),
-                                rnti)
-            lost = (scn.faults.grant_loss_prob > 0
-                    and self.rng_fault.random() < scn.faults.grant_loss_prob)
-            if not lost:
+            rb = next_rb()
+            emit_downlink(dci_sf, DciFormat0(rnti, _MSG3_OFFSET, rb, 5), rnti)
+            if not (loss_prob > 0 and next(faults) < loss_prob):
                 uplink(dci_sf + 4, None, rb)
 
-    def _ta_maintenance(self, slot: int, rnti: Rnti, d_ue, tx_extra: int,
+    def _ta_maintenance(self, slot: int, rnti: Rnti, at, tx_extra: int,
                         ta_timeline: list, ta_at, uplink, info) -> None:
-        target = quantize_ta(2 * d_ue(slot) + tx_extra)
+        target = quantize_ta(2 * at(slot)[2] + tx_extra)
         current = ta_at(slot)
         adjust = max(-31, min(32, target - current))
         if adjust == 0:
@@ -540,18 +540,16 @@ class _Run:
         info.n_ta_commands += 1
         self._emit_downlink(slot, MacTaCommand(adjust), rnti)
         rx_slot = slot
-        lost = (self.scenario.faults.ta_resend_prob > 0
-                and self.rng_fault.random()
-                < self.scenario.faults.ta_resend_prob)
-        if lost:
+        resend_prob = self.scenario.faults.ta_resend_prob
+        if resend_prob > 0 and next(self.faults) < resend_prob:
             rx_slot = slot + 8
             self._emit_downlink(rx_slot, MacTaCommand(adjust), rnti)
             info.ta_resend_sfs.append(rx_slot)
         # The UE acknowledges, then applies from the following subframe.
         uplink(rx_slot + 4, Ack(info.n_ta_commands % 8), None, rnti=rnti,
                measured=False)
-        ta_timeline.append((rx_slot + 5,
-                            max(0, min(1282, ta_at(slot) + adjust))))
+        ta_timeline.append((rx_slot + 5, max(0, min(1282, current + adjust))))
+
 
 def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:
     db = db or FingerprintDb.default()
@@ -573,11 +571,9 @@ def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:
     for start, ue_index, conn_index in schedule:
         runner.run_connection(ue_index, conn_index, start)
 
-    # seq is unique, so no comparison reaches the probe id or the event.
-    runner.items.sort()
-    events: dict = {probe.id: [] for probe in scenario.probes}
-    for _, _, _, probe_id, event in runner.items:
-        events[probe_id].append(event)
+    events = {probe_id: list(chain.from_iterable(map(stream.get,
+                                                     sorted(stream))))
+              for probe_id, stream in runner.streams.items()}
     return SimResult(scenario=scenario, events=events,
                      ground_truth=runner.ground_truth,
                      extraction=runner.extraction,

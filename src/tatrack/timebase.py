@@ -48,6 +48,12 @@ def _div_round(num: int, den: int) -> int:
     return -((-2 * num + den) // (2 * den))
 
 
+#: ta_span of every TA index, for callers whose index is in range by
+#: construction.
+TA_SPAN_PS = tuple(_div_round(ta * TA_STEP_PS_NUM, TA_STEP_PS_DEN)
+                   for ta in range(TA_MAX + 1))
+
+
 def ta_span(ta: TaIndex) -> Span:
     """Round-trip time commanded by TA index ``ta``, in ps (rounded).
 
@@ -58,7 +64,7 @@ def ta_span(ta: TaIndex) -> Span:
     """
     if not 0 <= ta <= TA_MAX:
         raise ValueError(f"TA index {ta} outside [0, {TA_MAX}]")
-    return _div_round(ta * TA_STEP_PS_NUM, TA_STEP_PS_DEN)
+    return TA_SPAN_PS[ta]
 
 
 def quantize_ta(round_trip_ps: Span) -> TaIndex:

@@ -498,3 +498,106 @@ def test_tracer_wraps_every_stage_and_solver(tmp_path):
     for name in [f"stage.{s}" for s in pl.STAGES] + ["stage.write",
                                                      "geometry.solve"]:
         assert calls.get(name, 0) >= 1, name
+
+
+# -- golden artifact digests -------------------------------------------------
+
+def _digest_tool():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", root / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _golden_scenario():
+    """Two sniffers, a moving phone, TA resends, lost grants, the attack."""
+    moving = sim.UeProfile(
+        model="iPhone 7", waypoints=((0, Position(300.0, 80.0)),
+                                     (2 * 10**12, Position(700.0, -40.0))),
+        reconnect_rate=60.0, n_data_rounds=60, ta_interval=8)
+    service = _static_ue(150.0, 120.0, reconnect_rate=60.0,
+                         connection_type="service", tmsi=0xB0000002)
+    return _scenario((moving, service), probes=TRIANGLE_PROBES[:2],
+                     duration_s=2, seed=17,
+                     faults=sim.FaultModel(ta_resend_prob=0.3,
+                                           grant_loss_prob=0.1),
+                     attack=sim.AttackConfig(enabled=True))
+
+
+#: Digest of each artifact, by seed/file, recorded at a41b51f.
+GOLDEN_REPLICATION = {
+    "11/connection_stats.csv":
+        "2c4d4dc86075f7f94a275310e423812472f77d678cc6f37385cbf97141f1e41b",
+    "11/errors.csv":
+        "116e0ab78ef3a19cb74840ca0bd9b3c6f64312ba6e703d7ed6c8ff67063a922e",
+    "11/events_probe0.jsonl":
+        "409437f6aa4e408e281f057c28237d5334546586da377055000d7514a3e8b851",
+    "11/extracted_pairs.json":
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    "11/extraction.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "11/ground_truth.csv":
+        "aa799cfec2fe1a9429b8d281b6ca3d08c39f35a59b5c340488015eb6f5132c3d",
+    "11/measurements_probe0.csv":
+        "8a7a8594284245d7db937f5ee44bbb43bd3916862af92481e6a6d1dffd9e2151",
+    "11/positions.csv":
+        "cdb98329360c020cf1054a1fc0fec90f5cacd557d451f2aec164faf678dc38bb",
+    "11/stats.csv":
+        "5ef97569eec4290f44f462721a753d0247ace51e06e62adbcaf1a50a496ad3e5",
+    "11/summary.csv":
+        "a72ea447bc59e48fad9cd4d9b88673c74e0191beae9f54354b09a9d3cb58fe66",
+    "11/traces.csv":
+        "1b3936b8c1fa940c78e534856a507e74dd9b535770b30ed913ca620391beb647",
+    "11/trackdb.jsonl":
+        "994470f2b525f7460bc1e01a538c04f372f2012b4e04677d72e01a4b78d538da",
+}
+GOLDEN_SMALL = {
+    "17/connection_stats.csv":
+        "b4e55b4ab215482caf1a888cea4fb260064edd4d789c110f9a4cfaba80371c5e",
+    "17/errors.csv":
+        "0734f5f15be0bacfe3fa9623bc5663d0cf00246a9f6aa476c1c77257d0ee4a29",
+    "17/events_p0.jsonl":
+        "9adff4f1bd344931e01c16575bb504dfd468d7ea7cae739151794fb87748d774",
+    "17/events_p1.jsonl":
+        "9a32d3b664ce24795d5f273a44349d2547d21455eb978f62bfafb66f8e4ed2a5",
+    "17/extracted_pairs.json":
+        "12cc6f56f417a858e26fb846f24e79ea74d04de0c16a64dd9590b0d0d930936f",
+    "17/extraction.jsonl":
+        "2652eaf82e2f2f5d80ec4b3ec67607bef37dd1c21ea0d920c82d9f968b14d194",
+    "17/ground_truth.csv":
+        "b3dba3f3840aec53ee8a0c5983972ecbb277bf790ac4b897e413156d49e2a027",
+    "17/measurements_p0.csv":
+        "c1ea820bfa2a4427e96d34f4922e226921ded30d4cc3da6f84d8947f006f65c8",
+    "17/measurements_p1.csv":
+        "17e652c4aaed54d7536595ff8b1ea3a94f943dbba0bd7fbbc9e6bfb29f87fe4e",
+    "17/positions.csv":
+        "3a8e88544a2ff88c18e8fd19a26fd9e459119b2d8867408d22bde77050730952",
+    "17/stats.csv":
+        "4c0bfdb86c060f575e1ca595a35afd76dfdedc8c34cfc29979d36c193c81e8f1",
+    "17/summary.csv":
+        "38e9bf9e029c301a66db636cdbe40acc5f60068c1162f7d2c1f52814f7a57cd8",
+    "17/traces.csv":
+        "693d137dbc98b06bc2f6835360fc6618c6a4afbef681456cdf32f84c46d713fe",
+    "17/trackdb.jsonl":
+        "9ea49d5e0afdade1c08ac908b4cbaf0c6b222c83da31a0dbe4ffe4dcb28999e1",
+}
+
+
+def test_artifacts_match_their_golden_digests():
+    """Every artifact, byte for byte, as the recorded digests say.
+
+    A change that alters any artifact on purpose updates these digests
+    (``tools/artifact_digests.py`` prints them) and gives the reason in
+    CHANGES.md; a change that should keep the artifacts leaves them as
+    they are. The small scenario exercises what replication does not:
+    two sniffers, motion, TA resends, lost grants and the attack.
+    """
+    tool = _digest_tool()
+    for scenario, golden in ((sim.load_scenario(REPLICATION),
+                              GOLDEN_REPLICATION),
+                             (_golden_scenario(), GOLDEN_SMALL)):
+        lines = tool.digest_lines(scenario)
+        assert {path: digest for digest, path in
+                (line.split("  ") for line in lines)} == golden

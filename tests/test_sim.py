@@ -18,6 +18,7 @@ from tatrack import sim
 from tatrack import timebase as tb
 from tatrack.fingerprint import FingerprintDb, hw_error
 from tatrack.geometry import Position
+from tatrack.messages import DciFormat0
 from tatrack.probe import Carrier, ConnectionTable
 
 SHIPPED_SCENARIO = (Path(__file__).resolve().parent.parent
@@ -146,6 +147,61 @@ def test_events_sorted_by_reception_time_per_carrier():
             event.stamp.rx_time)
     for times in by_carrier.values():
         assert times == sorted(times)
+
+
+def _busy_scenario():
+    """Three overlapping phones, three probe roles, faults and the attack."""
+    def swinging(x0, period_s, **kw):
+        waypoints = tuple((k * period_s * 10**12 // 2,
+                           Position(x0 + (100.0 if k % 2 else 0.0), 40.0))
+                          for k in range(6))
+        return sim.UeProfile(model="Huawei P30", waypoints=waypoints,
+                             reconnect_rate=20.0, n_data_rounds=400,
+                             ta_interval=8, **kw)
+
+    probes = (sim.Probe("both", Position(0.0, 0.0)),
+              sim.Probe("dl", Position(200.0, 50.0), role="dl"),
+              sim.Probe("ul", Position(-150.0, 300.0), role="ul"))
+    ues = [swinging(500.0, 1), swinging(620.0, 2),
+           swinging(300.0, 1, connection_type="service", tmsi=0xB0000001)]
+    return _scenario(ues, probes=probes, duration_s=3, seed=13,
+                     faults=sim.FaultModel(ta_resend_prob=0.5,
+                                           grant_loss_prob=0.2),
+                     attack=sim.AttackConfig(enabled=True))
+
+
+def test_each_stream_is_ordered_by_subframe_then_downlink_first():
+    result = sim.run(_busy_scenario())
+    spans = sorted((c.start_sf, c.end_sf) for c in result.connections)
+    assert len({c.ue_index for c in result.connections}) == 3
+    assert all(b[0] < a[1] for a, b in zip(spans, spans[1:]))  # overlap
+    assert any(c.ta_resend_sfs for c in result.connections)
+    assert result.attacker_pairs
+    both = result.events["both"]
+    granted = {e.message.rb_alloc for e in both
+               if type(e.message) is DciFormat0}
+    used = {e.rb_alloc for e in both if e.stamp.carrier is Carrier.UPLINK}
+    assert granted - used  # some grants were lost
+    for probe_id, carriers in (("both", {Carrier.DOWNLINK, Carrier.UPLINK}),
+                               ("dl", {Carrier.DOWNLINK}),
+                               ("ul", {Carrier.UPLINK})):
+        events = result.events[probe_id]
+        assert {e.stamp.carrier for e in events} == carriers
+        abs_sf, prev = None, None
+        for event in events:
+            stamp = event.stamp
+            raw = stamp.frame * 10 + stamp.subframe
+            if abs_sf is None:
+                abs_sf = raw
+            else:
+                step = (raw - prev.frame * 10 - prev.subframe) % 10_240
+                assert step < 5_120, "unwrapped subframe went backwards"
+                abs_sf += step
+                if step == 0:
+                    assert not (prev.carrier is Carrier.UPLINK
+                                and stamp.carrier is Carrier.DOWNLINK)
+            prev = stamp
+        assert abs_sf > 1_600
 
 
 # -- hardware bias -------------------------------------------------------------
@@ -490,9 +546,16 @@ def _scalar_noise(seed, probe_index, sigma_ps, n):
 
 def test_block_noise_matches_scalar_draws():
     # Two full blocks and part of a third: two block boundaries crossed.
-    n = 2 * sim._NOISE_BLOCK + 1_000
+    n = 2 * sim._DRAW_BLOCK + 1_000
     blocks = sim._toa_noise(9, 1002, 70_000)
     assert [next(blocks) for _ in range(n)] == _scalar_noise(9, 2, 70_000, n)
+
+
+def test_block_fault_uniforms_match_scalar_draws():
+    n = 2 * sim._DRAW_BLOCK + 1_000
+    blocks = sim._fault_uniforms(9)
+    rng = np.random.Generator(np.random.Philox(key=[9, sim._STREAM_FAULTS]))
+    assert [next(blocks) for _ in range(n)] == [rng.random() for _ in range(n)]
 
 
 def _uplink_rx(result, probe_id):

@@ -1,6 +1,7 @@
 """Frozen values and algebraic laws for the picosecond timebase."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
@@ -35,6 +36,14 @@ def test_ta_span_rejects_out_of_range():
         except ValueError:
             continue
         raise AssertionError(f"ta_span({bad}) did not raise")
+
+
+def test_ta_span_table_holds_every_index_rounded():
+    assert len(tb.TA_SPAN_PS) == tb.TA_MAX + 1
+    for ta, span in enumerate(tb.TA_SPAN_PS):
+        # Round half up: every exact value is positive.
+        exact = Fraction(ta * tb.TA_STEP_PS_NUM, tb.TA_STEP_PS_DEN)
+        assert span == tb.ta_span(ta) == math.floor(exact + Fraction(1, 2))
 
 
 def test_quantize_ta_500m_example():
