@@ -72,15 +72,6 @@ class EngagementPolicy:
         return tmsi not in self.known_pairs
 
 
-@dataclass(frozen=True)
-class ExtractorConfig:
-    # When set, Service Requests are answered with a cause-9 Service Reject
-    # instead of an Identity Request, forcing a re-attach.
-    use_service_reject: bool = False
-
-
-DEFAULT_CONFIG = ExtractorConfig()
-
 PHASE_IDLE = "idle"
 PHASE_CONN_REQUEST = "saw_conn_request"
 PHASE_SETUP_SEEN = "setup_seen"
@@ -118,10 +109,14 @@ def _reset(state: ExtractorState, note: str) -> ExtractorState:
 
 
 def step(state: ExtractorState, event: Message,
-         policy: EngagementPolicy,
-         config: ExtractorConfig = DEFAULT_CONFIG,
+         policy: EngagementPolicy, *, use_service_reject: bool = False,
          ) -> tuple[ExtractorState, list[Action]]:
-    """Advance one connection's machine by one observed message."""
+    """Advance one connection's machine by one observed message.
+
+    With ``use_service_reject``, a Service Request is answered with a
+    cause-9 Service Reject instead of an Identity Request, forcing a
+    re-attach.
+    """
     if not isinstance(event, _FLOW_TYPES):
         return state, []
 
@@ -146,7 +141,7 @@ def step(state: ExtractorState, event: Message,
         if not engage or state.injected:
             return replace(state, phase=PHASE_SETUP_SEEN, engaged=False), []
         trigger = "attach" if isinstance(event, AttachRequest) else "service"
-        if trigger == "service" and config.use_service_reject:
+        if trigger == "service" and use_service_reject:
             # The reject tears the connection down; the re-attach arrives
             # as a brand-new flow, so this machine returns to idle.
             actions: list[Action] = [

@@ -1,13 +1,16 @@
 """Phone-model classification from capability vectors, with hardware bias.
 
 Real capability information elements are not public, so the shipped
-database uses synthetic 256-bit vectors with a documented block layout:
-each modem family sets one contiguous block of bits, and every model
-additionally flips one private bit in the tail region. Within a family
-any two models are therefore Hamming distance 2 apart; across families
-at least 16; the Intel family block is four times wider so those phones
+database (``data/phones.csv``, one hex vector per row) uses synthetic
+256-bit vectors with a documented block layout: each modem family sets
+one contiguous block of bits (Huawei 0-15, Samsung 16-31, older Qualcomm
+32-47, recent Qualcomm 32-63, Intel 80-143), and the model in row i
+additionally flips bit 192 + i of the tail region. Within a family any
+two models are therefore Hamming distance 2 apart; across families at
+least 16; the Intel family block is four times wider so those phones
 sit far from everything else, which is how the real capability data
-behaves for iPhones.
+behaves for iPhones. The OnePlus 7T carries a recent Qualcomm modem but
+is pinned to the older Qualcomm block on purpose.
 
 Hardware ranging bias per model rides along in the same database: the
 simulator adds it to true distances, the corrector subtracts it.
@@ -22,53 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .messages import CAPABILITY_BYTES, CapabilityVector
-
-#: First bit index of the per-model flip region.
-_MODEL_BIT_BASE = 192
-
-#: Bit blocks set by each modem family base pattern.
-_FAMILY_BITS = {
-    "huawei": range(0, 16),
-    "samsung": range(16, 32),
-    "qualcomm_old": range(32, 48),
-    "qualcomm_recent": range(32, 64),
-    "intel": range(80, 144),
-}
-
-
-def family_of(model: str, modem: str) -> str:
-    """Modem family for the synthetic capability construction.
-
-    The OnePlus 7T carries a recent Qualcomm modem but its capability
-    vector clusters with the older Qualcomm models; it is pinned there
-    on purpose.
-    """
-    if model == "OnePlus 7T":
-        return "qualcomm_old"
-    if modem.startswith("Kirin"):
-        return "huawei"
-    if modem.startswith("Exynos"):
-        return "samsung"
-    if modem.startswith("Intel"):
-        return "intel"
-    if modem == "Qcom. X24 LTE":
-        return "qualcomm_recent"
-    return "qualcomm_old"
-
-
-def synthetic_capability(model: str, modem: str,
-                         model_index: int) -> CapabilityVector:
-    """Deterministic capability vector for a database row."""
-    bits = bytearray(CAPABILITY_BYTES)
-
-    def flip(i: int) -> None:
-        bits[i // 8] ^= 1 << (7 - i % 8)
-
-    for i in _FAMILY_BITS[family_of(model, modem)]:
-        flip(i)
-    flip(_MODEL_BIT_BASE + model_index)
-    return CapabilityVector(bytes(bits))
+from .messages import CapabilityVector
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -49,6 +49,9 @@ _TWO_PI = 2.0 * math.pi
 #: the iterate, or a gradient whose largest component is below _GTOL.
 _XTOL = 1e-9
 _GTOL = 1e-9
+
+#: Levenberg-Marquardt iteration budget for each start.
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -282,15 +285,16 @@ def _pack(loci) -> _Packed:
                    np.array(k), np.array(target), np.array(w))
 
 
-def _misfit(pk: _Packed, xy: np.ndarray, offset_m: float):
+def _misfit(pk: _Packed, x: np.ndarray):
     """Unweighted misfit of every row in metres, and its (x, y) gradient.
 
-    The shared offset models a UE that transmits its random access early
-    on purpose: every measured range sum is inflated by the same unknown
-    amount, and every TA-derived mid radius by half of it.
+    At (x, y, offset) the shared offset models a UE that transmits its
+    random access early on purpose: every measured range sum is inflated
+    by the same unknown amount, and every TA-derived mid radius by half.
     """
-    da = xy - pk.a
-    db = xy - pk.b
+    offset_m = float(x[2]) if len(x) == 3 else 0.0
+    da = x[:2] - pk.a
+    db = x[:2] - pk.b
     d1 = np.maximum(np.hypot(da[:, 0], da[:, 1]), 1e-12)
     d2 = np.maximum(np.hypot(db[:, 0], db[:, 1]), 1e-12)
     m = d1 + pk.e * d2 - (pk.target - pk.k * offset_m)
@@ -298,43 +302,34 @@ def _misfit(pk: _Packed, xy: np.ndarray, offset_m: float):
     return m, grad
 
 
-def _residuals(pk: _Packed, xy: np.ndarray, offset_m: float = 0.0,
-               with_offset: bool = False):
+def _residuals(pk: _Packed, x: np.ndarray):
     """Weighted residual vector and Jacobian at (x, y [, offset])."""
-    m, grad = _misfit(pk, xy, offset_m)
+    m, grad = _misfit(pk, x)
     f = m * pk.w
-    J = np.empty((len(f), 3 if with_offset else 2))
+    J = np.empty((len(f), len(x)))
     J[:, :2] = grad * pk.w[:, None]
-    if with_offset:
+    if len(x) == 3:
         J[:, 2] = pk.k * pk.w
     return f, J
 
 
-def _cost(pk: _Packed, x: np.ndarray, with_offset: bool) -> float:
-    """Weighted residual sum of squares at (x, y [, offset])."""
-    f, _ = _residuals(pk, x[:2], float(x[2]) if with_offset else 0.0)
-    return float(f @ f)
-
-
-def _metric_rms(pk: _Packed, xy: np.ndarray, offset_m: float = 0.0) -> float:
-    """Unweighted RMS misfit in metres at a point."""
-    m, _ = _misfit(pk, xy, offset_m)
+def _metric_rms(pk: _Packed, x: np.ndarray) -> float:
+    """Unweighted RMS misfit in metres at (x, y [, offset])."""
+    m, _ = _misfit(pk, x)
     return math.sqrt(float(m @ m) / len(m))
 
 
-def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
-                         max_iter: int):
-    """Minimise the weighted residual sum of squares. Returns (x, ok, it)."""
+def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, max_iter: int):
+    """Minimise the weighted residual sum of squares: (ok, cost, x, it)."""
     x = x0.astype(float).copy()
-    off = lambda v: (float(v[2]) if with_offset else 0.0)
-    f, J = _residuals(pk, x[:2], off(x), with_offset)
+    f, J = _residuals(pk, x)
     cost = float(f @ f)
     lam = 1e-3
     window = deque([cost], maxlen=11)
     for it in range(1, max_iter + 1):
         g = J.T @ f
         if float(np.max(np.abs(g))) < _GTOL:
-            return x, True, it
+            return True, cost, x, it
         A = J.T @ J
         D = np.diag(np.maximum(np.diag(A), 1e-12))
         accepted = False
@@ -345,7 +340,7 @@ def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
                 lam *= 10.0
                 continue
             x_new = x + step
-            f_new, J_new = _residuals(pk, x_new[:2], off(x_new), with_offset)
+            f_new, J_new = _residuals(pk, x_new)
             cost_new = float(f_new @ f_new)
             if cost_new < cost:
                 x, f, J, cost = x_new, f_new, J_new, cost_new
@@ -356,10 +351,10 @@ def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
         if not accepted:
             # Trust region collapsed: no descent direction exists at float
             # precision, which is convergence to a stationary point.
-            return x, True, it
+            return True, cost, x, it
         x_norm = float(np.linalg.norm(x))
         if float(np.linalg.norm(step)) < _XTOL * (x_norm + _XTOL):
-            return x, True, it
+            return True, cost, x, it
         window.append(cost)
     # Rank-deficient loci (e.g. concentric ones with an offset) leave a
     # whole curve of optima; the iterate then creeps along it with strictly
@@ -367,20 +362,7 @@ def _levenberg_marquardt(pk: _Packed, x0: np.ndarray, with_offset: bool,
     # the last ten iterations is a stationary manifold, not a failure.
     stalled = (len(window) == window.maxlen
                and window[0] - cost <= 1e-4 * (cost + 1e-30))
-    return x, stalled, max_iter
-
-
-def _estimate_at(pk: _Packed, x: np.ndarray,
-                 with_offset: bool) -> PositionEstimate:
-    off = float(x[2]) if with_offset else 0.0
-    f, J = _residuals(pk, x[:2], off, with_offset)
-    cov = np.linalg.pinv(J.T @ J)
-    return PositionEstimate(
-        position=Position(float(x[0]), float(x[1])),
-        residual_rms=_metric_rms(pk, x[:2], off),
-        covariance=cov[:2, :2],
-        candidates=(Position(float(x[0]), float(x[1])),),
-    )
+    return stalled, cost, x, max_iter
 
 
 def _roots(pk: _Packed) -> list[np.ndarray]:
@@ -427,22 +409,35 @@ def _roots(pk: _Packed) -> list[np.ndarray]:
     return [foot + h * normal, foot - h * normal] if h else [foot]
 
 
-def _polish(pk: _Packed, starts, with_offset: bool, max_iter: int):
-    """Run LM from every (x, y) start; return (ok, cost, x, it) per run.
+def _solve(pk: _Packed, starts, max_iter: int):
+    """Polish every start with LM; return the best fix and its parameters.
 
-    The runs come best first. A converged iterate beats one that is not;
-    among equals the lower weighted cost, which LM minimises, wins: the
-    unweighted RMS would let a ring's quantization misfit (sigma 22.5 m)
-    outweigh an ellipse missed by metres at a millimetre sigma. With
-    ``with_offset`` each start gains a zero offset.
+    A start of length 2 is (x, y); one of length 3 adds the shared offset,
+    which is then solved too. The runs are ranked best first: a converged
+    iterate beats one that is not, and among equals the lower weighted
+    cost, which LM minimises, wins. The unweighted RMS would let a ring's
+    quantization misfit (sigma 22.5 m) outweigh an ellipse missed by
+    metres at a millimetre sigma. ``candidates`` holds every distinct
+    converged fix, best first. Raises ConvergenceError, carrying the best
+    iterate, if no run converges within ``max_iter`` iterations.
     """
-    runs = []
-    for xy0 in starts:
-        x0 = np.array([xy0[0], xy0[1], 0.0]) if with_offset else xy0
-        x, ok, it = _levenberg_marquardt(pk, x0, with_offset, max_iter)
-        runs.append((ok, _cost(pk, x, with_offset), x, it))
-    runs.sort(key=lambda run: (not run[0], run[1]))
-    return runs
+    runs = sorted((_levenberg_marquardt(pk, x0, max_iter) for x0 in starts),
+                  key=lambda run: (not run[0], run[1]))
+    ok, _, best, it = runs[0]
+    fixes = [best]
+    for converged, _, x, _ in runs[1:]:
+        if converged and all(float(np.hypot(*(x[:2] - f[:2]))) > 1e-3
+                             for f in fixes):
+            fixes.append(x)
+    _, J = _residuals(pk, best)
+    candidates = tuple(Position(float(f[0]), float(f[1])) for f in fixes)
+    est = PositionEstimate(position=candidates[0],
+                           residual_rms=_metric_rms(pk, best),
+                           covariance=np.linalg.pinv(J.T @ J)[:2, :2],
+                           candidates=candidates)
+    if not ok:
+        raise ConvergenceError(est, it)
+    return est, best
 
 
 def _concentric_range(pk: _Packed) -> Optional[PositionEstimate]:
@@ -471,16 +466,15 @@ def _concentric_range(pk: _Packed) -> Optional[PositionEstimate]:
     )
 
 
-def multilaterate(loci, initial: Position | None = None, *,
-                  max_iter: int = 100) -> PositionEstimate:
+def multilaterate(loci) -> PositionEstimate:
     """Weighted nonlinear least squares over a mixture of loci.
 
     Ellipses contribute (d1 + d2 - sum)/sigma, rings contribute their
     mid-radius as a soft range with the uniform-equivalent sigma. Every
-    locus must share one eNodeB focus (else ValueError). Without
-    ``initial``, the spherical-intersection roots (``_roots``) are the
-    starts, and Levenberg-Marquardt only polishes each of them; a run stops
-    on the fixed tolerances ``_XTOL`` and ``_GTOL`` or after ``max_iter``
+    locus must share one eNodeB focus (else ValueError). The
+    spherical-intersection roots (``_roots``) are the starts, and
+    Levenberg-Marquardt only polishes each of them; a run stops on the
+    fixed tolerances ``_XTOL`` and ``_GTOL`` or after ``_MAX_ITER``
     iterations. The best converged fix, by weighted cost, is the position;
     ``candidates`` holds every distinct converged fix, best first, so the
     classic two-fold ambiguity of two sniffers, or of one sniffer and the
@@ -490,8 +484,7 @@ def multilaterate(loci, initial: Position | None = None, *,
     fix a range but no bearing. They take a direct path with no iteration:
     the weighted least-squares range, placed on the +x axis from the
     centre, with covariance [[1/sum(w^2), 0], [0, inf]] (radial variance,
-    unknown tangential direction) and ``range_only`` set. ``initial`` and
-    ``max_iter`` do not apply there.
+    unknown tangential direction) and ``range_only`` set.
 
     Other degenerate configurations (all foci collinear with the UE) are
     not rejected; they surface as a huge condition number in
@@ -502,22 +495,10 @@ def multilaterate(loci, initial: Position | None = None, *,
     direct = _concentric_range(pk)
     if direct is not None:
         return direct
-    starts = [initial.as_array()] if initial is not None else _roots(pk)
-    runs = _polish(pk, starts, False, max_iter)
-    ok, _, x, it = runs[0]
-    best = _estimate_at(pk, x, False)
-    if not ok:
-        raise ConvergenceError(best, it)
-    fixes = [x]
-    for ok, _, x, _ in runs[1:]:
-        if ok and all(float(np.hypot(*(x - f))) > 1e-3 for f in fixes):
-            fixes.append(x)
-    return replace(best, candidates=tuple(
-        Position(float(f[0]), float(f[1])) for f in fixes))
+    return _solve(pk, _roots(pk), _MAX_ITER)[0]
 
 
-def multilaterate_with_offset(loci, initial: Position | None = None, *,
-                              max_iter: int = 100):
+def multilaterate_with_offset(loci):
     """Joint solve for position plus a shared transmit-offset range bias.
 
     Needs at least three loci to be determined. Starts from the same roots
@@ -528,9 +509,5 @@ def multilaterate_with_offset(loci, initial: Position | None = None, *,
     if len(loci) < 3:
         raise ValueError("offset recovery needs at least 3 loci")
     pk = _pack(loci)
-    starts = [initial.as_array()] if initial is not None else _roots(pk)
-    ok, _, x, it = _polish(pk, starts, True, max_iter)[0]
-    est = _estimate_at(pk, x, True)
-    if not ok:
-        raise ConvergenceError(est, it)
+    est, x = _solve(pk, [np.append(xy, 0.0) for xy in _roots(pk)], _MAX_ITER)
     return est, float(x[2])

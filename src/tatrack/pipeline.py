@@ -73,7 +73,9 @@ _IQR_PER_SIGMA = 1.349
 #: sqrt(pi / 2): standard error of a Gaussian median over that of the mean.
 _MEDIAN_SE_RATIO = 1.2533
 
-GROUP_CHOICES = ("imsi", "model", "connection")
+#: Each ``--group-by`` choice and the stats column it groups on.
+_GROUP_COLUMN = {"imsi": "imsi", "model": "model", "connection": "sim_conn"}
+GROUP_CHOICES = tuple(_GROUP_COLUMN)
 
 
 class StageError(ValueError):
@@ -374,19 +376,11 @@ def stage_stats(ctx: RunContext) -> None:
     ctx.summary_rows = _summarize(ctx.stats_rows, ctx.group_by)
 
 
-def _group_key(row: dict, group_by: str) -> str:
-    if group_by == "imsi":
-        return row["imsi"]
-    if group_by == "model":
-        return row["model"]
-    return row["sim_conn"]
-
-
 def _summarize(stats_rows, group_by: str) -> list:
+    column = _GROUP_COLUMN[group_by]
     groups: dict = {}
     for row in stats_rows:
-        groups.setdefault(_group_key(row, group_by), []).append(
-            abs(row["err_corr_m"]))
+        groups.setdefault(row[column], []).append(abs(row["err_corr_m"]))
     out = []
     for key in sorted(groups):
         errs = sorted(groups[key])

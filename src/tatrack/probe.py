@@ -30,7 +30,8 @@ from .messages import (Ack, AttachRequest, CapabilityVector, DciFormat0,
                        IdentityResponse, Imsi, MacTaCommand, Message,
                        RandomAccessResponse, Rnti, RrcConnectionRequest,
                        ServiceRequest, Tmsi, rnti_of_rar)
-from .timebase import PS_PER_SUBFRAME, TA_SPAN_PS, Instant, Span, TaIndex
+from .timebase import (PS_PER_SUBFRAME, TA_MAX, TA_SPAN_PS, Instant, Span,
+                       TaIndex)
 
 #: Subframes in one radio-frame numbering period (1024 frames x 10).
 SUBFRAME_PERIOD = 10_240
@@ -216,7 +217,7 @@ class ConnectionTable:
 
     def _apply_ta(self, rec: ConnectionRecord, adjust: int,
                   t: Instant) -> None:
-        rec.ta_current = max(0, min(rec.ta_current + adjust, 1282))
+        rec.ta_current = max(0, min(rec.ta_current + adjust, TA_MAX))
         rec.ta_history.append((t, rec.ta_current))
 
     def _ingest_uplink(self, event: ProbeEvent,

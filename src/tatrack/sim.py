@@ -51,8 +51,8 @@ from .messages import (Ack, AttachRequest, DciFormat0, IdentityRequest,
                        RandomAccessResponse, Rnti, RrcConnectionRequest,
                        RrcConnectionSetup, ServiceRequest, Tmsi, UlGrant)
 from .probe import Carrier, ProbeEvent, SubframeStamp
-from .timebase import (DECODE_GATE_PS, PS_PER_SUBFRAME, TA_SPAN_PS, m_to_ps,
-                       quantize_ta)
+from .timebase import (DECODE_GATE_PS, PS_PER_SUBFRAME, TA_MAX, TA_SPAN_PS,
+                       m_to_ps, quantize_ta)
 
 #: Per-measurement uplink ToA jitter, pinned by the Monte-Carlo sweep in
 #: tools/calibrate_sigma.py: with 14 sum-delay measurements per connection
@@ -245,11 +245,9 @@ class GroundTruthRow(NamedTuple):
 class ConnectionInfo:
     conn_id: str
     ue_index: int
-    model: str
     imsi: str
     tmsi: int
     rnti: int
-    connection_type: str
     start_sf: int
     end_sf: int
     cm_offset_ps: int
@@ -382,6 +380,13 @@ class _Run:
                 0, scn.countermeasure.max_offset_ps + 1))
             tx_extra += cm_offset
 
+        rnti = self.alloc.rnti()
+        info = ConnectionInfo(conn_id=conn_id, ue_index=ue_index, imsi=imsi,
+                              tmsi=tmsi, rnti=rnti.value, start_sf=start_sf,
+                              end_sf=start_sf + _connection_span(ue),
+                              cm_offset_ps=cm_offset)
+        self.connections.append(info)
+
         enb = scn.enbs[0].position
         ex, ey = enb.x, enb.y
 
@@ -422,15 +427,28 @@ class _Run:
                         conn_id, ue_index, ue.model, imsi, probe_id, sf, t_n,
                         x, y, d, d_probe, d + d_probe, tx_extra, ta))
 
-        rnti = self.alloc.rnti()
-        info = ConnectionInfo(conn_id=conn_id, ue_index=ue_index,
-                              model=ue.model, imsi=imsi, tmsi=tmsi,
-                              rnti=rnti.value,
-                              connection_type=ue.connection_type,
-                              start_sf=start_sf,
-                              end_sf=start_sf + _connection_span(ue),
-                              cm_offset_ps=cm_offset)
-        self.connections.append(info)
+        emit_downlink, faults = self._emit_downlink, self.faults
+
+        def ta_maintenance(slot: int) -> None:
+            """Command the TA step toward ``slot``'s range, if one is due."""
+            target = quantize_ta(2 * at(slot)[2] + tx_extra)
+            current = ta_at(slot)
+            adjust = max(-31, min(32, target - current))
+            if adjust == 0:
+                return
+            info.n_ta_commands += 1
+            emit_downlink(slot, MacTaCommand(adjust), rnti)
+            rx_slot = slot
+            resend_prob = scn.faults.ta_resend_prob
+            if resend_prob > 0 and next(faults) < resend_prob:
+                rx_slot = slot + 8
+                emit_downlink(rx_slot, MacTaCommand(adjust), rnti)
+                info.ta_resend_sfs.append(rx_slot)
+            # The UE acknowledges, then applies from the following subframe.
+            uplink(rx_slot + 4, Ack(info.n_ta_commands % 8), None, rnti=rnti,
+                   measured=False)
+            ta_timeline.append((rx_slot + 5,
+                                max(0, min(TA_MAX, current + adjust))))
 
         attacker = None
         policy = None
@@ -438,15 +456,14 @@ class _Run:
             attacker = ext.ExtractorState(rnti=rnti.value)
             policy = ext.EngagementPolicy(known_pairs=self.attacker_pairs,
                                           mode=scn.attack.policy_mode)
-        ext_config = ext.ExtractorConfig(
-            use_service_reject=scn.attack.use_service_reject)
 
         def attacker_sees(message) -> list:
             nonlocal attacker
             if attacker is None:
                 return []
-            attacker, actions = ext.step(attacker, message, policy,
-                                         ext_config)
+            attacker, actions = ext.step(
+                attacker, message, policy,
+                use_service_reject=scn.attack.use_service_reject)
             return actions
 
         # Random access: RAR two subframes after the (unmodeled) preamble.
@@ -517,38 +534,16 @@ class _Run:
         slot_iter = iter(ta_slots)
         next_slot = next(slot_iter, None)
 
-        emit_downlink, next_rb = self._emit_downlink, self.alloc.rb
-        loss_prob, faults = scn.faults.grant_loss_prob, self.faults
+        next_rb, loss_prob = self.alloc.rb, scn.faults.grant_loss_prob
         first_dci = start_sf + _ROUNDS_START
         for dci_sf in range(first_dci, first_dci + 4 * ue.n_data_rounds, 4):
             while next_slot is not None and next_slot < dci_sf:
-                self._ta_maintenance(next_slot, rnti, at, tx_extra,
-                                     ta_timeline, ta_at, uplink, info)
+                ta_maintenance(next_slot)
                 next_slot = next(slot_iter, None)
             rb = next_rb()
             emit_downlink(dci_sf, DciFormat0(rnti, _MSG3_OFFSET, rb, 5), rnti)
             if not (loss_prob > 0 and next(faults) < loss_prob):
                 uplink(dci_sf + 4, None, rb)
-
-    def _ta_maintenance(self, slot: int, rnti: Rnti, at, tx_extra: int,
-                        ta_timeline: list, ta_at, uplink, info) -> None:
-        target = quantize_ta(2 * at(slot)[2] + tx_extra)
-        current = ta_at(slot)
-        adjust = max(-31, min(32, target - current))
-        if adjust == 0:
-            return
-        info.n_ta_commands += 1
-        self._emit_downlink(slot, MacTaCommand(adjust), rnti)
-        rx_slot = slot
-        resend_prob = self.scenario.faults.ta_resend_prob
-        if resend_prob > 0 and next(self.faults) < resend_prob:
-            rx_slot = slot + 8
-            self._emit_downlink(rx_slot, MacTaCommand(adjust), rnti)
-            info.ta_resend_sfs.append(rx_slot)
-        # The UE acknowledges, then applies from the following subframe.
-        uplink(rx_slot + 4, Ack(info.n_ta_commands % 8), None, rnti=rnti,
-               measured=False)
-        ta_timeline.append((rx_slot + 5, max(0, min(1282, current + adjust))))
 
 
 def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from tatrack.extractor import (EngagementPolicy, ExtractionLog,
-                               ExtractorConfig, ExtractorState, Overshadow,
-                               RecordPair, SuppressUplinkGrant,
-                               overshadow_outcome, step)
+                               ExtractorState, Overshadow, RecordPair,
+                               SuppressUplinkGrant, overshadow_outcome, step)
 from tatrack.messages import (AttachRequest, CapabilityVector,
                               IdentityRequest, IdentityResponse, IdType, Imsi,
                               RrcConnectionRequest, RrcConnectionSetup,
@@ -19,15 +18,13 @@ IMSI = Imsi("001010000000017")
 CAPS = CapabilityVector(bytes(32))
 
 
-def _flow(*events, policy=None, config=None, state=None):
+def _flow(*events, policy=None, state=None, use_service_reject=False):
     policy = policy or EngagementPolicy()
     state = state or ExtractorState(rnti=0x4A)
     actions = []
     for event in events:
-        if config is None:
-            state, acts = step(state, event, policy)
-        else:
-            state, acts = step(state, event, policy, config)
+        state, acts = step(state, event, policy,
+                           use_service_reject=use_service_reject)
         actions.extend(acts)
     return state, actions
 
@@ -147,12 +144,11 @@ def test_non_flow_messages_ignored():
 
 
 def test_service_reject_alternative_trigger():
-    config = ExtractorConfig(use_service_reject=True)
     state, actions = _flow(
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         ServiceRequest(TMSI),
-        config=config,
+        use_service_reject=True,
     )
     assert actions == [Overshadow(ServiceReject(9)), SuppressUplinkGrant()]
     assert state.phase == "idle"  # connection torn down, UE will re-attach
@@ -162,7 +158,7 @@ def test_service_reject_alternative_trigger():
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         AttachRequest(TMSI, CAPS),
-        config=config,
+        use_service_reject=True,
     )
     assert actions[0] == Overshadow(IdentityRequest(IdType.IMSI))
 

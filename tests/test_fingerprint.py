@@ -6,7 +6,54 @@ import numpy as np
 import pytest
 
 from tatrack import fingerprint as fp
-from tatrack.messages import CapabilityVector
+from tatrack.messages import CAPABILITY_BYTES, CapabilityVector
+
+
+#: First bit index of the per-model flip region.
+_MODEL_BIT_BASE = 192
+
+#: Bit blocks set by each modem family base pattern.
+_FAMILY_BITS = {
+    "huawei": range(0, 16),
+    "samsung": range(16, 32),
+    "qualcomm_old": range(32, 48),
+    "qualcomm_recent": range(32, 64),
+    "intel": range(80, 144),
+}
+
+
+def family_of(model: str, modem: str) -> str:
+    """Modem family for the synthetic capability construction.
+
+    The OnePlus 7T carries a recent Qualcomm modem but its capability
+    vector clusters with the older Qualcomm models; it is pinned there
+    on purpose.
+    """
+    if model == "OnePlus 7T":
+        return "qualcomm_old"
+    if modem.startswith("Kirin"):
+        return "huawei"
+    if modem.startswith("Exynos"):
+        return "samsung"
+    if modem.startswith("Intel"):
+        return "intel"
+    if modem == "Qcom. X24 LTE":
+        return "qualcomm_recent"
+    return "qualcomm_old"
+
+
+def synthetic_capability(model: str, modem: str,
+                         model_index: int) -> CapabilityVector:
+    """The documented capability vector of a database row."""
+    bits = bytearray(CAPABILITY_BYTES)
+
+    def flip(i: int) -> None:
+        bits[i // 8] ^= 1 << (7 - i % 8)
+
+    for i in _FAMILY_BITS[family_of(model, modem)]:
+        flip(i)
+    flip(_MODEL_BIT_BASE + model_index)
+    return CapabilityVector(bytes(bits))
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +112,13 @@ def test_modem_consistency_check(db):
 
 def test_capabilities_match_documented_construction(db):
     for i, entry in enumerate(db.entries.values()):
-        expected = fp.synthetic_capability(entry.model, entry.modem, i)
+        expected = synthetic_capability(entry.model, entry.modem, i)
         assert entry.capabilities == expected, entry.model
 
 
 def test_family_hamming_structure(db):
     entries = list(db.entries.values())
-    fams = {e.model: fp.family_of(e.model, e.modem) for e in entries}
+    fams = {e.model: family_of(e.model, e.modem) for e in entries}
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]

@@ -8,13 +8,19 @@ import pytest
 from tatrack import timebase as tb
 from tatrack.geometry import (ANNULUS_SIGMA_M, AnnulusLocus, ConvergenceError,
                               EllipseLocus, InfeasibleSumError, Position,
-                              _pack, _residuals, annulus_from_ta,
-                              ellipse_from_sum, ellipse_point, intersect,
-                              multilaterate, multilaterate_with_offset)
+                              _MAX_ITER, _pack, _residuals, _solve,
+                              annulus_from_ta, ellipse_from_sum,
+                              ellipse_point, intersect, multilaterate,
+                              multilaterate_with_offset)
 
 from _oracle import agreement_gaps, random_config, sum_misfit
 
 O = Position(0.0, 0.0)
+
+
+def _solve_from(loci, *start, max_iter=_MAX_ITER):
+    """The solver run from one start, (x, y) or (x, y, offset)."""
+    return _solve(_pack(loci), [np.array(start)], max_iter)
 
 
 # -- annuli -----------------------------------------------------------------
@@ -174,7 +180,7 @@ def test_two_ellipses_noiseless_recover_position():
     loci = [EllipseLocus(O, p, O.distance_to(ue) + p.distance_to(ue))
             for p in probes]
     # Two confocal ellipses cross twice; start in the true basin.
-    est = multilaterate(loci, initial=Position(300.0, 380.0))
+    est, _ = _solve_from(loci, 300.0, 380.0)
     assert est.position.distance_to(ue) < 1e-3
     assert est.residual_rms < 1e-6
 
@@ -292,7 +298,7 @@ def test_covariance_predicts_monte_carlo_spread():
     for _ in range(300):
         loci = [EllipseLocus(O, p, s + rng.normal(0, 2.0), sigma=2.0)
                 for p, s in zip(probes, sums)]
-        est = multilaterate(loci, initial=Position(ue.x + 30, ue.y - 30))
+        est, _ = _solve_from(loci, ue.x + 30, ue.y - 30)
         errors.append(est.position.distance_to(ue) ** 2)
         cov_pred = est.covariance
     rms = math.sqrt(np.mean(errors))
@@ -306,7 +312,7 @@ def test_collinear_geometry_flags_condition_number():
         EllipseLocus(O, Position(1000.0, 0.0), 1400.0),
         EllipseLocus(O, Position(500.0, 0.0), 1900.0),
     ]
-    est = multilaterate(loci, initial=Position(1200.5, 0.3))
+    est, _ = _solve_from(loci, 1200.5, 0.3)
     assert np.linalg.cond(est.covariance) > 1e6
 
 
@@ -314,7 +320,7 @@ def test_convergence_error_carries_best_iterate():
     probe = Position(800.0, 100.0)
     loci = [EllipseLocus(O, probe, 1500.0)]
     with pytest.raises(ConvergenceError) as exc:
-        multilaterate(loci, initial=Position(5.0, 5.0), max_iter=1)
+        _solve_from(loci, 5.0, 5.0, max_iter=1)
     assert isinstance(exc.value.best.position, Position)
 
 
@@ -325,8 +331,7 @@ def test_offset_recovery_with_three_probes():
     s_true = 150.0  # metres of range-sum inflation from the tx offset
     loci = [EllipseLocus(O, p, O.distance_to(ue) + p.distance_to(ue) + s_true)
             for p in probes]
-    est, s_hat = multilaterate_with_offset(
-        loci, initial=Position(200.0, 120.0))
+    est, s_hat = multilaterate_with_offset(loci)
     assert est.position.distance_to(ue) < 0.1
     assert abs(s_hat - s_true) < 0.1
 

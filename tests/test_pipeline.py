@@ -4,6 +4,7 @@ import csv
 import filecmp
 import importlib
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -448,8 +449,8 @@ def test_colocated_views_match_the_iterative_range():
         assert est.range_only
         pk = geometry._pack(view.loci)
         centre = pk.a[0]
-        x, ok, _ = geometry._levenberg_marquardt(
-            pk, centre + np.array([0.0, 0.5]), False, 100)
+        ok, _, x, _ = geometry._levenberg_marquardt(
+            pk, centre + np.array([0.0, 0.5]), geometry._MAX_ITER)
         assert ok, view.conn.conn_id
         rho = est.position.x - centre[0]
         assert abs(rho - np.hypot(*(x - centre))) < 2e-3, view.conn.conn_id
@@ -585,6 +586,51 @@ GOLDEN_SMALL = {
 }
 
 
+def _golden_offset_scenario():
+    """The small scenario on three sniffers with the random-offset
+    countermeasure on, so every view takes the offset solve."""
+    return replace(_golden_scenario(), probes=TRIANGLE_PROBES,
+                   countermeasure=sim.Countermeasure(
+                       mode="random_offset", max_offset_ps=400_000))
+
+
+#: Digest of each artifact, by seed/file, recorded at 381edb2.
+GOLDEN_OFFSET = {
+    "17/connection_stats.csv":
+        "6368d60e25a2e022b522cf9b6a0ec2895bef9b08e0f3e9264cd637b02c136b30",
+    "17/errors.csv":
+        "1988f15f31a93182c43fa918fd7fa60758d27aad268b68a7cd0cfca11e1ab19b",
+    "17/events_p0.jsonl":
+        "cdd875fcb00623dfbbb4e1aa5d3b5296a7fc0b22af2b7145df81b738238fff73",
+    "17/events_p1.jsonl":
+        "fe34c1b58aa290d11d1de8516912383b9e54cd9cc054fc74be43c125de5393c7",
+    "17/events_p2.jsonl":
+        "d63a9d88432a820d0135ec17ecab9c5273842614df973d09c46413b06f10010e",
+    "17/extracted_pairs.json":
+        "12cc6f56f417a858e26fb846f24e79ea74d04de0c16a64dd9590b0d0d930936f",
+    "17/extraction.jsonl":
+        "2652eaf82e2f2f5d80ec4b3ec67607bef37dd1c21ea0d920c82d9f968b14d194",
+    "17/ground_truth.csv":
+        "6aa484b5ed1cf5ada609542203eaa2b7918185896a19d1084a5bc20545c28e02",
+    "17/measurements_p0.csv":
+        "6be722ab1d5a245a3fac7782e3a4df1f27f9830e4a8a5e8274136c9ad8d92533",
+    "17/measurements_p1.csv":
+        "8abb33e7db1e3d0b095a494ae204f70365b8e6b22bcb6ae74d1e0e135f9db077",
+    "17/measurements_p2.csv":
+        "e09aadde44f7e349133d411f6ae7e1ad0412735cbfbd8a51b325c17ca8d4298e",
+    "17/positions.csv":
+        "ab307cc875f15fe801cc277754868e4f2d1f1f13e625e9d0ec99e2bba6159bb1",
+    "17/stats.csv":
+        "e1cd335a5dbe3cc278cfa2757c31ba97f9969e1ef0073a6091952dee96ce9a44",
+    "17/summary.csv":
+        "524d490e7accd551c865bab6a5261ac4ac9790133ebc19d24673fec859c5d80a",
+    "17/traces.csv":
+        "1d1880080f94f730ef56c03053a00ef8487b738c549ca83dcabd89198848b771",
+    "17/trackdb.jsonl":
+        "8c1aaeea69eaf96bec025ba16e76a2497ecf45ebf663c9385e1d619b398b097f",
+}
+
+
 def test_artifacts_match_their_golden_digests():
     """Every artifact, byte for byte, as the recorded digests say.
 
@@ -592,12 +638,14 @@ def test_artifacts_match_their_golden_digests():
     (``tools/artifact_digests.py`` prints them) and gives the reason in
     CHANGES.md; a change that should keep the artifacts leaves them as
     they are. The small scenario exercises what replication does not:
-    two sniffers, motion, TA resends, lost grants and the attack.
+    two sniffers, motion, TA resends, lost grants and the attack. The
+    offset scenario pins ``multilaterate_with_offset``.
     """
     tool = _digest_tool()
     for scenario, golden in ((sim.load_scenario(REPLICATION),
                               GOLDEN_REPLICATION),
-                             (_golden_scenario(), GOLDEN_SMALL)):
+                             (_golden_scenario(), GOLDEN_SMALL),
+                             (_golden_offset_scenario(), GOLDEN_OFFSET)):
         lines = tool.digest_lines(scenario)
         assert {path: digest for digest, path in
                 (line.split("  ") for line in lines)} == golden
