@@ -5,8 +5,13 @@ through the stage chain and writes the artifact CSVs next to a printed
 per-group error summary; ``cdf`` reduces an errors CSV to plot-ready
 (error_m, cumulative_fraction) rows for any external plotting tool.
 
-Exit codes: 0 on success, 1 for runtime failures, 2 for unusable input
-(missing files, malformed JSON, bad stage lists). Re-running ``run`` with
+Exit codes: 0 on success, 1 for runtime failures (among them a failed
+write of an artifact or of ``cdf --out``), 2 for unusable input: a
+missing input, an input path that is a directory, a scenario that is not
+UTF-8 text or not valid JSON, a scenario the pipeline cannot run, a bad
+stage list, or an errors CSV with no data rows or without the
+``error_m`` (or ``--group-by``) column. Each refusal prints one
+``error:`` line naming the path or the column. Re-running ``run`` with
 the same manifest rewrites byte-identical artifacts; repeats fan out to
 ``repeat_NNN`` subdirectories with consecutive seeds.
 
@@ -65,6 +70,12 @@ def cmd_run(manifest: RunManifest) -> int:
     except FileNotFoundError:
         _fail(f"scenario not found: {manifest.scenario_path}")
         return 2
+    except IsADirectoryError:
+        _fail(f"scenario is a directory: {manifest.scenario_path}")
+        return 2
+    except UnicodeDecodeError:
+        _fail(f"scenario is not UTF-8 text: {manifest.scenario_path}")
+        return 2
     except sim.ScenarioError as exc:
         _fail(str(exc))
         return 2
@@ -117,8 +128,9 @@ def cmd_cdf(errors_csv, group_by: Optional[str] = None) -> list:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"no data rows in {errors_csv}")
-    if group_by is not None and group_by not in rows[0]:
-        raise ValueError(f"no column {group_by!r} in {errors_csv}")
+    for column in ("error_m", group_by):
+        if column is not None and column not in rows[0]:
+            raise ValueError(f"no column {column!r} in {errors_csv}")
     out = []
     if group_by is None:
         for error_m, frac in empirical_cdf(
@@ -177,6 +189,9 @@ def main(argv=None) -> int:
         rows = cmd_cdf(args.errors_csv, group_by=args.group_by)
     except FileNotFoundError:
         _fail(f"errors CSV not found: {args.errors_csv}")
+        return 2
+    except IsADirectoryError:
+        _fail(f"errors CSV is a directory: {args.errors_csv}")
         return 2
     except ValueError as exc:
         _fail(str(exc))

@@ -61,6 +61,9 @@ class FingerprintDb:
             if e.model in self.entries:
                 raise ValueError(f"duplicate model {e.model!r}")
             self.entries[e.model] = e
+        #: (model, capability bits as one integer), in entry order.
+        self.vectors = tuple((e.model, e.capabilities.as_int())
+                             for e in self.entries.values())
 
     @classmethod
     def default(cls) -> "FingerprintDb":
@@ -85,17 +88,19 @@ class FingerprintDb:
 def classify(v: CapabilityVector, db: FingerprintDb) -> ClassifyResult:
     """Nearest database entry by Hamming distance.
 
+    Each distance is one popcount of the XOR of two 256-bit integers.
     Ties go to the lexicographically smallest model name, with the tie
     flag set so callers can treat the label as uncertain.
     """
+    bits = v.as_int()
     best: list[str] = []
     best_d = None
-    for entry in db.entries.values():
-        d = v.hamming(entry.capabilities)
+    for model, entry_bits in db.vectors:
+        d = (bits ^ entry_bits).bit_count()
         if best_d is None or d < best_d:
-            best, best_d = [entry.model], d
+            best, best_d = [model], d
         elif d == best_d:
-            best.append(entry.model)
+            best.append(model)
     return ClassifyResult(min(best), best_d, len(best) > 1)
 
 

@@ -17,10 +17,12 @@ tolerances.
 
 When every locus is a circle about one point (each ring centred there,
 each ellipse with both foci there, as for a sniffer beside the eNodeB),
-the measurements fix a range and no bearing. ``multilaterate`` then
-returns the weighted least-squares range in closed form, places it on the
-+x axis from that centre, gives the tangential direction an infinite
-variance and sets ``PositionEstimate.range_only``.
+the measurements fix a range and no bearing. ``multilaterate`` recognises
+this from the loci themselves, before it builds any array, and returns
+the weighted least-squares range in closed form, computed in Python
+floats, places it on the +x axis from that centre, gives the tangential
+direction an infinite variance and sets ``PositionEstimate.range_only``.
+Only the iterative solver packs the loci into numpy arrays.
 
 All geometry is 2-D; distances are metres as floats.
 """
@@ -262,8 +264,12 @@ class _Packed(NamedTuple):
     w: np.ndarray
 
 
-def _pack(loci) -> _Packed:
-    """Pack loci that share one eNodeB focus; ValueError if they do not."""
+def _rows(loci) -> list:
+    """Each locus as its ``_Packed`` row (a, b, e, k, target, w).
+
+    Raises ValueError for no loci or for loci without one shared eNodeB
+    focus, and TypeError for an unknown locus.
+    """
     if not loci:
         raise ValueError("need at least one locus")
     rows = []
@@ -277,9 +283,14 @@ def _pack(loci) -> _Packed:
                          locus.mid_radius, 1.0 / ANNULUS_SIGMA_M))
         else:
             raise TypeError(f"unknown locus type {type(locus).__name__}")
-    a, b, e, k, target, w = zip(*rows)
-    if any(focus != a[0] for focus in a):
+    if any(row[0] != rows[0][0] for row in rows):
         raise ValueError("loci must share one eNodeB focus")
+    return rows
+
+
+def _pack(loci) -> _Packed:
+    """Pack loci that share one eNodeB focus; refuses as ``_rows`` does."""
+    a, b, e, k, target, w = zip(*_rows(loci))
     return _Packed(np.array([[p.x, p.y] for p in a]),
                    np.array([[p.x, p.y] for p in b]), np.array(e),
                    np.array(k), np.array(target), np.array(w))
@@ -440,27 +451,54 @@ def _solve(pk: _Packed, starts, max_iter: int):
     return est, best
 
 
-def _concentric_range(pk: _Packed) -> Optional[PositionEstimate]:
+def _sum_as_numpy(values: list) -> float:
+    """``float(np.sum(values))``, with no array below 8 terms.
+
+    numpy adds fewer than 8 terms left to right, as the loop here does;
+    from 8 terms up it adds in 8-way blocks, so those sums stay with numpy.
+    """
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _concentric_fix(rows) -> Optional[PositionEstimate]:
     """Closed-form fix when every ring centre and focus is one point.
 
     Ring and ellipse residuals are then functions of the range d alone:
     (d - r) w with r the mid radius and w = 1/ANNULUS_SIGMA_M for a ring,
     r = sum/2 and w = 2/sigma for an ellipse. Their weighted least squares
-    is d = sum(w^2 r)/sum(w^2). Returns None for any other geometry.
+    is d = sum(w^2 r)/sum(w^2). Returns None if a sniffer focus lies off
+    the eNodeB focus that ``_rows`` checked is shared. Python floats repeat,
+    operation for operation, what numpy would do on ``_pack``'s arrays;
+    only the misfit's dot product, which numpy's kernel may fuse into
+    multiply-adds, stays in numpy.
     """
-    centre = pk.a[0]
+    centre = rows[0][0]
     # Exact equality, as intersect() uses for a shared centre.
-    if not (np.all(pk.a == centre) and np.all(pk.b == centre)):
+    if any(b != centre for _, b, *_ in rows):
         return None
-    foci = 1.0 + pk.e  # foci on the centre: two per ellipse, one per ring
-    w2 = (foci * pk.w) ** 2
-    rho = float(np.sum(w2 * pk.target / foci) / np.sum(w2))
-    xy = centre + np.array([rho, 0.0])
-    position = Position(float(xy[0]), float(xy[1]))
+    w2s, weighted = [], []
+    for _, _, e, _, target, w in rows:
+        foci = 1.0 + e  # foci on the centre: two per ellipse, one per ring
+        fw = foci * w
+        w2 = fw * fw
+        w2s.append(w2)
+        weighted.append(w2 * target / foci)
+    sum_w2 = _sum_as_numpy(w2s)
+    cx, cy = float(centre.x), float(centre.y)
+    position = Position(cx + _sum_as_numpy(weighted) / sum_w2, cy + 0.0)
+    # Every row's distance to the fix: hypot(x - cx, 0), floored as in
+    # _misfit; the offset term is zero.
+    d = max(abs(position.x - cx), 1e-12)
+    m = np.array([d + e * d - target for _, _, e, _, target, _ in rows])
     return PositionEstimate(
         position=position,
-        residual_rms=_metric_rms(pk, xy),
-        covariance=np.array([[1.0 / float(np.sum(w2)), 0.0], [0.0, np.inf]]),
+        residual_rms=math.sqrt(float(m @ m) / len(rows)),
+        covariance=np.array([[1.0 / sum_w2, 0.0], [0.0, np.inf]]),
         candidates=(position,),
         range_only=True,
     )
@@ -491,10 +529,10 @@ def multilaterate(loci) -> PositionEstimate:
     ``covariance``. Raises ConvergenceError (carrying the best iterate)
     if no run converges within the iteration budget.
     """
-    pk = _pack(loci)
-    direct = _concentric_range(pk)
+    direct = _concentric_fix(_rows(loci))
     if direct is not None:
         return direct
+    pk = _pack(loci)
     return _solve(pk, _roots(pk), _MAX_ITER)[0]
 
 

@@ -108,8 +108,12 @@ class CapabilityVector:
             raise ValueError(f"capability vector must be {CAPABILITY_BYTES} "
                              f"bytes, got {len(self.bits)}")
 
+    def as_int(self) -> int:
+        """The 256 bits as one unsigned integer."""
+        return int.from_bytes(self.bits, "big")
+
     def hamming(self, other: "CapabilityVector") -> int:
-        return sum((a ^ b).bit_count() for a, b in zip(self.bits, other.bits))
+        return (self.as_int() ^ other.as_int()).bit_count()
 
     @classmethod
     def from_hex(cls, text: str) -> "CapabilityVector":

@@ -48,7 +48,7 @@ from .geometry import (AnnulusLocus, ConvergenceError, InfeasibleSumError,
                        ellipse_from_sum, multilaterate,
                        multilaterate_with_offset)
 from .messages import CapabilityVector, encode
-from .probe import ConnectionTable
+from .probe import ConnectionTable, Measurement
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (ConnectionSummary, TracePoint, TrackDb,
                       connection_stats, median_of_sorted, provisional_id,
@@ -72,6 +72,10 @@ _IQR_PER_SIGMA = 1.349
 
 #: sqrt(pi / 2): standard error of a Gaussian median over that of the mean.
 _MEDIAN_SE_RATIO = 1.2533
+
+#: Readers of three ``Measurement`` fields, to map over a record's list.
+_T_N, _D_TA, _SUM_DELAY = (itemgetter(Measurement._fields.index(name))
+                           for name in ("t_n", "d_ta", "sum_delay"))
 
 #: Each ``--group-by`` choice and the stats column it groups on.
 _GROUP_COLUMN = {"imsi": "imsi", "model": "model", "connection": "sim_conn"}
@@ -178,7 +182,7 @@ def stage_localize(ctx: RunContext) -> None:
             rar_rx, _ = record.ta_history[0]
             start_ps = rar_rx - ctx.tables[probe_id].d_dlprobe_ps
             leg = ProbeLeg(probe_id=probe_id, record=record,
-                           sums=[m.sum_delay for m in record.measurements])
+                           sums=list(map(_SUM_DELAY, record.measurements)))
             leg.stats = connection_stats(leg.sums)
             groups.setdefault((start_ps, record.rnti.value), []).append(leg)
 
@@ -230,9 +234,8 @@ def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:
         if rec.capabilities is not None:
             capabilities = rec.capabilities
         had_service = had_service or rec.had_service_request
-        for meas in rec.measurements:
-            end_ps = max(end_ps, meas.t_n)
-            d_ta_values.append(meas.d_ta)
+        end_ps = max(end_ps, max(map(_T_N, rec.measurements), default=end_ps))
+        d_ta_values.extend(map(_D_TA, rec.measurements))
     conn = ConnectionSummary(
         conn_id=f"0-{rnti:#06x}-{start_ps}", cell_id=0, rnti=rnti,
         start_ps=start_ps, end_ps=end_ps, tmsi=tmsi,

@@ -335,6 +335,41 @@ def test_cdf_rejects_empty_and_missing_inputs(tmp_path, capsys):
             group_by="nope")
 
 
+def _scenario_dir(tmp_path):
+    (tmp_path / "scene").mkdir()
+    return ["run", "--scenario", str(tmp_path / "scene"),
+            "--out", str(tmp_path / "o")], str(tmp_path / "scene")
+
+
+def _latin1_scenario(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    return ["run", "--scenario", str(path),
+            "--out", str(tmp_path / "o")], str(path)
+
+
+def _csv_without_error_m(tmp_path):
+    path = tmp_path / "errors.csv"
+    path.write_text("conn,imsi\nc1,i1\n")
+    return ["cdf", str(path)], "'error_m'"
+
+
+def _csv_dir(tmp_path):
+    (tmp_path / "errors.csv").mkdir()
+    return ["cdf", str(tmp_path / "errors.csv")], str(tmp_path / "errors.csv")
+
+
+@pytest.mark.parametrize("make_args", [
+    _scenario_dir, _latin1_scenario, _csv_without_error_m, _csv_dir])
+def test_unusable_inputs_exit_2_with_one_error_line(tmp_path, capsys,
+                                                     make_args):
+    argv, named = make_args(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert named in err[0]
+
+
 def test_cdf_quantile_matches_run_summary(tmp_path):
     # Ten noisy connections from one phone: the CDF's 0.9 crossing must
     # bracket the p90 the run summary printed for that identity.

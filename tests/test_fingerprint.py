@@ -1,9 +1,11 @@
 """Database integrity, classification and hardware bias."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tatrack import fingerprint as fp
 from tatrack.messages import CAPABILITY_BYTES, CapabilityVector
@@ -164,6 +166,42 @@ def test_classify_order_invariant(db):
     shuffled = fp.FingerprintDb(entries[::-1])
     probe = db.entries["HTC U12+"].capabilities
     assert fp.classify(probe, db) == fp.classify(probe, shuffled)
+
+
+def _bytewise_hamming(a: CapabilityVector, b: CapabilityVector) -> int:
+    return sum(bin(x).count("1") for x in _xor(a, b))
+
+
+def _reference_classify(v: CapabilityVector, db) -> tuple:
+    """Nearest model by per-byte Hamming sum, ties to the smallest name."""
+    distance = {model: _bytewise_hamming(v, entry.capabilities)
+                for model, entry in db.entries.items()}
+    best = min(distance.values())
+    nearest = sorted(m for m, d in distance.items() if d == best)
+    return nearest[0], best, len(nearest) > 1
+
+
+_vectors = st.binary(min_size=CAPABILITY_BYTES, max_size=CAPABILITY_BYTES)
+
+
+@given(_vectors, _vectors)
+def test_hamming_popcount_equals_the_bytewise_sum(a, b):
+    a, b = CapabilityVector(a), CapabilityVector(b)
+    assert a.hamming(b) == _bytewise_hamming(a, b)
+
+
+def test_classify_matches_a_bytewise_reference(db):
+    rng = random.Random(19)
+    for entry in db.entries.values():
+        vectors = [entry.capabilities]
+        for _ in range(30):
+            bits = bytearray(entry.capabilities.bits)
+            for i in rng.sample(range(8 * CAPABILITY_BYTES),
+                                rng.randint(1, 3)):
+                bits[i // 8] ^= 1 << (7 - i % 8)
+            vectors.append(CapabilityVector(bytes(bits)))
+        for v in vectors:
+            assert tuple(fp.classify(v, db)) == _reference_classify(v, db)
 
 
 # -- bias estimation ---------------------------------------------------------

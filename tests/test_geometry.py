@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tatrack import timebase as tb
 from tatrack.geometry import (ANNULUS_SIGMA_M, AnnulusLocus, ConvergenceError,
                               EllipseLocus, InfeasibleSumError, Position,
-                              _MAX_ITER, _pack, _residuals, _solve,
+                              _MAX_ITER, _misfit, _pack, _residuals, _solve,
                               annulus_from_ta, ellipse_from_sum,
                               ellipse_point, intersect, multilaterate,
                               multilaterate_with_offset)
@@ -395,6 +396,67 @@ def test_off_site_probe_among_colocated_loci_uses_lm():
     assert min(c.distance_to(ue) for c in est.candidates) < 1e-3
     a, b = est.candidates
     assert math.isclose(a.y, -b.y, abs_tol=1e-3)
+
+
+def _array_concentric_fix(loci):
+    """The concentric closed form evaluated on ``_pack``'s arrays.
+
+    Position, residual RMS and covariance as numpy computes them: the
+    oracle that the float path of ``multilaterate`` must match bit for bit.
+    """
+    pk = _pack(loci)
+    foci = 1.0 + pk.e
+    w2 = (foci * pk.w) ** 2
+    rho = float(np.sum(w2 * pk.target / foci) / np.sum(w2))
+    xy = pk.a[0] + np.array([rho, 0.0])
+    m, _ = _misfit(pk, xy)
+    return (Position(float(xy[0]), float(xy[1])),
+            math.sqrt(float(m @ m) / len(m)),
+            np.array([[1.0 / float(np.sum(w2)), 0.0], [0.0, np.inf]]))
+
+
+_coordinates = st.floats(-5000.0, 5000.0)
+#: Zero and sub-floor sigmas take the _SIGMA_FLOOR_M stand-in.
+_sigmas = st.one_of(st.just(0.0), st.floats(0.0, 2e-3), st.floats(0.0, 50.0))
+
+
+@st.composite
+def _concentric_loci(draw):
+    """A TA ring alone, or with 1-11 ellipses, all about one random point."""
+    centre = Position(draw(_coordinates), draw(_coordinates))
+    loci = [EllipseLocus(centre, centre, draw(st.floats(0.5, 20000.0)),
+                         sigma=draw(_sigmas))
+            for _ in range(draw(st.sampled_from([0, 1, 2, 3, 7, 8, 9, 11])))]
+    loci.append(annulus_from_ta(centre, draw(st.integers(0, 300))))
+    return draw(st.permutations(loci))
+
+
+@given(_concentric_loci())
+def test_concentric_fix_matches_the_array_formula_bit_for_bit(loci):
+    est = multilaterate(loci)
+    position, rms, covariance = _array_concentric_fix(loci)
+    assert est.range_only
+    assert est.position == position
+    assert est.residual_rms == rms
+    assert np.array_equal(est.covariance, covariance)
+
+
+@given(_concentric_loci(), st.data())
+def test_a_probe_a_nanometre_off_centre_takes_the_lm_path(loci, data):
+    ellipses = [i for i, locus in enumerate(loci)
+                if isinstance(locus, EllipseLocus)]
+    if not ellipses:
+        return
+    i = data.draw(st.sampled_from(ellipses))
+    centre = loci[i].focus_enb
+    loci = list(loci)
+    loci[i] = EllipseLocus(centre, Position(centre.x + 1e-9, centre.y),
+                           loci[i].sum_dist, loci[i].sigma)
+    try:
+        est = multilaterate(loci)
+    except ConvergenceError as exc:
+        est = exc.best
+    assert not est.range_only
 
 
 def test_annulus_sigma_is_uniform_equivalent():
