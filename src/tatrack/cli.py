@@ -9,8 +9,9 @@ Exit codes: 0 on success, 1 for runtime failures (among them a failed
 write of an artifact or of ``cdf --out``), 2 for unusable input: a
 missing input, an input path that is a directory, a scenario that is not
 UTF-8 text or not valid JSON, a scenario the pipeline cannot run, a bad
-stage list, or an errors CSV with no data rows or without the
-``error_m`` (or ``--group-by``) column. Each refusal prints one
+stage list, or an errors CSV with no data rows, without the ``error_m``
+(or ``--group-by``) column, with a row shorter than its header or with
+an ``error_m`` that is not a finite number. Each refusal prints one
 ``error:`` line naming the path or the column. Re-running ``run`` with
 the same manifest rewrites byte-identical artifacts; repeats fan out to
 ``repeat_NNN`` subdirectories with consecutive seeds.
@@ -26,6 +27,7 @@ import argparse
 import csv
 import dataclasses
 import gc
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -117,12 +119,29 @@ def cmd_run(manifest: RunManifest) -> int:
     return 0
 
 
+def _error_m(errors_csv, i: int, row: dict) -> float:
+    """Data row ``i``'s finite ``error_m``, else ValueError naming the
+    file: also for a row shorter than the header, filled with None."""
+    if None in row.values():
+        raise ValueError(f"data row {i} of {errors_csv} has fewer cells "
+                         f"than the header")
+    try:
+        value = float(row["error_m"])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"data row {i} of {errors_csv}: error_m "
+                         f"{row['error_m']!r} is not a finite number")
+    return value
+
+
 def cmd_cdf(errors_csv, group_by: Optional[str] = None) -> list:
     """Reduce an errors CSV to sorted (error_m, cumulative_fraction) rows.
 
     With ``group_by`` set to a column name, one CDF per distinct value is
     emitted and each output row gains that leading group column. Raises
-    ValueError on an empty input or a missing column.
+    ValueError on an empty input, a missing column, a row with fewer cells
+    than the header, or an ``error_m`` that is not a finite number.
     """
     with open(errors_csv, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -131,15 +150,15 @@ def cmd_cdf(errors_csv, group_by: Optional[str] = None) -> list:
     for column in ("error_m", group_by):
         if column is not None and column not in rows[0]:
             raise ValueError(f"no column {column!r} in {errors_csv}")
+    errors = [_error_m(errors_csv, i, row) for i, row in enumerate(rows, 1)]
     out = []
     if group_by is None:
-        for error_m, frac in empirical_cdf(
-                [float(r["error_m"]) for r in rows]):
+        for error_m, frac in empirical_cdf(errors):
             out.append({"error_m": error_m, "cumulative_fraction": frac})
         return out
     groups: dict = {}
-    for row in rows:
-        groups.setdefault(row[group_by], []).append(float(row["error_m"]))
+    for row, error_m in zip(rows, errors):
+        groups.setdefault(row[group_by], []).append(error_m)
     for key in sorted(groups):
         for error_m, frac in empirical_cdf(groups[key]):
             out.append({group_by: key, "error_m": error_m,

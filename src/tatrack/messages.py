@@ -175,6 +175,27 @@ class DciFormat0:
         _check_range("mcs", self.mcs, 0, 31)
 
 
+def dci_format0(rnti: Rnti, subframe_offset: int, rb_alloc: int,
+                mcs: int) -> DciFormat0:
+    """``DciFormat0(rnti, subframe_offset, rb_alloc, mcs)``, built cheaply.
+
+    Fields that are plain ints in range are stored without the
+    frozen-dataclass ``__init__``. Any other value goes through the
+    constructor, so it is refused, or accepted, exactly as there.
+    """
+    if not (type(subframe_offset) is int and 0 <= subframe_offset <= 255
+            and type(rb_alloc) is int and 0 <= rb_alloc <= 0xFFFF
+            and type(mcs) is int and 0 <= mcs <= 31):
+        return DciFormat0(rnti, subframe_offset, rb_alloc, mcs)
+    msg = object.__new__(DciFormat0)
+    fields = msg.__dict__
+    fields["rnti"] = rnti
+    fields["subframe_offset"] = subframe_offset
+    fields["rb_alloc"] = rb_alloc
+    fields["mcs"] = mcs
+    return msg
+
+
 @dataclass(frozen=True)
 class DciFormat1:
     rnti: Rnti
@@ -259,22 +280,6 @@ Message = Union[
     ServiceRequest, IdentityRequest, IdentityResponse, Ack, ServiceReject,
 ]
 
-_TAGS = {
-    RandomAccessPreamble: 0x01,
-    RandomAccessResponse: 0x02,
-    DciFormat0: 0x03,
-    DciFormat1: 0x04,
-    MacTaCommand: 0x05,
-    RrcConnectionRequest: 0x06,
-    RrcConnectionSetup: 0x07,
-    AttachRequest: 0x08,
-    ServiceRequest: 0x09,
-    IdentityRequest: 0x0A,
-    IdentityResponse: 0x0B,
-    Ack: 0x0C,
-    ServiceReject: 0x0D,
-}
-
 _ID_KIND_TMSI = 0x00
 _ID_KIND_IMSI = 0x01
 
@@ -299,48 +304,45 @@ def _unpack_imsi(raw: bytes) -> Imsi:
     return Imsi("".join(str(d) for d in digits))
 
 
-def _payload(msg: Message) -> bytes:
-    if isinstance(msg, RandomAccessPreamble):
-        return struct.pack(">B", msg.preamble_id)
-    if isinstance(msg, RandomAccessResponse):
-        return struct.pack(">HHBHB", msg.rnti.value, msg.ta,
-                           msg.grant.subframe_offset, msg.grant.rb_alloc,
-                           msg.grant.mcs)
-    if isinstance(msg, DciFormat0):
-        return struct.pack(">HBHB", msg.rnti.value, msg.subframe_offset,
-                           msg.rb_alloc, msg.mcs)
-    if isinstance(msg, DciFormat1):
-        return struct.pack(">HHB", msg.rnti.value, msg.rb_alloc, msg.mcs)
-    if isinstance(msg, MacTaCommand):
-        return struct.pack(">B", msg.adjust + 31)
-    if isinstance(msg, RrcConnectionRequest):
-        return struct.pack(">IBB", msg.tmsi.value, msg.establishment_cause,
-                           int(msg.is_random))
-    if isinstance(msg, RrcConnectionSetup):
-        return struct.pack(">B", msg.config_id)
-    if isinstance(msg, AttachRequest):
-        if isinstance(msg.id, Tmsi):
-            id_part = struct.pack(">BI", _ID_KIND_TMSI, msg.id.value)
-        else:
-            id_part = struct.pack(">B", _ID_KIND_IMSI) + _pack_imsi(msg.id)
-        return id_part + msg.capabilities.bits
-    if isinstance(msg, ServiceRequest):
-        return struct.pack(">I", msg.tmsi.value)
-    if isinstance(msg, IdentityRequest):
-        return struct.pack(">B", msg.id_type)
-    if isinstance(msg, IdentityResponse):
-        return _pack_imsi(msg.imsi)
-    if isinstance(msg, Ack):
-        return struct.pack(">B", msg.harq_id)
-    if isinstance(msg, ServiceReject):
-        return struct.pack(">B", msg.cause)
-    raise TypeError(f"not a message: {msg!r}")
+def _pack_attach(msg: AttachRequest) -> bytes:
+    if isinstance(msg.id, Tmsi):
+        id_part = struct.pack(">BI", _ID_KIND_TMSI, msg.id.value)
+    else:
+        id_part = struct.pack(">B", _ID_KIND_IMSI) + _pack_imsi(msg.id)
+    return id_part + msg.capabilities.bits
+
+
+#: Each message type's tag and the packer of its payload.
+_CODECS = {
+    RandomAccessPreamble: (0x01, lambda m: struct.pack(">B", m.preamble_id)),
+    RandomAccessResponse: (0x02, lambda m: struct.pack(
+        ">HHBHB", m.rnti.value, m.ta, m.grant.subframe_offset,
+        m.grant.rb_alloc, m.grant.mcs)),
+    DciFormat0: (0x03, lambda m: struct.pack(
+        ">HBHB", m.rnti.value, m.subframe_offset, m.rb_alloc, m.mcs)),
+    DciFormat1: (0x04, lambda m: struct.pack(">HHB", m.rnti.value,
+                                             m.rb_alloc, m.mcs)),
+    MacTaCommand: (0x05, lambda m: struct.pack(">B", m.adjust + 31)),
+    RrcConnectionRequest: (0x06, lambda m: struct.pack(
+        ">IBB", m.tmsi.value, m.establishment_cause, int(m.is_random))),
+    RrcConnectionSetup: (0x07, lambda m: struct.pack(">B", m.config_id)),
+    AttachRequest: (0x08, _pack_attach),
+    ServiceRequest: (0x09, lambda m: struct.pack(">I", m.tmsi.value)),
+    IdentityRequest: (0x0A, lambda m: struct.pack(">B", m.id_type)),
+    IdentityResponse: (0x0B, lambda m: _pack_imsi(m.imsi)),
+    Ack: (0x0C, lambda m: struct.pack(">B", m.harq_id)),
+    ServiceReject: (0x0D, lambda m: struct.pack(">B", m.cause)),
+}
 
 
 def encode(msg: Message) -> bytes:
     """Serialize to tag + 16-bit length + fixed-layout payload."""
-    payload = _payload(msg)
-    return struct.pack(">BH", _TAGS[type(msg)], len(payload)) + payload
+    try:
+        tag, pack = _CODECS[type(msg)]
+    except KeyError:
+        raise TypeError(f"not a message: {msg!r}") from None
+    payload = pack(msg)
+    return struct.pack(">BH", tag, len(payload)) + payload
 
 
 class _Cursor:

@@ -20,7 +20,7 @@ rest itself; it reaps the child before it returns or raises, and a child
 that failed raises OSError. The child runs only the formatting code here
 and in ``messages`` (no numpy) and leaves through ``os._exit``. Its
 copy-on-write cost is the pages either process dirties meanwhile, about
-28 MB on the benchmark's crowd and drive runs. Python 3.12 and later
+21 MB on the benchmark's crowd run and 26 MB on drive. Python 3.12 and later
 emit a DeprecationWarning when a process with threads forks, as with the
 threads of a multi-threaded BLAS under numpy; the child calls no BLAS.
 Where ``os.fork`` is missing, the same writer runs in this process.
@@ -48,7 +48,7 @@ from .geometry import (AnnulusLocus, ConvergenceError, InfeasibleSumError,
                        ellipse_from_sum, multilaterate,
                        multilaterate_with_offset)
 from .messages import CapabilityVector, encode
-from .probe import ConnectionTable, Measurement
+from .probe import ConnectionTable, Measurement, ProbeEvent
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (ConnectionSummary, TracePoint, TrackDb,
                       connection_stats, median_of_sorted, provisional_id,
@@ -469,13 +469,13 @@ def _write_csv(path: Path, columns, rows, *, get=itemgetter,
     a None cell is left empty.
     """
     line = ",".join(["%s"] * len(columns)) + "\n"
-    cells = tuple if get is None else get(*columns)
+    if get is not None:
+        rows = map(get(*columns), rows)
     if blank_none:
-        def cells(row, plain=cells):
-            return tuple("" if v is None else v for v in plain(row))
+        rows = (tuple("" if v is None else v for v in row) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(line % cells(row) for row in rows)
+        fh.writelines(map(line.__mod__, rows))
 
 
 #: One ``events_*.jsonl`` line: what ``json.dumps(..., sort_keys=True)``
@@ -483,26 +483,27 @@ def _write_csv(path: Path, columns, rows, *, get=itemgetter,
 _EVENT_LINE = ('{"carrier": "%s", "frame": %s, "message_hex": %s, '
                '"rb_alloc": %s, "rnti": %s, "rx_ps": %s, "subframe": %s}\n')
 
+#: Reader of an event's message.
+_MESSAGE_OF = itemgetter(ProbeEvent._fields.index("message"))
+
 
 def _write_events(path: Path, events, hex_of: dict) -> None:
     """Write one event log; ``hex_of`` maps ``id(message)`` to its cell.
 
-    A message missing from ``hex_of`` is encoded and added. Every sniffer
-    that heard a message holds the same object, so a map shared by all
-    logs encodes it once; the events keep it alive, so no id is reused.
+    Each message missing from ``hex_of`` is encoded and added, in event
+    order, before the lines are written. Every sniffer that heard a
+    message holds the same object, so a map shared by all logs encodes it
+    once; the events keep it alive, so no id is reused.
     """
-    def cell(message) -> str:
-        key = id(message)
-        if key not in hex_of:
-            hex_of[key] = f'"{encode(message).hex()}"'
-        return hex_of[key]
-
+    for message in map(_MESSAGE_OF, events):
+        if id(message) not in hex_of:
+            hex_of[id(message)] = f'"{encode(message).hex()}"'
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_EVENT_LINE % (
-            carrier, frame, cell(message),
+            carrier, frame, hex_of[id(message)],
             "null" if rb_alloc is None else rb_alloc,
             "null" if rnti is None else rnti.value, rx_time, subframe)
-            for (frame, subframe, rx_time, carrier), message, rb_alloc, rnti
+            for frame, subframe, rx_time, carrier, message, rb_alloc, rnti
             in events)
 
 

@@ -17,8 +17,11 @@ counted from the newest subframe seen on either carrier, so a late stamp
 cannot bring an expired grant back. Unmatched bursts are counted and
 dropped, mirroring a sniffer that cannot decode unscheduled traffic.
 
-Stamps, events and measurements are named tuples. The table dispatches
-on each message's type and range-checks each stamp as it comes in.
+Events and measurements are flat named tuples: an event's subframe
+stamp (frame, subframe, receive time, carrier) comes first, followed by
+what was decoded, and a measurement carries the frame and subframe of
+its burst. ``ConnectionTable.ingest`` unpacks each event once,
+range-checks its stamp and dispatches on the carrier and message type.
 """
 
 from __future__ import annotations
@@ -48,34 +51,32 @@ class Carrier:
     UPLINK = "uplink"
 
 
-class SubframeStamp(NamedTuple):
-    frame: int
-    subframe: int
-    rx_time: Instant
-    carrier: str
-
-
-class Measurement(NamedTuple):
-    subframe: SubframeStamp
-    toa: Instant
-    t_n: Instant
-    d_ta: Span
-    sum_delay: Span
-
-
 class ProbeEvent(NamedTuple):
-    """One received item: a stamp plus whatever was decodable.
+    """One received item: its subframe stamp plus whatever was decodable.
 
+    ``frame``, ``subframe``, ``rx_time`` and ``carrier`` stamp the item.
     ``message`` is None for uplink data bursts the probe cannot decode but
     can still time. ``rb_alloc`` carries the allocation an uplink burst
     rode on; ``rnti`` the addressee of downlink control (or the inferred
     sender of an uplink Ack).
     """
 
-    stamp: SubframeStamp
+    frame: int
+    subframe: int
+    rx_time: Instant
+    carrier: str
     message: Optional[Message] = None
     rb_alloc: Optional[int] = None
     rnti: Optional[Rnti] = None
+
+
+class Measurement(NamedTuple):
+    frame: int
+    subframe: int
+    toa: Instant
+    t_n: Instant
+    d_ta: Span
+    sum_delay: Span
 
 
 def infer_t_n(dl_rx: Instant, d_dlprobe: Span) -> Instant:
@@ -146,27 +147,16 @@ class ConnectionTable:
         self._cursor: Optional[tuple[int, int]] = None  # (raw idx, abs idx)
         # rb_alloc -> (record, issued subframe) of the newest grant on it.
         self._grants: dict[int, tuple[ConnectionRecord, int]] = {}
-        self._tn_anchor: Optional[tuple[int, Instant]] = None
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _live(self, issued_idx: int) -> bool:
-        """Whether a grant or TA command issued then has not yet expired."""
-        return self._cursor[1] - issued_idx <= EXPIRY_SUBFRAMES
-
-    def _t_n_at(self, abs_idx: int) -> Optional[Instant]:
-        if self._tn_anchor is None:
-            return None
-        anchor_idx, anchor_tn = self._tn_anchor
-        return anchor_tn + (abs_idx - anchor_idx) * PS_PER_SUBFRAME
+        # t_n of absolute subframe 0, as the newest downlink places it. It
+        # is set by the first downlink, which precedes every grant.
+        self._tn_origin: Optional[Instant] = None
 
     # -- ingestion -------------------------------------------------------------
 
     def ingest(self, event: ProbeEvent) -> list[Measurement]:
         """Feed one event; returns measurements it produced (0 or 1)."""
-        stamp = event.stamp
+        frame, subframe, rx_time, carrier, msg, rb_alloc, rnti = event
         # Stamps built outside the simulator enter here: check their range.
-        frame, subframe = stamp.frame, stamp.subframe
         if not (0 <= frame <= 1023 and 0 <= subframe <= 9):
             raise ValueError(f"frame {frame} outside [0, 1023] or "
                              f"subframe {subframe} outside [0, 9]")
@@ -183,73 +173,63 @@ class ConnectionTable:
             abs_idx += delta
             if delta > 0:
                 self._cursor = (raw, abs_idx)
-        if stamp.carrier is Carrier.DOWNLINK:
-            self._ingest_downlink(event, abs_idx)
-            return []
-        return self._ingest_uplink(event, abs_idx)
-
-    def _ingest_downlink(self, event: ProbeEvent, abs_idx: int) -> None:
-        rx_time = event.stamp.rx_time
-        self._tn_anchor = (abs_idx, infer_t_n(rx_time, self.d_dlprobe_ps))
-        msg = event.message
         kind = type(msg)
-        if kind is RandomAccessResponse:
-            rnti = rnti_of_rar(msg)
-            rec = ConnectionRecord(rnti=rnti, ta_current=msg.ta)
-            rec.ta_history.append((rx_time, msg.ta))
-            self._grants[msg.grant.rb_alloc] = (rec, abs_idx)
-            self.records.append(rec)
-            # A reused RNTI replaces the old record, whose grants and TA
-            # commands can then no longer match.
-            self.by_rnti[rnti.value] = rec
-        elif kind is DciFormat0:
-            rec = self.by_rnti.get(msg.rnti.value)
-            if rec is not None:
-                self._grants[msg.rb_alloc] = (rec, abs_idx)
-        elif kind is MacTaCommand:
-            rnti = event.rnti
-            rec = self.by_rnti.get(rnti.value) if rnti else None
-            if rec is not None:
-                if self.ack_gating:
+
+        if carrier is Carrier.DOWNLINK:
+            # Subframe n was sent at t_n = origin + n ms.
+            self._tn_origin = (infer_t_n(rx_time, self.d_dlprobe_ps)
+                               - abs_idx * PS_PER_SUBFRAME)
+            if kind is RandomAccessResponse:
+                rnti = rnti_of_rar(msg)
+                rec = ConnectionRecord(rnti=rnti, ta_current=msg.ta)
+                rec.ta_history.append((rx_time, msg.ta))
+                self._grants[msg.grant.rb_alloc] = (rec, abs_idx)
+                self.records.append(rec)
+                # A reused RNTI replaces the old record, whose grants and TA
+                # commands can then no longer match.
+                self.by_rnti[rnti.value] = rec
+            elif kind is DciFormat0:
+                rec = self.by_rnti.get(msg.rnti.value)
+                if rec is not None:
+                    self._grants[msg.rb_alloc] = (rec, abs_idx)
+            elif kind is MacTaCommand and rnti is not None:
+                rec = self.by_rnti.get(rnti.value)
+                if rec is not None and self.ack_gating:
                     rec._pending_tas.append((msg.adjust, abs_idx))
-                else:
+                elif rec is not None:
                     self._apply_ta(rec, msg.adjust, rx_time)
+            return []
+
+        # Grants and TA commands issued before this subframe have expired.
+        live_from = self._cursor[1] - EXPIRY_SUBFRAMES
+        if kind is Ack:
+            rec = self.by_rnti.get(rnti.value) if rnti is not None else None
+            if rec is not None:
+                rec._pending_tas = [p for p in rec._pending_tas
+                                    if p[1] >= live_from]
+                if rec._pending_tas:
+                    adjust, _ = rec._pending_tas.pop(0)
+                    self._apply_ta(rec, adjust, rx_time)
+            return []
+
+        rec, issued_idx = self._grants.pop(rb_alloc, (None, 0))
+        if (rec is None or issued_idx < live_from
+                or self.by_rnti[rec.rnti.value] is not rec):
+            self.dropped_uplinks += 1
+            return []
+        if kind in _UPLINK_NOTES:
+            _UPLINK_NOTES[kind](rec, msg)
+        t_n = self._tn_origin + abs_idx * PS_PER_SUBFRAME
+        d_ta = TA_SPAN_PS[rec.ta_current]  # clamped or checked on entry
+        meas = tuple.__new__(Measurement, (frame, subframe, rx_time, t_n,
+                                           d_ta, rx_time - t_n + d_ta))
+        rec.measurements.append(meas)
+        return [meas]
 
     def _apply_ta(self, rec: ConnectionRecord, adjust: int,
                   t: Instant) -> None:
         rec.ta_current = max(0, min(rec.ta_current + adjust, TA_MAX))
         rec.ta_history.append((t, rec.ta_current))
-
-    def _ingest_uplink(self, event: ProbeEvent,
-                       abs_idx: int) -> list[Measurement]:
-        stamp, msg, rb_alloc, rnti = event
-        if type(msg) is Ack:
-            rec = self.by_rnti.get(rnti.value) if rnti else None
-            if rec is not None:
-                rec._pending_tas = [p for p in rec._pending_tas
-                                    if self._live(p[1])]
-                if rec._pending_tas:
-                    adjust, _ = rec._pending_tas.pop(0)
-                    self._apply_ta(rec, adjust, stamp.rx_time)
-            return []
-
-        rec, issued_idx = self._grants.pop(rb_alloc, (None, 0))
-        if (rec is None or not self._live(issued_idx)
-                or self.by_rnti[rec.rnti.value] is not rec):
-            self.dropped_uplinks += 1
-            return []
-        if msg is not None and type(msg) in _UPLINK_NOTES:
-            _UPLINK_NOTES[type(msg)](rec, msg)
-
-        t_n = self._t_n_at(abs_idx)
-        if t_n is None:
-            self.dropped_uplinks += 1
-            return []
-        toa = stamp.rx_time
-        d_ta = TA_SPAN_PS[rec.ta_current]  # clamped or checked on entry
-        meas = Measurement(stamp, toa, t_n, d_ta, toa - t_n + d_ta)
-        rec.measurements.append(meas)
-        return [meas]
 
     # -- output ----------------------------------------------------------------
 
@@ -265,6 +245,5 @@ class ConnectionTable:
             if imsi is None and imsi_by_tmsi and tmsi is not None:
                 imsi = imsi_by_tmsi.get(tmsi)
             ids = (imsi or "", "" if tmsi is None else tmsi, rec.rnti.value)
-            for stamp, toa, t_n, d_ta, sum_delay in rec.measurements:
-                yield (*ids, stamp.frame, stamp.subframe, toa, t_n, d_ta,
-                       sum_delay)
+            for meas in rec.measurements:
+                yield ids + meas

@@ -10,7 +10,10 @@ and per-entity streams stay independent.
 
 Each sniffer's stream is ordered by subframe, then downlink before
 uplink, then emission order. It is built in that order as the events are
-emitted, one list per subframe and carrier, with no global sort.
+emitted, one list per subframe and carrier, with no global sort. Each
+event is one flat ``probe.ProbeEvent``. The data rounds, which make most
+events, build theirs inline with the general helpers' arithmetic and in
+their call order, so both give the same bits and random draws.
 
 The injected-identity attack, when enabled, is driven by the real
 state machine from the extractor module; its downlink transmissions are
@@ -30,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import reprlib
 import sys
 import typing
@@ -49,10 +53,11 @@ from .geometry import Position
 from .messages import (Ack, AttachRequest, DciFormat0, IdentityRequest,
                        IdentityResponse, Imsi, MacTaCommand,
                        RandomAccessResponse, Rnti, RrcConnectionRequest,
-                       RrcConnectionSetup, ServiceRequest, Tmsi, UlGrant)
-from .probe import Carrier, ProbeEvent, SubframeStamp
-from .timebase import (DECODE_GATE_PS, PS_PER_SUBFRAME, TA_MAX, TA_SPAN_PS,
-                       m_to_ps, quantize_ta)
+                       RrcConnectionSetup, ServiceRequest, Tmsi, UlGrant,
+                       dci_format0)
+from .probe import Carrier, ProbeEvent
+from .timebase import (C_M_PER_S, DECODE_GATE_PS, PS_PER_SUBFRAME, TA_MAX,
+                       TA_SPAN_PS, m_to_ps, quantize_ta)
 
 #: Per-measurement uplink ToA jitter, pinned by the Monte-Carlo sweep in
 #: tools/calibrate_sigma.py: with 14 sum-delay measurements per connection
@@ -96,6 +101,24 @@ class Probe:
         return self.role in ("ul", "both")
 
 
+def _segment(points, t_ps: int) -> tuple:
+    """``(t1, t0, a, b)``: the piece of a waypoint path that holds at every
+    integer time from ``t_ps`` until before ``t1``.
+
+    The phone moves from ``a`` at ``t0`` to ``b`` at ``t1``, or stands at
+    ``a`` where ``b`` is None: up to the first waypoint's time at the
+    first waypoint, and from the last one's on at the last.
+    """
+    first, last = points[0][0], points[-1][0]
+    if t_ps <= first:
+        return first + 1, first, points[0][1], None
+    if t_ps >= last:
+        return math.inf, last, points[-1][1], None
+    i = bisect_right(points, t_ps, key=itemgetter(0)) - 1
+    (t0, a), (t1, b) = points[i], points[i + 1]  # t0 <= t_ps < t1
+    return t1, t0, a, b
+
+
 @dataclass(frozen=True)
 class UeProfile:
     """One device: identity, movement, and behavioral quirks."""
@@ -112,14 +135,11 @@ class UeProfile:
 
     def position_at(self, t_ps: int) -> tuple[float, float]:
         """(x, y) in metres, linear between the waypoints around ``t_ps``."""
-        points = self.waypoints
-        if points[0][0] < t_ps < points[-1][0]:
-            i = bisect_right(points, t_ps, key=itemgetter(0)) - 1
-            (t0, a), (t1, b) = points[i], points[i + 1]  # t0 <= t_ps < t1
-            w = (t_ps - t0) / (t1 - t0)
-            return a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
-        a = points[0 if t_ps <= points[0][0] else -1][1]
-        return a.x, a.y
+        t1, t0, a, b = _segment(self.waypoints, t_ps)
+        if b is None:
+            return a.x, a.y
+        w = (t_ps - t0) / (t1 - t0)
+        return a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
 
 
 @dataclass(frozen=True)
@@ -310,9 +330,11 @@ class _Allocator:
         self._rnti += 1
         return Rnti(0x40 + (self._rnti % 60_000))
 
-    def rb(self) -> int:
-        self._rb += 1
-        return 1 + (self._rb % 60_000)
+    def rbs(self, n: int) -> list:
+        """The next ``n`` resource-block allocations."""
+        first = self._rb + 1
+        self._rb += n
+        return [1 + (k % 60_000) for k in range(first, self._rb + 1)]
 
 
 class _Run:
@@ -354,9 +376,9 @@ class _Run:
         t_n = sf * PS_PER_SUBFRAME
         frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf
         for stream, delay in self.dl_probes:
-            stream[key].append(ProbeEvent(
-                SubframeStamp(frame, subframe, t_n + delay, Carrier.DOWNLINK),
-                message, None, rnti))
+            stream[key].append(tuple.__new__(ProbeEvent, (
+                frame, subframe, t_n + delay, Carrier.DOWNLINK, message, None,
+                rnti)))
 
     # -- one connection ------------------------------------------------------
 
@@ -419,13 +441,12 @@ class _Run:
                 rx = tx + d_probe
                 if noise is not None:
                     rx += next(noise)
-                stream[key].append(ProbeEvent(
-                    SubframeStamp(frame, subframe, rx, Carrier.UPLINK),
-                    message, rb, rnti))
+                stream[key].append(tuple.__new__(ProbeEvent, (
+                    frame, subframe, rx, Carrier.UPLINK, message, rb, rnti)))
                 if measured:
-                    ground_truth.append(GroundTruthRow(
+                    ground_truth.append(tuple.__new__(GroundTruthRow, (
                         conn_id, ue_index, ue.model, imsi, probe_id, sf, t_n,
-                        x, y, d, d_probe, d + d_probe, tx_extra, ta))
+                        x, y, d, d_probe, d + d_probe, tx_extra, ta)))
 
         emit_downlink, faults = self._emit_downlink, self.faults
 
@@ -467,7 +488,7 @@ class _Run:
             return actions
 
         # Random access: RAR two subframes after the (unmodeled) preamble.
-        rb_msg3 = self.alloc.rb()
+        [rb_msg3] = self.alloc.rbs(1)
         self._emit_downlink(start_sf + 2,
                             RandomAccessResponse(rnti, ta0,
                                                  UlGrant(_MSG3_OFFSET,
@@ -481,7 +502,7 @@ class _Run:
         self._emit_downlink(start_sf + 8, setup, rnti)
         attacker_sees(setup)
 
-        rb_nas = self.alloc.rb()
+        [rb_nas] = self.alloc.rbs(1)
         self._emit_downlink(start_sf + 8,
                             DciFormat0(rnti, _MSG3_OFFSET, rb_nas, 5), rnti)
         if ue.connection_type == "attach":
@@ -509,7 +530,7 @@ class _Run:
                 answers = (attacker.trigger == "attach"
                            or ue.answers_identity_after_service_request)
                 if answers:
-                    rb_id = self.alloc.rb()
+                    [rb_id] = self.alloc.rbs(1)
                     self._emit_downlink(inject_sf,
                                         DciFormat0(rnti, _MSG3_OFFSET,
                                                    rb_id, 5), rnti)
@@ -525,7 +546,10 @@ class _Run:
                                 (inject_sf + 4) * PS_PER_SUBFRAME,
                                 attacker, "replaced")
 
-        # Data rounds plus interleaved timing-advance maintenance.
+        # Data rounds plus interleaved timing-advance maintenance. A round
+        # calls no helper but the DCI builder: it spells out ``at``,
+        # ``ta_at`` and ``uplink`` with the same arithmetic and reads the
+        # waypoints again only once its time passes the segment last read.
         end_sf = info.end_sf
         ta_slots = []
         if ue.ta_interval > 0:
@@ -534,16 +558,53 @@ class _Run:
         slot_iter = iter(ta_slots)
         next_slot = next(slot_iter, None)
 
-        next_rb, loss_prob = self.alloc.rb, scn.faults.grant_loss_prob
-        first_dci = start_sf + _ROUNDS_START
-        for dci_sf in range(first_dci, first_dci + 4 * ue.n_data_rounds, 4):
+        loss_prob, dl_probes = scn.faults.grant_loss_prob, self.dl_probes
+        new, points, model = tuple.__new__, ue.waypoints, ue.model
+        downlink, uplink_carrier = Carrier.DOWNLINK, Carrier.UPLINK
+        seg_end = 0  # no segment read yet; rounds go forward in time
+        n_rounds, first_dci = ue.n_data_rounds, start_sf + _ROUNDS_START
+        for dci_sf, rb in zip(range(first_dci, first_dci + 4 * n_rounds, 4),
+                              self.alloc.rbs(n_rounds)):
             while next_slot is not None and next_slot < dci_sf:
                 ta_maintenance(next_slot)
                 next_slot = next(slot_iter, None)
-            rb = next_rb()
-            emit_downlink(dci_sf, DciFormat0(rnti, _MSG3_OFFSET, rb, 5), rnti)
-            if not (loss_prob > 0 and next(faults) < loss_prob):
-                uplink(dci_sf + 4, None, rb)
+            dci = dci_format0(rnti, _MSG3_OFFSET, rb, 5)
+            t_n = dci_sf * PS_PER_SUBFRAME
+            frame, subframe = (dci_sf // 10) % 1024, dci_sf % 10
+            key = 2 * dci_sf
+            for stream, delay in dl_probes:
+                stream[key].append(new(ProbeEvent, (
+                    frame, subframe, t_n + delay, downlink, dci, None, rnti)))
+            if loss_prob > 0 and next(faults) < loss_prob:
+                continue
+
+            sf = dci_sf + 4
+            t_n = sf * PS_PER_SUBFRAME
+            if t_n >= seg_end:
+                seg_end, t0, a, b = _segment(points, t_n)
+            if b is None:
+                x, y = a.x, a.y
+            else:
+                w = (t_n - t0) / (seg_end - t0)
+                x, y = a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
+            d = round(hypot(x - ex, y - ey) * 1e12 / C_M_PER_S)
+            for eff, ta in reversed(ta_timeline):
+                if eff <= sf:
+                    break
+            else:
+                ta = ta0
+            tx = t_n + d + tx_extra - TA_SPAN_PS[ta]
+            frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf + 1
+            for probe_id, stream, px, py, noise in ul_probes:
+                d_probe = round(hypot(x - px, y - py) * 1e12 / C_M_PER_S)
+                rx = tx + d_probe
+                if noise is not None:
+                    rx += next(noise)
+                stream[key].append(new(ProbeEvent, (
+                    frame, subframe, rx, uplink_carrier, None, rb, None)))
+                ground_truth.append(new(GroundTruthRow, (
+                    conn_id, ue_index, model, imsi, probe_id, sf, t_n, x, y,
+                    d, d_probe, d + d_probe, tx_extra, ta)))
 
 
 def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:

@@ -174,10 +174,10 @@ def event_line(event) -> str:
     if event.message is not None:
         message_hex = encode(event.message).hex()
     return json.dumps({
-        "frame": event.stamp.frame,
-        "subframe": event.stamp.subframe,
-        "rx_ps": event.stamp.rx_time,
-        "carrier": ("downlink" if event.stamp.carrier is Carrier.DOWNLINK
+        "frame": event.frame,
+        "subframe": event.subframe,
+        "rx_ps": event.rx_time,
+        "carrier": ("downlink" if event.carrier is Carrier.DOWNLINK
                     else "uplink"),
         "rnti": event.rnti.value if event.rnti is not None else None,
         "rb_alloc": event.rb_alloc,

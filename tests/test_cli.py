@@ -359,8 +359,27 @@ def _csv_dir(tmp_path):
     return ["cdf", str(tmp_path / "errors.csv")], str(tmp_path / "errors.csv")
 
 
+def _csv_with_short_row(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("conn,error_m\nc1\n")
+    return ["cdf", str(path)], str(path)
+
+
+def _csv_with_nan_error(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("conn,error_m\nc1,nan\nc2,1\n")
+    return ["cdf", str(path)], str(path)
+
+
+def _csv_with_infinite_error(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("conn,model,error_m\nc1,m,1\nc2,m,-inf\n")
+    return ["cdf", "--group-by", "model", str(path)], str(path)
+
+
 @pytest.mark.parametrize("make_args", [
-    _scenario_dir, _latin1_scenario, _csv_without_error_m, _csv_dir])
+    _scenario_dir, _latin1_scenario, _csv_without_error_m, _csv_dir,
+    _csv_with_short_row, _csv_with_nan_error, _csv_with_infinite_error])
 def test_unusable_inputs_exit_2_with_one_error_line(tmp_path, capsys,
                                                      make_args):
     argv, named = make_args(tmp_path)

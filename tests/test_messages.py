@@ -173,6 +173,34 @@ def test_encode_rejects_out_of_range_fields():
         m.CapabilityVector(b"\x00" * 31)
 
 
+_DCI0_FIELDS = ("subframe_offset", "rb_alloc", "mcs")
+
+
+@pytest.mark.parametrize("field, value", [
+    (f, v) for f, hi in zip(_DCI0_FIELDS, (255, 0xFFFF, 31))
+    for v in (-1, hi + 1, 4.0, True, "4", None)])
+def test_dci_format0_builder_refuses_what_the_constructor_refuses(field,
+                                                                  value):
+    args = dict(rnti=m.Rnti(0x44), subframe_offset=4, rb_alloc=7, mcs=5)
+    args[field] = value
+    with pytest.raises(ValueError) as ctor:
+        m.DciFormat0(**args)
+    with pytest.raises(ValueError) as fast:
+        m.dci_format0(**args)
+    assert str(fast.value) == str(ctor.value)
+
+
+@pytest.mark.parametrize("args", [
+    (0, 0, 0), (255, 0xFFFF, 31), (4, 7, 5), (m.IdType.IMSI, 7, 5)])
+def test_dci_format0_builder_matches_the_constructor(args):
+    fast, built = (make(m.Rnti(0x44), *args)
+                   for make in (m.dci_format0, m.DciFormat0))
+    assert type(fast) is m.DciFormat0
+    assert fast == built and hash(fast) == hash(built)
+    assert repr(fast) == repr(built)
+    assert m.encode(fast) == m.encode(built)
+
+
 # --- helpers ----------------------------------------------------------------
 
 def test_rnti_of_rar():

@@ -649,3 +649,19 @@ def test_artifacts_match_their_golden_digests():
         lines = tool.digest_lines(scenario)
         assert {path: digest for digest, path in
                 (line.split("  ") for line in lines)} == golden
+
+
+def test_digest_tool_runs_a_benchmark_workload_layout(capsys, monkeypatch):
+    # --workload makes each run's scenario from the perfbench layout with
+    # the run seed as the layout seed, so no scenario file is needed.
+    tool = _digest_tool()
+    assert tool.main(["--workload", "drive", "--seed", "3",
+                      "--stages", "simulate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench import workloads
+    scenario = sim.scenario_from_dict(workloads.drive(3))
+    assert scenario.seed == 3
+    assert lines == tool.digest_lines(scenario, stages=("simulate",))
+    assert [line.split("  ")[1] for line in lines] == [
+        "3/events_probe0.jsonl", "3/ground_truth.csv"]

@@ -6,24 +6,23 @@ from tatrack import timebase as tb
 from tatrack.messages import (Ack, DciFormat0, MacTaCommand,
                               RandomAccessResponse, Rnti, RrcConnectionRequest,
                               ServiceRequest, Tmsi, UlGrant)
-from tatrack.probe import (Carrier, ConnectionTable, ProbeEvent, SubframeStamp,
-                           infer_t_n)
+from tatrack.probe import Carrier, ConnectionTable, ProbeEvent, infer_t_n
 
 RNTI = Rnti(0x004A)
 
 
-def _stamp(idx, rx, carrier):
-    return SubframeStamp(frame=(idx // 10) % 1024, subframe=idx % 10,
-                         rx_time=rx, carrier=carrier)
+def _event(idx, rx, carrier, msg, rb, rnti):
+    return ProbeEvent(frame=(idx // 10) % 1024, subframe=idx % 10,
+                      rx_time=rx, carrier=carrier, message=msg, rb_alloc=rb,
+                      rnti=rnti)
 
 
 def dl(idx, rx, msg=None, rnti=None):
-    return ProbeEvent(_stamp(idx, rx, Carrier.DOWNLINK), msg, rnti=rnti)
+    return _event(idx, rx, Carrier.DOWNLINK, msg, None, rnti)
 
 
 def ul(idx, rx, msg=None, rb=None, rnti=None):
-    return ProbeEvent(_stamp(idx, rx, Carrier.UPLINK), msg, rb_alloc=rb,
-                      rnti=rnti)
+    return _event(idx, rx, Carrier.UPLINK, msg, rb, rnti)
 
 
 # -- t_n recovery --------------------------------------------------------------
@@ -37,8 +36,10 @@ def test_infer_t_n_values():
 
 def test_t_n_chains_in_exact_milliseconds():
     table = ConnectionTable()
-    table.ingest(dl(10, 10 * 10**9))
-    assert table._t_n_at(13) == 13 * 10**9
+    table.ingest(dl(10, 10 * 10**9,
+                    RandomAccessResponse(RNTI, TA0, UlGrant(3, 0x10, 3))))
+    [meas] = table.ingest(ul(13, _uplink_rx(13, TA0), rb=0x10))
+    assert meas.t_n == 13 * 10**9
 
 
 # -- scripted connection -------------------------------------------------------
@@ -206,8 +207,8 @@ def test_out_of_range_stamp_refused_at_ingest(frame, subframe, carrier):
     table = ConnectionTable()
     table.ingest(dl(10, 10 * 10**9))
     for edge in ((0, 0), (1023, 9)):
-        table.ingest(ProbeEvent(SubframeStamp(*edge, 10**9, carrier)))
-    bad = ProbeEvent(SubframeStamp(frame, subframe, 10**9, carrier))
+        table.ingest(ProbeEvent(*edge, 10**9, carrier))
+    bad = ProbeEvent(frame, subframe, 10**9, carrier)
     with pytest.raises(ValueError):
         table.ingest(bad)
 

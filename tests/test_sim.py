@@ -110,11 +110,11 @@ def test_downlink_never_precedes_its_subframe_start():
     result = sim.run(scn)
     checked = 0
     for event in result.events["probe0"]:
-        if event.stamp.carrier is not Carrier.DOWNLINK:
+        if event.carrier is not Carrier.DOWNLINK:
             continue
-        start = ((event.stamp.frame * 10 + event.stamp.subframe)
+        start = ((event.frame * 10 + event.subframe)
                  * tb.PS_PER_SUBFRAME)
-        assert event.stamp.rx_time >= start
+        assert event.rx_time >= start
         checked += 1
     assert checked
 
@@ -129,11 +129,11 @@ def test_uplink_lands_within_quantization_of_subframe_start():
     bound = tb.ta_span(1) // 2 + 6 * sigma
     checked = 0
     for event in result.events["probe0"]:
-        if event.stamp.carrier is not Carrier.UPLINK:
+        if event.carrier is not Carrier.UPLINK:
             continue
-        start = ((event.stamp.frame * 10 + event.stamp.subframe)
+        start = ((event.frame * 10 + event.subframe)
                  * tb.PS_PER_SUBFRAME)
-        assert abs(event.stamp.rx_time - start) <= bound
+        assert abs(event.rx_time - start) <= bound
         checked += 1
     assert checked
 
@@ -143,8 +143,8 @@ def test_events_sorted_by_reception_time_per_carrier():
     result = sim.run(scn)
     by_carrier = {}
     for event in result.events["probe0"]:
-        by_carrier.setdefault(event.stamp.carrier, []).append(
-            event.stamp.rx_time)
+        by_carrier.setdefault(event.carrier, []).append(
+            event.rx_time)
     for times in by_carrier.values():
         assert times == sorted(times)
 
@@ -180,17 +180,16 @@ def test_each_stream_is_ordered_by_subframe_then_downlink_first():
     both = result.events["both"]
     granted = {e.message.rb_alloc for e in both
                if type(e.message) is DciFormat0}
-    used = {e.rb_alloc for e in both if e.stamp.carrier is Carrier.UPLINK}
+    used = {e.rb_alloc for e in both if e.carrier is Carrier.UPLINK}
     assert granted - used  # some grants were lost
     for probe_id, carriers in (("both", {Carrier.DOWNLINK, Carrier.UPLINK}),
                                ("dl", {Carrier.DOWNLINK}),
                                ("ul", {Carrier.UPLINK})):
         events = result.events[probe_id]
-        assert {e.stamp.carrier for e in events} == carriers
+        assert {e.carrier for e in events} == carriers
         abs_sf, prev = None, None
         for event in events:
-            stamp = event.stamp
-            raw = stamp.frame * 10 + stamp.subframe
+            raw = event.frame * 10 + event.subframe
             if abs_sf is None:
                 abs_sf = raw
             else:
@@ -199,8 +198,8 @@ def test_each_stream_is_ordered_by_subframe_then_downlink_first():
                 abs_sf += step
                 if step == 0:
                     assert not (prev.carrier is Carrier.UPLINK
-                                and stamp.carrier is Carrier.DOWNLINK)
-            prev = stamp
+                                and event.carrier is Carrier.DOWNLINK)
+            prev = event
         assert abs_sf > 1_600
 
 
@@ -318,6 +317,49 @@ def test_ungated_probe_is_exact_when_no_resends_happen():
     result = sim.run(scn)
     errors = _errors_ps(result, _measure(result, ack_gating=False))
     assert errors and all(err == 0 for _, err in errors)
+
+
+# -- data rounds -----------------------------------------------------------------
+
+def test_data_rounds_place_the_phone_as_position_at_does():
+    # A data round reads the phone's waypoints again only when its time
+    # leaves the segment it read last. Connections here start before the
+    # first waypoint, cross two waypoints (and a jump, two waypoints at one
+    # instant) mid-connection, and run past the last one; rounds land
+    # exactly on the first and the last waypoint's time.
+    sf = tb.PS_PER_SUBFRAME
+    waypoints = ((210 * sf, Position(350.0, -120.0)),
+                 (610 * sf, Position(520.5, 40.25)),
+                 (610 * sf, Position(480.0, 90.0)),
+                 (702 * sf, Position(610.0, 10.0)),
+                 (1210 * sf, Position(300.0, 300.0)))
+    ue = sim.UeProfile(model="Huawei P30", waypoints=waypoints,
+                       reconnect_rate=120.0, n_data_rounds=100,
+                       ta_interval=8)
+    probes = (sim.Probe("p0", Position(0.0, 0.0)),
+              sim.Probe("p1", Position(250.0, -80.0)))
+    scn = _scenario([ue], probes=probes, duration_s=3, seed=3,
+                    faults=sim.FaultModel(ta_resend_prob=0.5,
+                                          grant_loss_prob=0.2))
+    result = sim.run(scn)
+    starts = [c.start_sf for c in result.connections]
+    assert starts[:3] == [10, 510, 1010]
+    assert any(c.ta_resend_sfs for c in result.connections)
+    rows = result.ground_truth
+    rounds = len(starts) * ue.n_data_rounds + 2 * len(starts)  # + NAS
+    assert len(rows) < len(probes) * rounds  # some grants were lost
+    times = {row.t_n_ps for row in rows}
+    assert {210 * sf, 1210 * sf} <= times
+    assert min(times) < 210 * sf and max(times) > 1210 * sf
+    assert any(610 * sf < t < 702 * sf for t in times)
+    at = {p.id: p.position for p in probes}
+    for row in rows:
+        x, y = ue.position_at(row.t_n_ps)
+        assert (row.x_m, row.y_m) == (x, y)
+        assert row.d_ue_ps == tb.m_to_ps(math.hypot(x, y))
+        probe = at[row.probe_id]
+        assert row.d_probe_ps == tb.m_to_ps(math.hypot(x - probe.x,
+                                                       y - probe.y))
 
 
 # -- identity-request attack ---------------------------------------------------
@@ -559,8 +601,8 @@ def test_block_fault_uniforms_match_scalar_draws():
 
 
 def _uplink_rx(result, probe_id):
-    return [e.stamp.rx_time for e in result.events[probe_id]
-            if e.stamp.carrier is Carrier.UPLINK]
+    return [e.rx_time for e in result.events[probe_id]
+            if e.carrier is Carrier.UPLINK]
 
 
 def test_each_uplink_probe_draws_from_its_own_stream(monkeypatch):
