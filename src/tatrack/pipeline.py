@@ -27,7 +27,7 @@ Where ``os.fork`` is missing, the same writer runs in this process.
 
 A scenario has exactly one eNodeB (``Scenario.validate`` refuses more):
 localization takes its foci and downlink delays from that eNodeB, and
-every connection view carries cell 0.
+every connection id names cell 0.
 """
 
 import json
@@ -50,9 +50,9 @@ from .geometry import (AnnulusLocus, ConvergenceError, InfeasibleSumError,
 from .messages import CapabilityVector, encode
 from .probe import ConnectionTable, Measurement, ProbeEvent
 from .timebase import m_to_ps, ps_to_m, quantize_ta
-from .tracker import (ConnectionSummary, TracePoint, TrackDb,
-                      connection_stats, median_of_sorted, provisional_id,
-                      quantile_of_sorted, stats_csv_rows, trace_csv_rows)
+from .tracker import (ConnectionStats, ConnectionSummary, TracePoint,
+                      TrackDb, connection_stats, median_of_sorted,
+                      provisional_id, quantile_of_sorted, trace_csv_rows)
 
 #: Every stage, in run order, with the stages it needs. Stage ``name`` is
 #: the function ``stage_<name>`` of this module.
@@ -106,8 +106,7 @@ class ProbeLeg:
 
     probe_id: str
     record: object
-    sums: list
-    stats: object = None  # connection_stats over sums, in picoseconds
+    stats: Optional[ConnectionStats]  # over the delay sums, in picoseconds
 
 
 @dataclass
@@ -182,8 +181,8 @@ def stage_localize(ctx: RunContext) -> None:
             rar_rx, _ = record.ta_history[0]
             start_ps = rar_rx - ctx.tables[probe_id].d_dlprobe_ps
             leg = ProbeLeg(probe_id=probe_id, record=record,
-                           sums=list(map(_SUM_DELAY, record.measurements)))
-            leg.stats = connection_stats(leg.sums)
+                           stats=connection_stats(
+                               list(map(_SUM_DELAY, record.measurements))))
             groups.setdefault((start_ps, record.rnti.value), []).append(leg)
 
     views = [_merge_legs(start_ps, rnti, legs)
@@ -237,11 +236,9 @@ def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:
         end_ps = max(end_ps, max(map(_T_N, rec.measurements), default=end_ps))
         d_ta_values.extend(map(_D_TA, rec.measurements))
     conn = ConnectionSummary(
-        conn_id=f"0-{rnti:#06x}-{start_ps}", cell_id=0, rnti=rnti,
-        start_ps=start_ps, end_ps=end_ps, tmsi=tmsi,
-        tmsi_is_random=tmsi_is_random, had_service_request=had_service,
-        observed_imsi=observed_imsi,
-        distances_m=tuple(ps_to_m(s) / 2 for s in legs[0].sums))
+        conn_id=f"0-{rnti:#06x}-{start_ps}", rnti=rnti, start_ps=start_ps,
+        end_ps=end_ps, tmsi=tmsi, tmsi_is_random=tmsi_is_random,
+        had_service_request=had_service, observed_imsi=observed_imsi)
     return ConnectionView(conn=conn, capabilities=capabilities,
                           legs={leg.probe_id: leg for leg in legs},
                           ta_index=_ta_index(d_ta_values))
@@ -579,8 +576,19 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
         for identity in sorted(ctx.track_db.traces):
             trace_rows.extend(trace_csv_rows(ctx.track_db, identity))
         _write_csv(out / "traces.csv", _TRACE_COLUMNS, trace_rows)
-        _write_csv(out / "connection_stats.csv", _CONN_STATS_COLUMNS,
-                   stats_csv_rows(ctx.track_db))
+        # Half the first sniffer's delay-sum statistics, in metres.
+        rows = []
+        for view in sorted(ctx.views,
+                           key=lambda v: (v.conn.rnti, v.conn.start_ps)):
+            stats = view.legs[min(view.legs)].stats
+            if stats is not None:
+                rows.append({
+                    "conn_id": view.conn.conn_id, "linked": view.linked,
+                    "median_distance_m": ps_to_m(stats.median) / 2,
+                    "n_measurements": stats.n_measurements,
+                    "n_outliers_removed": stats.n_outliers_removed,
+                    "iqr_m": ps_to_m(stats.iqr) / 2})
+        _write_csv(out / "connection_stats.csv", _CONN_STATS_COLUMNS, rows)
     if "stats" in stages:
         _write_csv(out / "stats.csv", _STATS_COLUMNS, ctx.stats_rows)
         _write_csv(out / "errors.csv", _ERROR_COLUMNS, ctx.error_rows)

@@ -3,11 +3,12 @@
 Linkage resolves a finished connection to an IMSI (directly, via a stored
 TMSI pair, or via a captured identity), or to a provisional anonymous id
 that is never merged by guesswork.  Localization links every connection
-before it solves any; ``ingest`` then stores a linked connection and
-extends its identity's time-ordered trace with the estimates as
-localization solved them, bias correction included.  The database links,
-stores and journals, and never solves.  All connections are taken to
-come from one cell: there is no linkage across a handover.
+before it solves any; ``ingest`` then extends the linked identity's
+time-ordered trace with the estimates as localization solved them, bias
+correction included, and journals the connection.  The database links,
+keeps traces and journals; it never solves and keeps no measurements.
+All connections are taken to come from one cell: there is no linkage
+across a handover.
 
 Each TMSI maps to the one IMSI it was last bound to, the only binding
 linkage reads.  State is a deterministic function of the linked and
@@ -107,7 +108,6 @@ class ConnectionSummary:
     """What the tracker needs to know about one finished connection."""
 
     conn_id: str
-    cell_id: int
     rnti: int
     start_ps: int
     end_ps: int
@@ -115,12 +115,7 @@ class ConnectionSummary:
     tmsi_is_random: bool = False
     had_service_request: bool = False
     observed_imsi: Optional[str] = None
-    distances_m: tuple = ()
     points: tuple = ()
-
-    @property
-    def key(self) -> tuple:
-        return (self.cell_id, self.rnti, self.start_ps)
 
     @property
     def stable_tmsi(self) -> Optional[int]:
@@ -151,8 +146,6 @@ def _extraction_imsi(conn: ConnectionSummary,
 class TrackDb:
     def __init__(self) -> None:
         self.pairs: dict[int, str] = {}
-        self.connections: dict[tuple, ConnectionSummary] = {}
-        self.link_of: dict[tuple, str] = {}
         self.traces: dict[str, list[TracePoint]] = {}
         self.fingerprints: dict[str, tuple[str, float]] = {}
         self.journal: list[dict] = []
@@ -190,9 +183,8 @@ class TrackDb:
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, conn: ConnectionSummary, linked: str) -> None:
-        """Store a linked connection, extend its trace and journal it."""
-        self.connections[conn.key] = conn
-        self.link_of[conn.key] = linked
+        """Extend the linked identity's trace with the connection's points
+        and journal the connection; its measurements are not kept."""
         trace = self.traces.setdefault(linked, [])
         trace.extend(conn.points)
         trace.sort(key=lambda p: p.t_ps)
@@ -247,13 +239,11 @@ def _point_to_json(point: TracePoint) -> dict:
 
 
 def _conn_to_json(conn: ConnectionSummary) -> dict:
-    return {"conn_id": conn.conn_id, "cell_id": conn.cell_id,
-            "rnti": conn.rnti, "start_ps": conn.start_ps,
-            "end_ps": conn.end_ps, "tmsi": conn.tmsi,
-            "tmsi_is_random": conn.tmsi_is_random,
+    return {"conn_id": conn.conn_id, "rnti": conn.rnti,
+            "start_ps": conn.start_ps, "end_ps": conn.end_ps,
+            "tmsi": conn.tmsi, "tmsi_is_random": conn.tmsi_is_random,
             "had_service_request": conn.had_service_request,
             "observed_imsi": conn.observed_imsi,
-            "distances_m": list(conn.distances_m),
             "points": [_point_to_json(p) for p in conn.points]}
 
 
@@ -265,16 +255,3 @@ def trace_csv_rows(db: TrackDb, imsi: str) -> Iterable[dict]:
                "x_m": point.position.x, "y_m": point.position.y,
                "residual_rms_m": point.estimate.residual_rms,
                "corrected": point.corrected}
-
-
-def stats_csv_rows(db: TrackDb) -> Iterable[dict]:
-    for key in sorted(db.connections):
-        conn = db.connections[key]
-        stats = connection_stats(conn.distances_m)
-        if stats is None:
-            continue
-        yield {"conn_id": conn.conn_id, "linked": db.link_of[key],
-               "median_distance_m": stats.median,
-               "n_measurements": stats.n_measurements,
-               "n_outliers_removed": stats.n_outliers_removed,
-               "iqr_m": stats.iqr}

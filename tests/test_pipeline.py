@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import importlib
+import json
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -125,7 +126,7 @@ def _assert_service_views_corrected(ctx):
         assert view.estimate.position.distance_to(Position(45.0, 0.0)) < 0.05
     db = ctx.track_db
     for view in ctx.views:
-        [point] = [p for p in db.build_trace(db.link_of[view.conn.key])
+        [point] = [p for p in db.build_trace(view.linked)
                    if p.t_ps == view.conn.start_ps]
         assert point.estimate == view.estimate
         assert point.corrected == (view.hw_bias_m is not None)
@@ -204,8 +205,8 @@ def test_track_without_extract_links_by_observed_imsis():
     stages = pl.check_stages(("simulate", "probe", "localize", "track"))
     ctx = pl.run_pipeline(scn, stages)
     assert ctx.extraction_entries == []
-    assert set(ctx.track_db.link_of.values()) == {"001010000000001",
-                                                  "001010000000002"}
+    assert {v.linked for v in ctx.views} == {"001010000000001",
+                                             "001010000000002"}
     for imsi in ("001010000000001", "001010000000002"):
         assert ctx.track_db.build_trace(imsi)
 
@@ -216,8 +217,8 @@ def test_extraction_links_views_to_imsis():
                       tmsi=0xA0000002))
     scn = _scenario(ues, noise=ZERO, attack=sim.AttackConfig(enabled=True))
     ctx = pl.run_pipeline(scn)
-    assert set(ctx.track_db.link_of.values()) == {"001010000000001",
-                                                  "001010000000002"}
+    assert {v.linked for v in ctx.views} == {"001010000000001",
+                                             "001010000000002"}
     for imsi in ("001010000000001", "001010000000002"):
         assert ctx.track_db.build_trace(imsi)
 
@@ -414,6 +415,47 @@ def test_each_message_is_encoded_once_per_write(tmp_path, monkeypatch):
             "".join(event_line(e) for e in events)
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("workload", ["golden", "crowd"])
+def test_connection_stats_agree_with_stats_and_journal(tmp_path, workload):
+    # connection_stats.csv is half the first sniffer's delay-sum statistics
+    # in metres: the same statistics stats.csv gives for that sniffer, and
+    # the identity the journal links the connection to.
+    if workload == "golden":
+        scn = _golden_scenario()
+    else:
+        from perfbench import workloads
+        scn = sim.scenario_from_dict(workloads.crowd(0))
+    ctx = pl.run_pipeline(scn, out_dir=tmp_path)
+    assert any(len(view.legs) > 1 for view in ctx.views)
+    first_probe = {v.conn.conn_id: min(v.legs) for v in ctx.views}
+    first_rows = {row["conn"]: row
+                  for row in _csv_rows(tmp_path / "stats.csv")
+                  if row["probe"] == first_probe[row["conn"]]}
+    linked = {}
+    with open(tmp_path / "trackdb.jsonl") as fh:
+        for line in fh:
+            entry = json.loads(line)
+            if entry["event"] == "connection":
+                linked[entry["conn_id"]] = entry["linked"]
+    rows = _csv_rows(tmp_path / "connection_stats.csv")
+    order = {v.conn.conn_id: (v.conn.rnti, v.conn.start_ps)
+             for v in ctx.views}
+    assert [row["conn_id"] for row in rows] == sorted(first_rows,
+                                                      key=order.get)
+    for row in rows:
+        first = first_rows[row["conn_id"]]
+        assert row["n_measurements"] == first["n_meas"]
+        assert row["n_outliers_removed"] == first["n_removed"]
+        assert float(row["median_distance_m"]) == \
+            ps_to_m(float(first["median_sum_ps"])) / 2, row["conn_id"]
+        assert row["linked"] == linked[row["conn_id"]]
+
+
 def test_numpy_scalars_are_written_as_plain_digits(tmp_path):
     path = tmp_path / "row.csv"
     rows = [{"a": np.float64(1.5), "b": np.int64(-7),
@@ -527,10 +569,12 @@ def _golden_scenario():
                      attack=sim.AttackConfig(enabled=True))
 
 
-#: Digest of each artifact, by seed/file, recorded at a41b51f.
+#: Digest of each artifact, by seed/file, recorded at a41b51f;
+#: connection_stats.csv and trackdb.jsonl re-recorded when the journal
+#: dropped the measurement copy.
 GOLDEN_REPLICATION = {
     "11/connection_stats.csv":
-        "2c4d4dc86075f7f94a275310e423812472f77d678cc6f37385cbf97141f1e41b",
+        "655334a25d7c7427a52b336e0d32d367a21dd69308afcaacd568b1a19668ce04",
     "11/errors.csv":
         "116e0ab78ef3a19cb74840ca0bd9b3c6f64312ba6e703d7ed6c8ff67063a922e",
     "11/events_probe0.jsonl":
@@ -552,11 +596,11 @@ GOLDEN_REPLICATION = {
     "11/traces.csv":
         "1b3936b8c1fa940c78e534856a507e74dd9b535770b30ed913ca620391beb647",
     "11/trackdb.jsonl":
-        "994470f2b525f7460bc1e01a538c04f372f2012b4e04677d72e01a4b78d538da",
+        "860d2ffe1f06fa0b10f55b82a2c5c8bdf2429e6c7a9307612952d4f85008233b",
 }
 GOLDEN_SMALL = {
     "17/connection_stats.csv":
-        "b4e55b4ab215482caf1a888cea4fb260064edd4d789c110f9a4cfaba80371c5e",
+        "1827a52594df720a419148110f0735e4de46ab154ef797ed61bc5243bf37f9a0",
     "17/errors.csv":
         "0734f5f15be0bacfe3fa9623bc5663d0cf00246a9f6aa476c1c77257d0ee4a29",
     "17/events_p0.jsonl":
@@ -582,7 +626,7 @@ GOLDEN_SMALL = {
     "17/traces.csv":
         "693d137dbc98b06bc2f6835360fc6618c6a4afbef681456cdf32f84c46d713fe",
     "17/trackdb.jsonl":
-        "9ea49d5e0afdade1c08ac908b4cbaf0c6b222c83da31a0dbe4ffe4dcb28999e1",
+        "9932708e4c4797d68db6e995b3972ade2e4a0a6535224961dd972b01cdd2829a",
 }
 
 
@@ -594,10 +638,12 @@ def _golden_offset_scenario():
                        mode="random_offset", max_offset_ps=400_000))
 
 
-#: Digest of each artifact, by seed/file, recorded at 381edb2.
+#: Digest of each artifact, by seed/file, recorded at 381edb2;
+#: connection_stats.csv and trackdb.jsonl re-recorded when the journal
+#: dropped the measurement copy.
 GOLDEN_OFFSET = {
     "17/connection_stats.csv":
-        "6368d60e25a2e022b522cf9b6a0ec2895bef9b08e0f3e9264cd637b02c136b30",
+        "177f8b98d6bfe2513c368f76b781445097d365d4d00b2e6445d380910e87b32f",
     "17/errors.csv":
         "1988f15f31a93182c43fa918fd7fa60758d27aad268b68a7cd0cfca11e1ab19b",
     "17/events_p0.jsonl":
@@ -627,7 +673,7 @@ GOLDEN_OFFSET = {
     "17/traces.csv":
         "1d1880080f94f730ef56c03053a00ef8487b738c549ca83dcabd89198848b771",
     "17/trackdb.jsonl":
-        "8c1aaeea69eaf96bec025ba16e76a2497ecf45ebf663c9385e1d619b398b097f",
+        "08cdb37d998a36a22603bf4a2b02a9cc0ee6d59efca20f525742f0ab4d702719",
 }
 
 

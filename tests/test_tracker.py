@@ -1,5 +1,7 @@
 """Linkage-database behavior on scripted connection streams."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,7 @@ from tatrack.tracker import (ConnectionStats, ConnectionSummary,
                              IntegrityError, TracePoint, TrackDb,
                              connection_stats, median_of_sorted,
                              provisional_id, quantile_of_sorted,
-                             stats_csv_rows, trace_csv_rows)
+                             trace_csv_rows)
 
 SEC = 10**12
 IMSI = "001010000000017"
@@ -20,15 +22,12 @@ def _point(t_ps, x, y):
     return TracePoint(t_ps=t_ps, estimate=est)
 
 
-def _conn(conn_id, start, end, cell=0, rnti=0x4A, tmsi=None,
-          is_random=False, service=False, imsi=None, points=(),
-          distances=()):
-    return ConnectionSummary(conn_id=conn_id, cell_id=cell, rnti=rnti,
-                             start_ps=start, end_ps=end, tmsi=tmsi,
-                             tmsi_is_random=is_random,
+def _conn(conn_id, start, end, rnti=0x4A, tmsi=None, is_random=False,
+          service=False, imsi=None, points=()):
+    return ConnectionSummary(conn_id=conn_id, rnti=rnti, start_ps=start,
+                             end_ps=end, tmsi=tmsi, tmsi_is_random=is_random,
                              had_service_request=service,
-                             observed_imsi=imsi, distances_m=distances,
-                             points=points)
+                             observed_imsi=imsi, points=points)
 
 
 def _ingest(db, conn, entries=()):
@@ -157,18 +156,20 @@ def test_attach_imsi_links_directly():
 
 # -- connections without an identity ------------------------------------------
 
-def _halted_conn(db, conn_id, cell, end_s, x, y, imsi):
-    conn = _conn(conn_id, (end_s - 1) * SEC, end_s * SEC, cell=cell,
-                 tmsi=0x1000 + cell, points=(_point(end_s * SEC, x, y),))
-    db.record_pair(0x1000 + cell, imsi, 0)
-    _ingest(db, conn)
-    return conn
+def _halted_conn(db, conn_id, tmsi, end_s, x, y, imsi):
+    conn = _conn(conn_id, (end_s - 1) * SEC, end_s * SEC, tmsi=tmsi,
+                 points=(_point(end_s * SEC, x, y),))
+    db.record_pair(tmsi, imsi, 0)
+    return _ingest(db, conn)
 
 
 def test_service_request_never_handover_matched():
+    # A service request just after a paired connection ends, with no TMSI
+    # of its own, is not taken for that phone.
     db = TrackDb()
-    _halted_conn(db, "old", cell=1, end_s=100, x=0.0, y=40.0, imsi=IMSI)
-    new = _conn("new", int(100.5 * SEC), 102 * SEC, cell=2, service=True,
+    assert _halted_conn(db, "old", tmsi=0x1001, end_s=100, x=0.0, y=40.0,
+                        imsi=IMSI) == IMSI
+    new = _conn("new", int(100.5 * SEC), 102 * SEC, service=True,
                 points=(_point(101 * SEC, 0.0, 20.0),))
     assert _ingest(db, new).startswith("anon-")
 
@@ -210,8 +211,7 @@ def _populated_db():
     db = TrackDb()
     db.record_pair(0x1111, IMSI, 0)
     _ingest(db, _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x1111,
-                       points=(_point(10 * SEC, 1.0, 2.0),),
-                       distances=tuple(float(30 + i) for i in range(12))))
+                       points=(_point(10 * SEC, 1.0, 2.0),)))
     _ingest(db, _conn("c2", 12 * SEC, 13 * SEC, tmsi=0x9999,
                        is_random=True, service=True,
                        points=(_point(12 * SEC, 7.0, 8.0),)))
@@ -225,6 +225,16 @@ def test_journal_dump_deterministic(tmp_path):
     db.dump_journal(p1)
     db.dump_journal(p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # A connection is journaled by its identity and fixes, not its
+    # measurements.
+    entries = [json.loads(line) for line in p1.read_text().splitlines()]
+    connections = [e for e in entries if e["event"] == "connection"]
+    assert len(connections) == 2
+    for entry in connections:
+        assert set(entry) == {
+            "event", "linked", "conn_id", "rnti", "start_ps", "end_ps",
+            "tmsi", "tmsi_is_random", "had_service_request",
+            "observed_imsi", "points"}
 
 
 def test_csv_row_shapes():
@@ -232,6 +242,3 @@ def test_csv_row_shapes():
     trace_rows = list(trace_csv_rows(db, IMSI))
     assert trace_rows and set(trace_rows[0]) == {
         "imsi", "t_ps", "x_m", "y_m", "residual_rms_m", "corrected"}
-    stats_rows = list(stats_csv_rows(db))
-    assert len(stats_rows) == 1  # c2 has no distance measurements
-    assert stats_rows[0]["median_distance_m"] == pytest.approx(35.5)
