@@ -288,9 +288,9 @@ def _rows(loci) -> list:
     return rows
 
 
-def _pack(loci) -> _Packed:
-    """Pack loci that share one eNodeB focus; refuses as ``_rows`` does."""
-    a, b, e, k, target, w = zip(*_rows(loci))
+def _pack(rows) -> _Packed:
+    """Pack ``_rows``' output into arrays, one row each."""
+    a, b, e, k, target, w = zip(*rows)
     return _Packed(np.array([[p.x, p.y] for p in a]),
                    np.array([[p.x, p.y] for p in b]), np.array(e),
                    np.array(k), np.array(target), np.array(w))
@@ -529,10 +529,11 @@ def multilaterate(loci) -> PositionEstimate:
     ``covariance``. Raises ConvergenceError (carrying the best iterate)
     if no run converges within the iteration budget.
     """
-    direct = _concentric_fix(_rows(loci))
+    rows = _rows(loci)
+    direct = _concentric_fix(rows)
     if direct is not None:
         return direct
-    pk = _pack(loci)
+    pk = _pack(rows)
     return _solve(pk, _roots(pk), _MAX_ITER)[0]
 
 
@@ -546,6 +547,6 @@ def multilaterate_with_offset(loci):
     """
     if len(loci) < 3:
         raise ValueError("offset recovery needs at least 3 loci")
-    pk = _pack(loci)
+    pk = _pack(_rows(loci))
     est, x = _solve(pk, [np.append(xy, 0.0) for xy in _roots(pk)], _MAX_ITER)
     return est, float(x[2])

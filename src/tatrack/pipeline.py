@@ -87,8 +87,10 @@ class StageError(ValueError):
 
 
 def check_stages(stages) -> tuple:
-    """Validate a stage selection and return it in canonical order."""
+    """Validate a non-empty stage selection; return it in canonical order."""
     chosen = list(stages)
+    if not chosen:
+        raise StageError("no stage given")
     unknown = sorted(set(chosen) - set(STAGES))
     if unknown:
         raise StageError(f"unknown stage(s): {', '.join(unknown)}")
@@ -455,21 +457,17 @@ def _start_simulation_writer(result: sim.SimResult,
 # -- artifact writers ------------------------------------------------------
 
 
-def _write_csv(path: Path, columns, rows, *, get=itemgetter,
-               blank_none=False) -> None:
+def _write_csv(path: Path, columns, rows, *, get=itemgetter) -> None:
     """Stream ``rows`` under a header line, one fixed template per row.
 
     ``get(*columns)`` reads a row's cells in column order: ``itemgetter``
     for dict rows; ``get=None`` for tuple rows that hold the columns in
     order. A cell is ``str`` of its value, which for a float is its
-    ``repr`` and for a numpy scalar its plain digits; with ``blank_none``
-    a None cell is left empty.
+    ``repr`` and for a numpy scalar its plain digits.
     """
     line = ",".join(["%s"] * len(columns)) + "\n"
     if get is not None:
         rows = map(get(*columns), rows)
-    if blank_none:
-        rows = (tuple("" if v is None else v for v in row) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(map(line.__mod__, rows))
@@ -554,22 +552,24 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
                         sorted(ctx.result.attacker_pairs.items())},
                        sort_keys=True, indent=2) + "\n", encoding="utf-8")
     if "localize" in stages:
+        # A missing value is an empty cell.
         rows = []
         for view in ctx.views:
             est, conn = view.estimate, view.conn
+            x, y, rms = ((est.position.x, est.position.y, est.residual_rms)
+                         if est else ("", "", ""))
             rows.append({
                 "conn": conn.conn_id, "rnti": conn.rnti,
-                "start_ps": conn.start_ps, "tmsi": conn.tmsi,
+                "start_ps": conn.start_ps,
+                "tmsi": "" if conn.tmsi is None else conn.tmsi,
                 "imsi_observed": conn.observed_imsi or "",
-                "ta_index": view.ta_index, "n_loci": len(view.loci),
-                "x_m": est.position.x if est else None,
-                "y_m": est.position.y if est else None,
-                "residual_rms_m": est.residual_rms if est else None,
-                "offset_m": view.offset_m,
+                "ta_index": "" if view.ta_index is None else view.ta_index,
+                "n_loci": len(view.loci), "x_m": x, "y_m": y,
+                "residual_rms_m": rms,
+                "offset_m": "" if view.offset_m is None else view.offset_m,
                 "range_only": int(est is not None and est.range_only),
             })
-        _write_csv(out / "positions.csv", _POSITION_COLUMNS, rows,
-                   blank_none=True)
+        _write_csv(out / "positions.csv", _POSITION_COLUMNS, rows)
     if "track" in stages:
         ctx.track_db.dump_journal(out / "trackdb.jsonl")
         trace_rows = []

@@ -11,9 +11,11 @@ and per-entity streams stay independent.
 Each sniffer's stream is ordered by subframe, then downlink before
 uplink, then emission order. It is built in that order as the events are
 emitted, one list per subframe and carrier, with no global sort. Each
-event is one flat ``probe.ProbeEvent``. The data rounds, which make most
-events, build theirs inline with the general helpers' arithmetic and in
-their call order, so both give the same bits and random draws.
+event is one flat ``probe.ProbeEvent``. A connection emits all of its
+events, data rounds included, through one emitter per carrier: one for
+downlink and one for uplink, which also writes each measured burst's
+ground-truth row. Both read the phone's position through one cached
+waypoint piece.
 
 The injected-identity attack, when enabled, is driven by the real
 state machine from the extractor module; its downlink transmissions are
@@ -34,6 +36,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import reprlib
 import sys
 import typing
@@ -50,14 +53,13 @@ import numpy as np
 from . import extractor as ext
 from .fingerprint import FingerprintDb, HwErrorUnavailable, hw_error
 from .geometry import Position
-from .messages import (Ack, AttachRequest, DciFormat0, IdentityRequest,
-                       IdentityResponse, Imsi, MacTaCommand,
-                       RandomAccessResponse, Rnti, RrcConnectionRequest,
-                       RrcConnectionSetup, ServiceRequest, Tmsi, UlGrant,
-                       dci_format0)
+from .messages import (Ack, AttachRequest, IdentityRequest, IdentityResponse,
+                       Imsi, MacTaCommand, RandomAccessResponse, Rnti,
+                       RrcConnectionRequest, RrcConnectionSetup,
+                       ServiceRequest, Tmsi, UlGrant, dci_format0)
 from .probe import Carrier, ProbeEvent
-from .timebase import (C_M_PER_S, DECODE_GATE_PS, PS_PER_SUBFRAME, TA_MAX,
-                       TA_SPAN_PS, m_to_ps, quantize_ta)
+from .timebase import (DECODE_GATE_PS, PS_PER_SUBFRAME, TA_MAX, TA_SPAN_PS,
+                       m_to_ps, quantize_ta)
 
 #: Per-measurement uplink ToA jitter, pinned by the Monte-Carlo sweep in
 #: tools/calibrate_sigma.py: with 14 sum-delay measurements per connection
@@ -76,6 +78,9 @@ _DRAW_BLOCK = 4096
 
 _MSG3_OFFSET = 4  # subframes between a grant and the uplink it schedules
 _ROUNDS_START = 16  # first data-round DCI, relative to connection start
+
+#: A probe id, which names the probe's artifact files.
+_PROBE_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
 
 class ScenarioError(ValueError):
@@ -212,9 +217,16 @@ class Scenario:
         if self.attack.policy_mode not in ext.POLICY_MODES:
             raise ScenarioError(
                 f"unknown attack policy mode {self.attack.policy_mode!r}")
+        ids = set()
         for probe in self.probes:
             if probe.role not in ("dl", "ul", "both"):
                 raise ScenarioError(f"unknown probe role {probe.role!r}")
+            if not _PROBE_ID.fullmatch(probe.id):
+                raise ScenarioError(
+                    f"probe id {probe.id!r} is not 1-64 of [A-Za-z0-9._-]")
+            if probe.id in ids:
+                raise ScenarioError(f"probe id {probe.id!r} is given twice")
+            ids.add(probe.id)
         for ue in self.ues:
             if ue.model not in db.entries:
                 raise ScenarioError(f"unknown UE model {ue.model!r}")
@@ -372,14 +384,6 @@ class _Run:
                 np.random.Philox(key=[seed, _STREAM_UE_BASE + i]))
             for i in range(len(scenario.ues))]
 
-    def _emit_downlink(self, sf: int, message, rnti) -> None:
-        t_n = sf * PS_PER_SUBFRAME
-        frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf
-        for stream, delay in self.dl_probes:
-            stream[key].append(tuple.__new__(ProbeEvent, (
-                frame, subframe, t_n + delay, Carrier.DOWNLINK, message, None,
-                rnti)))
-
     # -- one connection ------------------------------------------------------
 
     def run_connection(self, ue_index: int, conn_index: int,
@@ -411,10 +415,22 @@ class _Run:
 
         enb = scn.enbs[0].position
         ex, ey = enb.x, enb.y
+        points = ue.waypoints
+        seg_end, t0, a, b = 0, 0, None, None  # no waypoint piece read yet
 
         def at(sf: int) -> tuple[float, float, int]:
             """The phone's x, y and its delay from the eNodeB at ``sf``."""
-            x, y = ue.position_at(sf * PS_PER_SUBFRAME)
+            nonlocal seg_end, t0, a, b
+            t_n = sf * PS_PER_SUBFRAME
+            # Strictly inside the piece read last, ``_segment`` returns it
+            # again. Reads may go back in time, so both ends are checked.
+            if not t0 < t_n < seg_end:
+                seg_end, t0, a, b = _segment(points, t_n)
+            if b is None:
+                x, y = a.x, a.y
+            else:
+                w = (t_n - t0) / (seg_end - t0)
+                x, y = a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
             return x, y, m_to_ps(hypot(x - ex, y - ey))
 
         # UE-side advance timeline: (effective_from_sf, ta) pairs.
@@ -428,7 +444,17 @@ class _Run:
                     return value
             return ta0
 
-        ground_truth, ul_probes = self.ground_truth, self.ul_probes
+        new, faults = tuple.__new__, self.faults
+        dl_probes, ul_probes = self.dl_probes, self.ul_probes
+        ground_truth = self.ground_truth
+
+        def downlink(sf: int, message) -> None:
+            t_n = sf * PS_PER_SUBFRAME
+            frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf
+            for stream, delay in dl_probes:
+                stream[key].append(new(ProbeEvent, (
+                    frame, subframe, t_n + delay, Carrier.DOWNLINK, message,
+                    None, rnti)))
 
         def uplink(sf: int, message, rb, rnti=None, measured=True) -> None:
             x, y, d = at(sf)
@@ -441,14 +467,12 @@ class _Run:
                 rx = tx + d_probe
                 if noise is not None:
                     rx += next(noise)
-                stream[key].append(tuple.__new__(ProbeEvent, (
+                stream[key].append(new(ProbeEvent, (
                     frame, subframe, rx, Carrier.UPLINK, message, rb, rnti)))
                 if measured:
-                    ground_truth.append(tuple.__new__(GroundTruthRow, (
+                    ground_truth.append(new(GroundTruthRow, (
                         conn_id, ue_index, ue.model, imsi, probe_id, sf, t_n,
                         x, y, d, d_probe, d + d_probe, tx_extra, ta)))
-
-        emit_downlink, faults = self._emit_downlink, self.faults
 
         def ta_maintenance(slot: int) -> None:
             """Command the TA step toward ``slot``'s range, if one is due."""
@@ -458,12 +482,12 @@ class _Run:
             if adjust == 0:
                 return
             info.n_ta_commands += 1
-            emit_downlink(slot, MacTaCommand(adjust), rnti)
+            downlink(slot, MacTaCommand(adjust))
             rx_slot = slot
             resend_prob = scn.faults.ta_resend_prob
             if resend_prob > 0 and next(faults) < resend_prob:
                 rx_slot = slot + 8
-                emit_downlink(rx_slot, MacTaCommand(adjust), rnti)
+                downlink(rx_slot, MacTaCommand(adjust))
                 info.ta_resend_sfs.append(rx_slot)
             # The UE acknowledges, then applies from the following subframe.
             uplink(rx_slot + 4, Ack(info.n_ta_commands % 8), None, rnti=rnti,
@@ -489,22 +513,19 @@ class _Run:
 
         # Random access: RAR two subframes after the (unmodeled) preamble.
         [rb_msg3] = self.alloc.rbs(1)
-        self._emit_downlink(start_sf + 2,
-                            RandomAccessResponse(rnti, ta0,
-                                                 UlGrant(_MSG3_OFFSET,
-                                                         rb_msg3, 3)),
-                            rnti)
+        downlink(start_sf + 2,
+                 RandomAccessResponse(rnti, ta0,
+                                      UlGrant(_MSG3_OFFSET, rb_msg3, 3)))
         conn_request = RrcConnectionRequest(Tmsi(tmsi), 0)
         uplink(start_sf + 6, conn_request, rb_msg3)
         attacker_sees(conn_request)
 
         setup = RrcConnectionSetup(1)
-        self._emit_downlink(start_sf + 8, setup, rnti)
+        downlink(start_sf + 8, setup)
         attacker_sees(setup)
 
         [rb_nas] = self.alloc.rbs(1)
-        self._emit_downlink(start_sf + 8,
-                            DciFormat0(rnti, _MSG3_OFFSET, rb_nas, 5), rnti)
+        downlink(start_sf + 8, dci_format0(rnti, _MSG3_OFFSET, rb_nas, 5))
         if ue.connection_type == "attach":
             nas = AttachRequest(Tmsi(tmsi),
                                 self.db.entries[ue.model].capabilities)
@@ -513,8 +534,8 @@ class _Run:
         uplink(start_sf + 12, nas, rb_nas)
         actions = attacker_sees(nas)
 
-        overshadow = next((a for a in actions
-                           if isinstance(a, ext.Overshadow)), None)
+        overshadow = next((action for action in actions
+                           if isinstance(action, ext.Overshadow)), None)
         if overshadow is not None:
             inject_sf = start_sf + 14
             outcome = ext.overshadow_outcome(scn.attack.power_margin_db,
@@ -522,7 +543,7 @@ class _Run:
             self.extraction.record(inject_sf * PS_PER_SUBFRAME, attacker,
                                    outcome)
             if outcome == "replaced":
-                self._emit_downlink(inject_sf, overshadow.message, rnti)
+                downlink(inject_sf, overshadow.message)
                 if not isinstance(overshadow.message, IdentityRequest):
                     # Service reject: the UE drops and will re-attach.
                     info.end_sf = start_sf + 16
@@ -531,9 +552,8 @@ class _Run:
                            or ue.answers_identity_after_service_request)
                 if answers:
                     [rb_id] = self.alloc.rbs(1)
-                    self._emit_downlink(inject_sf,
-                                        DciFormat0(rnti, _MSG3_OFFSET,
-                                                   rb_id, 5), rnti)
+                    downlink(inject_sf,
+                             dci_format0(rnti, _MSG3_OFFSET, rb_id, 5))
                     response = IdentityResponse(Imsi(imsi))
                     uplink(inject_sf + 4, response, rb_id)
                     for action in attacker_sees(response):
@@ -546,65 +566,23 @@ class _Run:
                                 (inject_sf + 4) * PS_PER_SUBFRAME,
                                 attacker, "replaced")
 
-        # Data rounds plus interleaved timing-advance maintenance. A round
-        # calls no helper but the DCI builder: it spells out ``at``,
-        # ``ta_at`` and ``uplink`` with the same arithmetic and reads the
-        # waypoints again only once its time passes the segment last read.
-        end_sf = info.end_sf
-        ta_slots = []
-        if ue.ta_interval > 0:
-            step = max(4, 4 * ((ue.ta_interval + 3) // 4))
-            ta_slots = list(range(start_sf + 18, end_sf - 12, step))
-        slot_iter = iter(ta_slots)
+        # Data rounds plus interleaved timing-advance maintenance.
+        step = max(4, 4 * ((ue.ta_interval + 3) // 4))
+        slot_iter = iter(range(start_sf + 18, info.end_sf - 12, step)
+                         if ue.ta_interval > 0 else ())
         next_slot = next(slot_iter, None)
 
-        loss_prob, dl_probes = scn.faults.grant_loss_prob, self.dl_probes
-        new, points, model = tuple.__new__, ue.waypoints, ue.model
-        downlink, uplink_carrier = Carrier.DOWNLINK, Carrier.UPLINK
-        seg_end = 0  # no segment read yet; rounds go forward in time
+        loss_prob = scn.faults.grant_loss_prob
         n_rounds, first_dci = ue.n_data_rounds, start_sf + _ROUNDS_START
         for dci_sf, rb in zip(range(first_dci, first_dci + 4 * n_rounds, 4),
                               self.alloc.rbs(n_rounds)):
             while next_slot is not None and next_slot < dci_sf:
                 ta_maintenance(next_slot)
                 next_slot = next(slot_iter, None)
-            dci = dci_format0(rnti, _MSG3_OFFSET, rb, 5)
-            t_n = dci_sf * PS_PER_SUBFRAME
-            frame, subframe = (dci_sf // 10) % 1024, dci_sf % 10
-            key = 2 * dci_sf
-            for stream, delay in dl_probes:
-                stream[key].append(new(ProbeEvent, (
-                    frame, subframe, t_n + delay, downlink, dci, None, rnti)))
+            downlink(dci_sf, dci_format0(rnti, _MSG3_OFFSET, rb, 5))
             if loss_prob > 0 and next(faults) < loss_prob:
                 continue
-
-            sf = dci_sf + 4
-            t_n = sf * PS_PER_SUBFRAME
-            if t_n >= seg_end:
-                seg_end, t0, a, b = _segment(points, t_n)
-            if b is None:
-                x, y = a.x, a.y
-            else:
-                w = (t_n - t0) / (seg_end - t0)
-                x, y = a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
-            d = round(hypot(x - ex, y - ey) * 1e12 / C_M_PER_S)
-            for eff, ta in reversed(ta_timeline):
-                if eff <= sf:
-                    break
-            else:
-                ta = ta0
-            tx = t_n + d + tx_extra - TA_SPAN_PS[ta]
-            frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf + 1
-            for probe_id, stream, px, py, noise in ul_probes:
-                d_probe = round(hypot(x - px, y - py) * 1e12 / C_M_PER_S)
-                rx = tx + d_probe
-                if noise is not None:
-                    rx += next(noise)
-                stream[key].append(new(ProbeEvent, (
-                    frame, subframe, rx, uplink_carrier, None, rb, None)))
-                ground_truth.append(new(GroundTruthRow, (
-                    conn_id, ue_index, model, imsi, probe_id, sf, t_n, x, y,
-                    d, d_probe, d + d_probe, tx_extra, ta)))
+            uplink(dci_sf + _MSG3_OFFSET, None, rb)
 
 
 def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:

@@ -81,6 +81,9 @@ def test_bad_stage_lists_are_input_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--stages", "probe"]) == 2
     assert main(["run", "--scenario", str(path),
                  "--out", str(tmp_path / "o"), "--stages", "bogus"]) == 2
+    assert main(["run", "--scenario", str(path),
+                 "--out", str(tmp_path / "o"), "--stages", ""]) == 2
+    assert not (tmp_path / "o").exists()
     assert cmd_run(RunManifest(str(path), str(tmp_path / "o"),
                                group_by="bogus")) == 2
 
@@ -119,6 +122,21 @@ def test_unknown_scenario_key_is_refused(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "toa_sigma in noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ids", [["probe0", "probe0"], ["p/0"]],
+                         ids=["duplicate", "slash"])
+def test_probe_id_that_collides_or_names_no_file_is_refused(tmp_path, capsys,
+                                                            ids):
+    data = sim.scenario_to_dict(_scenario())
+    data["probes"] = [{"id": probe_id, "position": [10.0 * k, 0.0]}
+                      for k, probe_id in enumerate(ids)]
+    path = tmp_path / "probes.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert repr(ids[0]) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from tatrack import timebase as tb
 from tatrack.geometry import (ANNULUS_SIGMA_M, AnnulusLocus, ConvergenceError,
                               EllipseLocus, InfeasibleSumError, Position,
-                              _MAX_ITER, _misfit, _pack, _residuals, _solve,
-                              annulus_from_ta, ellipse_from_sum,
+                              _MAX_ITER, _misfit, _pack, _residuals, _rows,
+                              _solve, annulus_from_ta, ellipse_from_sum,
                               ellipse_point, intersect, multilaterate,
                               multilaterate_with_offset)
 
@@ -21,7 +21,7 @@ O = Position(0.0, 0.0)
 
 def _solve_from(loci, *start, max_iter=_MAX_ITER):
     """The solver run from one start, (x, y) or (x, y, offset)."""
-    return _solve(_pack(loci), [np.array(start)], max_iter)
+    return _solve(_pack(_rows(loci)), [np.array(start)], max_iter)
 
 
 # -- annuli -----------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_jacobian_matches_finite_differences():
         EllipseLocus(O, probe, 1400.0, sigma=2.0),
         annulus_from_ta(O, 5),
     ]
-    pk = _pack(loci)
+    pk = _pack(_rows(loci))
     for _ in range(25):
         xy = rng.uniform(-800, 800, size=2)
         _, J = _residuals(pk, xy)
@@ -404,7 +404,7 @@ def _array_concentric_fix(loci):
     Position, residual RMS and covariance as numpy computes them: the
     oracle that the float path of ``multilaterate`` must match bit for bit.
     """
-    pk = _pack(loci)
+    pk = _pack(_rows(loci))
     foci = 1.0 + pk.e
     w2 = (foci * pk.w) ** 2
     rho = float(np.sum(w2 * pk.target / foci) / np.sum(w2))

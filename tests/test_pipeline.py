@@ -59,6 +59,8 @@ def test_check_stages_rejects_gaps_and_unknowns():
         pl.check_stages(("simulate", "bogus"))
     with pytest.raises(pl.StageError):
         pl.check_stages(("simulate", "probe", "extract", "track"))
+    with pytest.raises(pl.StageError):
+        pl.check_stages(())
 
 
 def test_noiseless_positions_recover_truth():
@@ -459,9 +461,9 @@ def test_connection_stats_agree_with_stats_and_journal(tmp_path, workload):
 def test_numpy_scalars_are_written_as_plain_digits(tmp_path):
     path = tmp_path / "row.csv"
     rows = [{"a": np.float64(1.5), "b": np.int64(-7),
-             "c": np.float64(1e-7), "d": None}]
-    pl._write_csv(path, ("a", "b", "c", "d"), rows, blank_none=True)
-    assert path.read_text() == "a,b,c,d\n1.5,-7,1e-07,\n"
+             "c": np.float64(1e-7)}]
+    pl._write_csv(path, ("a", "b", "c"), rows)
+    assert path.read_text() == "a,b,c\n1.5,-7,1e-07\n"
 
 
 def test_positions_csv_row_per_connection(tmp_path):
@@ -475,6 +477,7 @@ def test_positions_csv_row_per_connection(tmp_path):
         assert list(rows[0])[:4] == ["conn", "rnti", "start_ps", "tmsi"]
         assert len(rows) == len(ctx.views)
         assert all(row["x_m"] for row in rows)
+        assert {row["offset_m"] for row in rows} == {""}  # no offset solve
         assert {row["range_only"] for row in rows} == {range_only}
         if range_only == "1":
             assert {row["y_m"] for row in rows} == {"0.0"}
@@ -489,7 +492,7 @@ def test_colocated_views_match_the_iterative_range():
     for view in ctx.views:
         est = view.estimate
         assert est.range_only
-        pk = geometry._pack(view.loci)
+        pk = geometry._pack(geometry._rows(view.loci))
         centre = pk.a[0]
         ok, _, x, _ = geometry._levenberg_marquardt(
             pk, centre + np.array([0.0, 0.5]), geometry._MAX_ITER)

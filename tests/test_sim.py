@@ -8,6 +8,7 @@ to the same timing contract rather than to each other's internals.
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from tatrack import sim
 from tatrack import timebase as tb
 from tatrack.fingerprint import FingerprintDb, hw_error
 from tatrack.geometry import Position
-from tatrack.messages import DciFormat0
+from tatrack.messages import DciFormat0, MacTaCommand
 from tatrack.probe import Carrier, ConnectionTable
 
 SHIPPED_SCENARIO = (Path(__file__).resolve().parent.parent
@@ -322,39 +323,62 @@ def test_ungated_probe_is_exact_when_no_resends_happen():
 # -- data rounds -----------------------------------------------------------------
 
 def test_data_rounds_place_the_phone_as_position_at_does():
-    # A data round reads the phone's waypoints again only when its time
-    # leaves the segment it read last. Connections here start before the
-    # first waypoint, cross two waypoints (and a jump, two waypoints at one
-    # instant) mid-connection, and run past the last one; rounds land
-    # exactly on the first and the last waypoint's time.
+    # Every uplink (msg3, NAS, identity response, data round, Ack) and
+    # every TA check reads the phone's waypoints through one cached
+    # segment, read again only when a time falls outside it. The walker's
+    # connections start before its first waypoint, cross two waypoints
+    # (and a jump, two waypoints at one instant) mid-connection, and run
+    # past the last one; rounds land exactly on the first and the last
+    # waypoint's time.
     sf = tb.PS_PER_SUBFRAME
-    waypoints = ((210 * sf, Position(350.0, -120.0)),
-                 (610 * sf, Position(520.5, 40.25)),
-                 (610 * sf, Position(480.0, 90.0)),
-                 (702 * sf, Position(610.0, 10.0)),
-                 (1210 * sf, Position(300.0, 300.0)))
-    ue = sim.UeProfile(model="Huawei P30", waypoints=waypoints,
-                       reconnect_rate=120.0, n_data_rounds=100,
-                       ta_interval=8)
+    walker = sim.UeProfile(
+        model="Huawei P30", reconnect_rate=120.0, n_data_rounds=100,
+        ta_interval=8,
+        waypoints=((210 * sf, Position(350.0, -120.0)),
+                   (610 * sf, Position(520.5, 40.25)),
+                   (610 * sf, Position(480.0, 90.0)),
+                   (702 * sf, Position(610.0, 10.0)),
+                   (1210 * sf, Position(300.0, 300.0))))
+    # Reads also go back in time: a TA check at a slot comes after the
+    # data round at slot + 2, and a round at slot + 6 after the Ack of a
+    # resent command at slot + 12. The jumper's first connection (start
+    # 27) has a TA check at its first waypoint's time, 77, where it still
+    # stands at its first point and so commands nothing. It turns at 102,
+    # between the round at 99 and the Ack at 105 of its command at slot 93.
+    jumper = replace(walker, waypoints=((77 * sf, Position(200.0, 0.0)),
+                                        (77 * sf, Position(3000.0, 0.0)),
+                                        (102 * sf, Position(3100.0, 0.0)),
+                                        (300 * sf, Position(3100.0, 800.0))))
     probes = (sim.Probe("p0", Position(0.0, 0.0)),
               sim.Probe("p1", Position(250.0, -80.0)))
-    scn = _scenario([ue], probes=probes, duration_s=3, seed=3,
+    scn = _scenario([walker, jumper], probes=probes, duration_s=3, seed=3,
                     faults=sim.FaultModel(ta_resend_prob=0.5,
-                                          grant_loss_prob=0.2))
+                                          grant_loss_prob=0.2),
+                    attack=sim.AttackConfig(enabled=True))
     result = sim.run(scn)
-    starts = [c.start_sf for c in result.connections]
+    conns = [c for c in result.connections if c.ue_index == 0]
+    starts = [c.start_sf for c in conns]
     assert starts[:3] == [10, 510, 1010]
-    assert any(c.ta_resend_sfs for c in result.connections)
-    rows = result.ground_truth
-    rounds = len(starts) * ue.n_data_rounds + 2 * len(starts)  # + NAS
-    assert len(rows) < len(probes) * rounds  # some grants were lost
+    assert any(c.ta_resend_sfs for c in conns)
+    rows = [row for row in result.ground_truth if row.ue_index == 0]
     times = {row.t_n_ps for row in rows}
+    # msg3, NAS and the identity response, then the data rounds.
+    assert {(s + 18) * sf for s in starts} <= times
+    rounds = len(starts) * (3 + walker.n_data_rounds)
+    assert len(rows) < len(probes) * rounds  # some grants were lost
     assert {210 * sf, 1210 * sf} <= times
     assert min(times) < 210 * sf and max(times) > 1210 * sf
     assert any(610 * sf < t < 702 * sf for t in times)
+
+    first = next(c for c in result.connections if c.ue_index == 1)
+    assert first.start_sf == 27 and 93 + 8 in first.ta_resend_sfs
+    commands = {10 * e.frame + e.subframe for e in result.events["p0"]
+                if isinstance(e.message, MacTaCommand)
+                and e.rnti.value == first.rnti}
+    assert min(commands) > 77  # no TA change while it stands
     at = {p.id: p.position for p in probes}
-    for row in rows:
-        x, y = ue.position_at(row.t_n_ps)
+    for row in result.ground_truth:
+        x, y = scn.ues[row.ue_index].position_at(row.t_n_ps)
         assert (row.x_m, row.y_m) == (x, y)
         assert row.d_ue_ps == tb.m_to_ps(math.hypot(x, y))
         probe = at[row.probe_id]
@@ -467,8 +491,11 @@ def test_validate_rejects_bad_probe_role():
     ("n_data_rounds", {"n_data_rounds": -3}, {}),
     ("max_offset_ps", {}, {"countermeasure": sim.Countermeasure(
         mode="random_offset", max_offset_ps=2**70)}),
+    ("probe0", {}, {"probes": (sim.Probe("probe0", Position(0.0, 0.0)),
+                               sim.Probe("probe0", Position(90.0, 0.0)))}),
+    ("p/0", {}, {"probes": (sim.Probe("p/0", Position(0.0, 0.0)),)}),
 ], ids=["short_imsi", "tmsi_over_32_bits", "negative_rounds",
-        "offset_over_int64"])
+        "offset_over_int64", "duplicate_probe_id", "probe_id_names_no_file"])
 def test_validate_rejects_values_the_simulator_cannot_encode(field, ue,
                                                              scenario):
     with pytest.raises(sim.ScenarioError, match=field):
