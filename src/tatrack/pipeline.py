@@ -1,17 +1,19 @@
 """Batch stage runner: scenario in, measurement/position/track artifacts out.
 
 Stages chain as simulate -> probe -> localize -> track -> stats, with
-extract branching off simulate and feeding localize when it runs.
-Localize first links every connection to an IMSI or a provisional id, so
-a model's bias carries over between connections of one phone; track then
-only stores what localize linked and solved. Stage products accumulate
-on a RunContext so later stages and the file writers share one source of
-truth. The writers stream each artifact to its file a line at a time;
-the CSV files and event logs come from one template per file with a
-fixed column (or JSON key) order. A message that several sniffers heard
-is one object in the simulator's events, and the event logs encode it
-once per write. With stable row ordering, a rerun with the same scenario
-and seed is byte-identical.
+extract branching off simulate. Localize first links every connection to
+an IMSI or a provisional id from what the sniffers decoded, so a model's
+bias carries over between connections of one phone; track then only
+stores what localize linked and solved. Extract changes no link: it only
+selects the extractor's artifacts, ``extraction.jsonl`` and
+``extracted_pairs.json``, and the IMSI fill of ``measurements_*.csv``.
+Stage products accumulate on a RunContext so later stages and the file
+writers share one source of truth. The writers stream each artifact to
+its file a line at a time; the CSV files and event logs come from one
+template per file with a fixed column (or JSON key) order. A message
+that several sniffers heard is one object in the simulator's events, and
+the event logs encode it once per write. With stable row ordering, a
+rerun with the same scenario and seed is byte-identical.
 
 The simulator's artifacts, the event logs and ``ground_truth.csv``, need
 nothing after simulate. ``run_pipeline`` forks a process to write them as
@@ -134,7 +136,6 @@ class RunContext:
     group_by: str = "imsi"
     result: Optional[sim.SimResult] = None
     tables: dict = field(default_factory=dict)
-    extraction_entries: list = field(default_factory=list)
     views: list = field(default_factory=list)
     track_db: Optional[TrackDb] = None
     stats_rows: list = field(default_factory=list)
@@ -161,8 +162,8 @@ def stage_probe(ctx: RunContext) -> None:
 
 
 def stage_extract(ctx: RunContext) -> None:
-    ctx.extraction_entries = [dict(entry)
-                              for entry in ctx.result.extraction.entries]
+    """Nothing to compute: the stage only selects the extractor's
+    artifacts, which ``write_artifacts`` writes when it is named."""
 
 
 def _ta_index(d_ta_values) -> Optional[int]:
@@ -178,10 +179,7 @@ def stage_localize(ctx: RunContext) -> None:
     groups: dict = {}
     for probe_id in sorted(ctx.tables):
         for record in ctx.tables[probe_id].records:
-            if not record.ta_history:
-                continue
-            rar_rx, _ = record.ta_history[0]
-            start_ps = rar_rx - ctx.tables[probe_id].d_dlprobe_ps
+            start_ps = record.rar_rx - ctx.tables[probe_id].d_dlprobe_ps
             leg = ProbeLeg(probe_id=probe_id, record=record,
                            stats=connection_stats(
                                list(map(_SUM_DELAY, record.measurements))))
@@ -191,8 +189,7 @@ def stage_localize(ctx: RunContext) -> None:
              for (start_ps, rnti), legs in sorted(groups.items())]
     ctx.track_db = TrackDb()
     for view in views:
-        view.linked = ctx.track_db.link_connection(view.conn,
-                                                   ctx.extraction_entries)
+        view.linked = ctx.track_db.link_connection(view.conn)
         _classify_view(view, ctx.db)
     # A connection that carried no capability vector takes the model its
     # phone showed in any connection of the run, the latest winning.

@@ -94,10 +94,10 @@ def infer_t_n(dl_rx: Instant, d_dlprobe: Span) -> Instant:
 @dataclass
 class ConnectionRecord:
     rnti: Rnti
+    rar_rx: Instant  # when the random access response that opened it arrived
     tmsi: Optional[Tmsi] = None
     tmsi_is_random: bool = False
     ta_current: TaIndex = 0
-    ta_history: list[tuple[Instant, TaIndex]] = field(default_factory=list)
     measurements: list[Measurement] = field(default_factory=list)
     capabilities: Optional[CapabilityVector] = None
     observed_imsi: Optional[str] = None
@@ -181,8 +181,8 @@ class ConnectionTable:
                                - abs_idx * PS_PER_SUBFRAME)
             if kind is RandomAccessResponse:
                 rnti = rnti_of_rar(msg)
-                rec = ConnectionRecord(rnti=rnti, ta_current=msg.ta)
-                rec.ta_history.append((rx_time, msg.ta))
+                rec = ConnectionRecord(rnti=rnti, rar_rx=rx_time,
+                                       ta_current=msg.ta)
                 self._grants[msg.grant.rb_alloc] = (rec, abs_idx)
                 self.records.append(rec)
                 # A reused RNTI replaces the old record, whose grants and TA
@@ -197,7 +197,7 @@ class ConnectionTable:
                 if rec is not None and self.ack_gating:
                     rec._pending_tas.append((msg.adjust, abs_idx))
                 elif rec is not None:
-                    self._apply_ta(rec, msg.adjust, rx_time)
+                    self._apply_ta(rec, msg.adjust)
             return []
 
         # Grants and TA commands issued before this subframe have expired.
@@ -209,7 +209,7 @@ class ConnectionTable:
                                     if p[1] >= live_from]
                 if rec._pending_tas:
                     adjust, _ = rec._pending_tas.pop(0)
-                    self._apply_ta(rec, adjust, rx_time)
+                    self._apply_ta(rec, adjust)
             return []
 
         rec, issued_idx = self._grants.pop(rb_alloc, (None, 0))
@@ -226,10 +226,8 @@ class ConnectionTable:
         rec.measurements.append(meas)
         return [meas]
 
-    def _apply_ta(self, rec: ConnectionRecord, adjust: int,
-                  t: Instant) -> None:
+    def _apply_ta(self, rec: ConnectionRecord, adjust: int) -> None:
         rec.ta_current = max(0, min(rec.ta_current + adjust, TA_MAX))
-        rec.ta_history.append((t, rec.ta_current))
 
     # -- output ----------------------------------------------------------------
 

@@ -1,14 +1,14 @@
 """Linkage database: ties connections to identities and assembles traces.
 
-Linkage resolves a finished connection to an IMSI (directly, via a stored
-TMSI pair, or via a captured identity), or to a provisional anonymous id
-that is never merged by guesswork.  Localization links every connection
-before it solves any; ``ingest`` then extends the linked identity's
-time-ordered trace with the estimates as localization solved them, bias
-correction included, and journals the connection.  The database links,
-keeps traces and journals; it never solves and keeps no measurements.
-All connections are taken to come from one cell: there is no linkage
-across a handover.
+Linkage resolves a finished connection to an IMSI (the one a sniffer
+decoded in the connection, or the one its stable TMSI is paired with),
+or to a provisional anonymous id that is never merged by guesswork.
+Localization links every connection before it solves any; ``ingest``
+then extends the linked identity's time-ordered trace with the estimates
+as localization solved them, bias correction included, and journals the
+connection. The database links, keeps traces and journals; it never
+solves and keeps no measurements. All connections are taken to come from
+one cell: there is no linkage across a handover.
 
 Each TMSI maps to the one IMSI it was last bound to, the only binding
 linkage reads.  State is a deterministic function of the linked and
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import uuid
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import (AnnulusLocus, EllipseLocus, Position,
                        PositionEstimate)
@@ -32,10 +32,6 @@ MIN_MEASUREMENTS = 10
 OUTLIER_IQR_FACTOR = 10.0
 
 _PROVISIONAL_NS = uuid.uuid5(uuid.NAMESPACE_URL, "tatrack/provisional")
-
-
-class IntegrityError(ValueError):
-    """Raised when stored identity links contradict new evidence."""
 
 
 @dataclass(frozen=True)
@@ -127,22 +123,6 @@ def provisional_id(conn_id: str) -> str:
     return "anon-" + str(uuid.uuid5(_PROVISIONAL_NS, conn_id))
 
 
-def _extraction_imsi(conn: ConnectionSummary,
-                     entries: Iterable[Mapping]) -> Optional[str]:
-    found = set()
-    for entry in entries:
-        if entry.get("tmsi") != conn.tmsi or "imsi" not in entry:
-            continue
-        if not conn.start_ps <= entry["t_ps"] <= conn.end_ps:
-            continue
-        found.add(entry["imsi"])
-    if len(found) > 1:
-        raise IntegrityError(
-            f"tmsi {conn.tmsi:#x} extracted as {sorted(found)} "
-            f"within one connection")
-    return found.pop() if found else None
-
-
 class TrackDb:
     def __init__(self) -> None:
         self.pairs: dict[int, str] = {}
@@ -163,19 +143,12 @@ class TrackDb:
                              "t_ps": t_ps})
         self.pairs[tmsi] = imsi
 
-    def link_connection(self, conn: ConnectionSummary,
-                        extraction_entries: Iterable[Mapping] = (),
-                        ) -> str:
+    def link_connection(self, conn: ConnectionSummary) -> str:
         """Resolve a connection to an IMSI or a provisional id."""
         imsi = conn.observed_imsi
         stable = conn.stable_tmsi
         if stable is not None:
-            extracted = _extraction_imsi(conn, extraction_entries)
-            if None not in (imsi, extracted) and imsi != extracted:
-                raise IntegrityError(
-                    f"connection {conn.conn_id} attached as "
-                    f"{imsi} but extraction says {extracted}")
-            imsi = imsi or extracted or self.imsi_for(stable)
+            imsi = imsi or self.imsi_for(stable)
             if imsi is not None:
                 self.record_pair(stable, imsi, conn.start_ps)
         return imsi or provisional_id(conn.conn_id)

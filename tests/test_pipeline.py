@@ -199,18 +199,44 @@ def test_service_connection_inherits_bias_from_the_imsi():
 
 def test_track_without_extract_links_by_observed_imsis():
     # The sniffer hears the identity responses itself, so localize links
-    # the connections to IMSIs with no extraction entries.
+    # the connections to IMSIs without the extract stage.
     ues = (_static_ue(60.0, imsi="001010000000001", tmsi=0xA0000001),
            _static_ue(45.0, model="iPhone 8", imsi="001010000000002",
                       tmsi=0xA0000002))
     scn = _scenario(ues, noise=ZERO, attack=sim.AttackConfig(enabled=True))
     stages = pl.check_stages(("simulate", "probe", "localize", "track"))
     ctx = pl.run_pipeline(scn, stages)
-    assert ctx.extraction_entries == []
     assert {v.linked for v in ctx.views} == {"001010000000001",
                                              "001010000000002"}
     for imsi in ("001010000000001", "001010000000002"):
         assert ctx.track_db.build_trace(imsi)
+
+
+@pytest.mark.parametrize("workload", ["golden", "crowd"])
+def test_extract_changes_no_link(tmp_path, workload):
+    # Each IMSI the extractor logs arrives in an identity response that
+    # the sniffers decode too, so the links and the journal are the same
+    # whether or not extract runs.
+    if workload == "golden":
+        scn = _golden_scenario()
+    else:
+        from perfbench import workloads
+        scn = sim.scenario_from_dict(workloads.crowd(0))
+    runs = {}
+    for extract in (True, False):
+        stages = [s for s in pl.STAGES if extract or s != "extract"]
+        ctx = pl.run_pipeline(scn, stages)
+        path = tmp_path / f"trackdb_{extract}.jsonl"
+        ctx.track_db.dump_journal(path)
+        runs[extract] = ([v.linked for v in ctx.views], path.read_bytes())
+    assert runs[True] == runs[False]
+    logged = [e for e in ctx.result.extraction.entries if "imsi" in e]
+    assert logged
+    for entry in logged:
+        assert any(v.conn.tmsi == entry["tmsi"]
+                   and v.conn.observed_imsi == entry["imsi"]
+                   and v.conn.start_ps <= entry["t_ps"] <= v.conn.end_ps
+                   for v in ctx.views), entry
 
 
 def test_extraction_links_views_to_imsis():

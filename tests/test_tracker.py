@@ -8,10 +8,9 @@ from hypothesis import given, strategies as st
 
 from tatrack.geometry import Position, PositionEstimate
 from tatrack.tracker import (ConnectionStats, ConnectionSummary,
-                             IntegrityError, TracePoint, TrackDb,
-                             connection_stats, median_of_sorted,
-                             provisional_id, quantile_of_sorted,
-                             trace_csv_rows)
+                             TracePoint, TrackDb, connection_stats,
+                             median_of_sorted, provisional_id,
+                             quantile_of_sorted, trace_csv_rows)
 
 SEC = 10**12
 IMSI = "001010000000017"
@@ -30,9 +29,9 @@ def _conn(conn_id, start, end, rnti=0x4A, tmsi=None, is_random=False,
                              observed_imsi=imsi, points=points)
 
 
-def _ingest(db, conn, entries=()):
+def _ingest(db, conn):
     """Link a connection, then store it, as localize and track do."""
-    linked = db.link_connection(conn, entries)
+    linked = db.link_connection(conn)
     db.ingest(conn, linked)
     return linked
 
@@ -93,15 +92,6 @@ def test_known_tmsi_maps_to_imsi():
     assert db.link_connection(conn) == IMSI
 
 
-def test_extraction_entry_creates_pair():
-    db = TrackDb()
-    conn = _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x2222)
-    entries = [{"t_ps": 10 * SEC + 5, "tmsi": 0x2222, "imsi": IMSI,
-                "trigger": "attach", "outcome": "replaced", "rnti": 0x4A}]
-    assert db.link_connection(conn, entries) == IMSI
-    assert db.imsi_for(0x2222) == IMSI
-
-
 def test_random_request_gets_provisional_id():
     db = TrackDb()
     conn = _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x3333, is_random=True,
@@ -112,17 +102,6 @@ def test_random_request_gets_provisional_id():
     assert db.link_connection(_conn("c2", 12 * SEC, 13 * SEC,
                                     tmsi=0x3333, is_random=True,
                                     service=True)) != linked
-
-
-def test_conflicting_extractions_rejected():
-    db = TrackDb()
-    conn = _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x2222)
-    entries = [
-        {"t_ps": 10 * SEC + 1, "tmsi": 0x2222, "imsi": IMSI},
-        {"t_ps": 10 * SEC + 2, "tmsi": 0x2222, "imsi": "00101999"},
-    ]
-    with pytest.raises(IntegrityError):
-        db.link_connection(conn, entries)
 
 
 def test_tmsi_reassignment_binds_newest_imsi():
@@ -194,12 +173,10 @@ def test_trace_points_time_ordered():
 
 def test_two_tmsis_one_trace():
     db = TrackDb()
-    e1 = [{"t_ps": 10 * SEC, "tmsi": 0xA1, "imsi": IMSI}]
-    e2 = [{"t_ps": 20 * SEC, "tmsi": 0xB2, "imsi": IMSI}]
-    _ingest(db, _conn("c1", 10 * SEC, 11 * SEC, tmsi=0xA1,
-                       points=(_point(10 * SEC, 0.0, 0.0),)), e1)
-    _ingest(db, _conn("c2", 20 * SEC, 21 * SEC, tmsi=0xB2,
-                       points=(_point(20 * SEC, 5.0, 0.0),)), e2)
+    _ingest(db, _conn("c1", 10 * SEC, 11 * SEC, tmsi=0xA1, imsi=IMSI,
+                       points=(_point(10 * SEC, 0.0, 0.0),)))
+    _ingest(db, _conn("c2", 20 * SEC, 21 * SEC, tmsi=0xB2, imsi=IMSI,
+                       points=(_point(20 * SEC, 5.0, 0.0),)))
     trace = db.build_trace(IMSI)
     assert len(trace) == 2
     assert db.imsi_for(0xA1) == IMSI and db.imsi_for(0xB2) == IMSI

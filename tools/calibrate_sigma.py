@@ -19,9 +19,9 @@ Usage:
     python3 tools/calibrate_sigma.py --sweep
     python3 tools/calibrate_sigma.py --write-scenario scenarios/replication.json
 
-The pinned value lives in two places kept in sync by hand: the
-``toa_sigma_ps`` field of scenarios/replication.json (written here) and
-``tatrack.sim.DEFAULT_TOA_SIGMA_PS``.
+The pinned value is ``tatrack.sim.DEFAULT_TOA_SIGMA_PS``, which this tool
+reads as its default; ``--write-scenario`` copies it into the
+``toa_sigma_ps`` field of scenarios/replication.json.
 """
 
 import argparse
@@ -43,14 +43,11 @@ DISTANCES_M = (0.0, 7.5, 15.0, 30.0, 45.0, 60.0)
 PHONES = ("Huawei P20 Pro", "Huawei P30", "iPhone X", "iPhone 8",
           "Samsung Galaxy s10")
 
-#: Per-measurement uplink ToA sigma pinned by the sweep below.
-PINNED_TOA_SIGMA_PS = 70_000
-
 _BLOCK_SF = 12_000       # one distance block: 12 s of subframes
 _CONNS_PER_BLOCK = 6     # reconnect_rate 30/min -> one connection per 2 s
 
 
-def replication_scenario(toa_sigma_ps: int = PINNED_TOA_SIGMA_PS,
+def replication_scenario(toa_sigma_ps: int = sim.DEFAULT_TOA_SIGMA_PS,
                          seed: int = 11) -> sim.Scenario:
     """Five phones stepping through six bench distances, 36 connections each.
 
@@ -161,7 +158,7 @@ def main(argv=None) -> int:
     parser.add_argument("--write-scenario", metavar="PATH",
                         help="write the replication scenario JSON here")
     parser.add_argument("--sigma-ps", type=int,
-                        default=PINNED_TOA_SIGMA_PS,
+                        default=sim.DEFAULT_TOA_SIGMA_PS,
                         help="toa_sigma_ps for --write-scenario")
     parser.add_argument("--seed", type=int, default=11,
                         help="scenario seed for --write-scenario")
