@@ -93,7 +93,8 @@ class Imsi:
     digits: str
 
     def __post_init__(self):
-        if len(self.digits) != 15 or not self.digits.isdigit():
+        if not (len(self.digits) == 15 and self.digits.isascii()
+                and self.digits.isdigit()):  # isdigit alone takes "١", "²"
             raise ValueError(f"IMSI must be 15 decimal digits: {self.digits!r}")
 
 

@@ -34,7 +34,6 @@ every connection id names cell 0.
 
 import json
 import os
-import statistics
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
@@ -139,7 +138,6 @@ class RunContext:
     views: list = field(default_factory=list)
     track_db: Optional[TrackDb] = None
     stats_rows: list = field(default_factory=list)
-    error_rows: list = field(default_factory=list)
     summary_rows: list = field(default_factory=list)
 
 
@@ -169,7 +167,7 @@ def stage_extract(ctx: RunContext) -> None:
 def _ta_index(d_ta_values) -> Optional[int]:
     if not d_ta_values:
         return None
-    return quantize_ta(statistics.median_low(d_ta_values))
+    return quantize_ta(sorted(d_ta_values)[(len(d_ta_values) - 1) // 2])
 
 
 def stage_localize(ctx: RunContext) -> None:
@@ -179,11 +177,11 @@ def stage_localize(ctx: RunContext) -> None:
     groups: dict = {}
     for probe_id in sorted(ctx.tables):
         for record in ctx.tables[probe_id].records:
-            start_ps = record.rar_rx - ctx.tables[probe_id].d_dlprobe_ps
             leg = ProbeLeg(probe_id=probe_id, record=record,
                            stats=connection_stats(
                                list(map(_SUM_DELAY, record.measurements))))
-            groups.setdefault((start_ps, record.rnti.value), []).append(leg)
+            groups.setdefault((record.start_ps, record.rnti.value),
+                              []).append(leg)
 
     views = [_merge_legs(start_ps, rnti, legs)
              for (start_ps, rnti), legs in sorted(groups.items())]
@@ -348,7 +346,7 @@ def stage_stats(ctx: RunContext) -> None:
             rows = [r for r in rows if r is not None]
             if not rows:
                 continue
-            true_sum = statistics.median(r.sum_true_ps for r in rows)
+            true_sum = median_of_sorted(sorted(r.sum_true_ps for r in rows))
             err_raw_ps = leg.stats.median - true_sum
             err_corr_ps = err_raw_ps - _bias_correction_ps(view)
             ctx.stats_rows.append({
@@ -365,13 +363,6 @@ def stage_stats(ctx: RunContext) -> None:
                 "err_raw_m": ps_to_m(err_raw_ps) / 2,
                 "err_corr_m": ps_to_m(err_corr_ps) / 2,
             })
-    for row in ctx.stats_rows:
-        ctx.error_rows.append({
-            "conn": row["conn"],
-            "imsi": row["imsi"],
-            "model": row["model"],
-            "error_m": abs(row["err_corr_m"]),
-        })
     ctx.summary_rows = _summarize(ctx.stats_rows, ctx.group_by)
 
 
@@ -588,7 +579,9 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
         _write_csv(out / "connection_stats.csv", _CONN_STATS_COLUMNS, rows)
     if "stats" in stages:
         _write_csv(out / "stats.csv", _STATS_COLUMNS, ctx.stats_rows)
-        _write_csv(out / "errors.csv", _ERROR_COLUMNS, ctx.error_rows)
+        _write_csv(out / "errors.csv", _ERROR_COLUMNS,
+                   ((r["conn"], r["imsi"], r["model"], abs(r["err_corr_m"]))
+                    for r in ctx.stats_rows), get=None)
         _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, ctx.summary_rows)
 
 

@@ -21,7 +21,8 @@ Events and measurements are flat named tuples: an event's subframe
 stamp (frame, subframe, receive time, carrier) comes first, followed by
 what was decoded, and a measurement carries the frame and subframe of
 its burst. ``ConnectionTable.ingest`` unpacks each event once,
-range-checks its stamp and dispatches on the carrier and message type.
+range-checks its stamp, dispatches on the carrier and message type, sets
+``start_ps`` to the t_n of a RAR's subframe and notes each decoded uplink.
 """
 
 from __future__ import annotations
@@ -79,22 +80,10 @@ class Measurement(NamedTuple):
     sum_delay: Span
 
 
-def infer_t_n(dl_rx: Instant, d_dlprobe: Span) -> Instant:
-    """Subframe transmission instant from its downlink arrival time.
-
-    The downlink propagation delay to the probe is known (surveyed probe
-    and eNodeB positions), so t_n = dl_rx - d_dlprobe; later subframes
-    follow at exact 1 ms steps.
-    """
-    if d_dlprobe < 0:
-        raise ValueError("downlink probe delay must be >= 0")
-    return dl_rx - d_dlprobe
-
-
 @dataclass
 class ConnectionRecord:
     rnti: Rnti
-    rar_rx: Instant  # when the random access response that opened it arrived
+    start_ps: Instant  # t_n of the subframe that carried its RAR
     tmsi: Optional[Tmsi] = None
     tmsi_is_random: bool = False
     ta_current: TaIndex = 0
@@ -106,39 +95,12 @@ class ConnectionRecord:
     _pending_tas: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _note_rrc_request(rec: ConnectionRecord, msg) -> None:
-    rec.tmsi, rec.tmsi_is_random = msg.tmsi, msg.is_random
-
-
-def _note_service_request(rec: ConnectionRecord, msg) -> None:
-    rec.tmsi, rec.had_service_request = msg.tmsi, True
-
-
-def _note_attach_request(rec: ConnectionRecord, msg) -> None:
-    rec.capabilities = msg.capabilities
-    if type(msg.id) is Imsi:
-        rec.observed_imsi = msg.id.digits
-    else:
-        rec.tmsi = msg.id
-
-
-def _note_identity_response(rec: ConnectionRecord, msg) -> None:
-    rec.observed_imsi = msg.imsi.digits
-
-
-#: What each decodable uplink message tells a record about its phone.
-_UPLINK_NOTES = {
-    RrcConnectionRequest: _note_rrc_request,
-    ServiceRequest: _note_service_request,
-    AttachRequest: _note_attach_request,
-    IdentityResponse: _note_identity_response,
-}
-
-
 class ConnectionTable:
     """Single-writer per-probe state; a pure function of the event stream."""
 
     def __init__(self, d_dlprobe_ps: Span = 0, ack_gating: bool = True):
+        if d_dlprobe_ps < 0:  # t_n is a downlink's rx less this delay
+            raise ValueError("downlink probe delay must be >= 0")
         self.d_dlprobe_ps = d_dlprobe_ps
         self.ack_gating = ack_gating
         self.records: list[ConnectionRecord] = []
@@ -177,11 +139,11 @@ class ConnectionTable:
 
         if carrier is Carrier.DOWNLINK:
             # Subframe n was sent at t_n = origin + n ms.
-            self._tn_origin = (infer_t_n(rx_time, self.d_dlprobe_ps)
-                               - abs_idx * PS_PER_SUBFRAME)
+            t_n = rx_time - self.d_dlprobe_ps
+            self._tn_origin = t_n - abs_idx * PS_PER_SUBFRAME
             if kind is RandomAccessResponse:
                 rnti = rnti_of_rar(msg)
-                rec = ConnectionRecord(rnti=rnti, rar_rx=rx_time,
+                rec = ConnectionRecord(rnti=rnti, start_ps=t_n,
                                        ta_current=msg.ta)
                 self._grants[msg.grant.rb_alloc] = (rec, abs_idx)
                 self.records.append(rec)
@@ -217,8 +179,19 @@ class ConnectionTable:
                 or self.by_rnti[rec.rnti.value] is not rec):
             self.dropped_uplinks += 1
             return []
-        if kind in _UPLINK_NOTES:
-            _UPLINK_NOTES[kind](rec, msg)
+        if msg is not None:  # a decoded uplink: note what it tells
+            if kind is RrcConnectionRequest:
+                rec.tmsi, rec.tmsi_is_random = msg.tmsi, msg.is_random
+            elif kind is ServiceRequest:
+                rec.tmsi, rec.had_service_request = msg.tmsi, True
+            elif kind is AttachRequest:
+                rec.capabilities = msg.capabilities
+                if type(msg.id) is Imsi:
+                    rec.observed_imsi = msg.id.digits
+                else:
+                    rec.tmsi = msg.id
+            elif kind is IdentityResponse:
+                rec.observed_imsi = msg.imsi.digits
         t_n = self._tn_origin + abs_idx * PS_PER_SUBFRAME
         d_ta = TA_SPAN_PS[rec.ta_current]  # clamped or checked on entry
         meas = tuple.__new__(Measurement, (frame, subframe, rx_time, t_n,

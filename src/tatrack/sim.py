@@ -238,15 +238,22 @@ class Scenario:
                 raise ScenarioError("waypoints must be time-ordered")
             if ue.reconnect_rate <= 0:
                 raise ScenarioError("reconnect_rate must be positive")
-            if ue.imsi is not None and not (
-                    len(ue.imsi) == 15 and ue.imsi.isascii()
-                    and ue.imsi.isdigit()):
+            try:  # the codec's identity types decide what each may hold
+                if ue.imsi is not None:
+                    Imsi(ue.imsi)
+            except ValueError:
                 raise ScenarioError(
-                    f"imsi {ue.imsi!r} is not 15 decimal digits")
-            if ue.tmsi is not None and not 0 <= ue.tmsi < 2**32:
-                raise ScenarioError(f"tmsi {ue.tmsi} does not fit in 32 bits")
+                    f"imsi {ue.imsi!r} is not 15 decimal digits") from None
+            try:
+                if ue.tmsi is not None:
+                    Tmsi(ue.tmsi)
+            except ValueError:
+                raise ScenarioError(
+                    f"tmsi {ue.tmsi} does not fit in 32 bits") from None
             if ue.n_data_rounds < 0:
                 raise ScenarioError("n_data_rounds must be >= 0")
+            if ue.ta_interval < 0:
+                raise ScenarioError("ta_interval must be >= 0")
             span = _connection_span(ue)
             if _reconnect_interval(ue) <= span:
                 raise ScenarioError(

@@ -130,8 +130,8 @@ def test_criterion_05_noiseless_replication_submillimetre():
 def test_criterion_06_noisy_replication_error_quantiles():
     ctx = pipeline.run_pipeline(sim.load_scenario(SCENARIO_PATH))
     by_model = {}
-    for row in ctx.error_rows:
-        by_model.setdefault(row["model"], []).append(row["error_m"])
+    for row in ctx.stats_rows:
+        by_model.setdefault(row["model"], []).append(abs(row["err_corr_m"]))
     assert set(by_model) == set(BENCH_PHONES)
     for model, errs in by_model.items():
         p90 = float(np.percentile(errs, 90.0))

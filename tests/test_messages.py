@@ -169,6 +169,9 @@ def test_encode_rejects_out_of_range_fields():
         m.RandomAccessResponse(m.Rnti(1), 1283, m.UlGrant(0, 0, 0))
     with pytest.raises(ValueError):
         m.Imsi("12345")
+    for digits in ("\u0661" * 15, "\u00b2" * 15):  # Arabic-Indic one, "²"
+        with pytest.raises(ValueError):
+            m.Imsi(digits)
     with pytest.raises(ValueError):
         m.CapabilityVector(b"\x00" * 31)
 

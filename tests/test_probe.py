@@ -6,7 +6,7 @@ from tatrack import timebase as tb
 from tatrack.messages import (Ack, DciFormat0, MacTaCommand,
                               RandomAccessResponse, Rnti, RrcConnectionRequest,
                               ServiceRequest, Tmsi, UlGrant)
-from tatrack.probe import Carrier, ConnectionTable, ProbeEvent, infer_t_n
+from tatrack.probe import Carrier, ConnectionTable, ProbeEvent
 
 RNTI = Rnti(0x004A)
 
@@ -27,11 +27,15 @@ def ul(idx, rx, msg=None, rb=None, rnti=None):
 
 # -- t_n recovery --------------------------------------------------------------
 
-def test_infer_t_n_values():
-    assert infer_t_n(10_000_000, 0) == 10_000_000
-    assert infer_t_n(10_000_000, 1_000_000) == 9_000_000
+def test_start_and_t_n_are_downlink_rx_less_the_downlink_delay():
     with pytest.raises(ValueError):
-        infer_t_n(10_000_000, -1)
+        ConnectionTable(d_dlprobe_ps=-1)
+    table = ConnectionTable(d_dlprobe_ps=1_000_000)
+    table.ingest(dl(10, 10 * 10**9 + 1_000_000,
+                    RandomAccessResponse(RNTI, TA0, UlGrant(3, 0x10, 3))))
+    assert table.by_rnti[RNTI.value].start_ps == 10 * 10**9
+    [meas] = table.ingest(ul(13, _uplink_rx(13, TA0), rb=0x10))
+    assert meas.t_n == 13 * 10**9
 
 
 def test_t_n_chains_in_exact_milliseconds():
@@ -143,7 +147,7 @@ def test_ack_gated_resend_applied_once():
     table.ingest(dl(45, 45 * 10**9))
     table.ingest(ul(46, _uplink_rx(46, TA0), Ack(0), rnti=RNTI))
     assert rec.ta_current == TA0 + 1
-    assert rec.rar_rx == 10 * 10**9
+    assert rec.start_ps == 10 * 10**9
 
 
 def test_ungated_resend_double_applies():

@@ -489,13 +489,15 @@ def test_validate_rejects_bad_probe_role():
     ("imsi", {"imsi": "12345"}, {}),
     ("tmsi", {"tmsi": 2**32}, {}),
     ("n_data_rounds", {"n_data_rounds": -3}, {}),
+    ("ta_interval", {"ta_interval": -7}, {}),
     ("max_offset_ps", {}, {"countermeasure": sim.Countermeasure(
         mode="random_offset", max_offset_ps=2**70)}),
     ("probe0", {}, {"probes": (sim.Probe("probe0", Position(0.0, 0.0)),
                                sim.Probe("probe0", Position(90.0, 0.0)))}),
     ("p/0", {}, {"probes": (sim.Probe("p/0", Position(0.0, 0.0)),)}),
 ], ids=["short_imsi", "tmsi_over_32_bits", "negative_rounds",
-        "offset_over_int64", "duplicate_probe_id", "probe_id_names_no_file"])
+        "negative_ta_interval", "offset_over_int64", "duplicate_probe_id",
+        "probe_id_names_no_file"])
 def test_validate_rejects_values_the_simulator_cannot_encode(field, ue,
                                                              scenario):
     with pytest.raises(sim.ScenarioError, match=field):

@@ -89,9 +89,10 @@ def gate_stats(toa_sigma_ps: int, seed: int) -> dict:
                        stages=STAGES)
     by_model: dict = {}
     pooled = []
-    for row in ctx.error_rows:
-        by_model.setdefault(row["model"], []).append(row["error_m"])
-        pooled.append(row["error_m"])
+    for row in ctx.stats_rows:
+        error_m = abs(row["err_corr_m"])
+        by_model.setdefault(row["model"], []).append(error_m)
+        pooled.append(error_m)
     p90 = {model: float(np.percentile(errs, 90))
            for model, errs in sorted(by_model.items())}
     counts = {model: len(errs) for model, errs in by_model.items()}
