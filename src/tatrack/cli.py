@@ -1,8 +1,8 @@
 """Batch front-end over the staged pipeline: run scenarios, export CDFs.
 
-Two subcommands, no interactive UI. ``run`` executes a scenario manifest
-through the stage chain and writes the artifact CSVs next to a printed
-per-group error summary; ``cdf`` reduces an errors CSV to plot-ready
+Two subcommands, no interactive UI. ``run`` executes a scenario through
+the stage chain and writes the artifact CSVs next to a printed per-group
+error summary; ``cdf`` reduces an errors CSV to plot-ready
 (error_m, cumulative_fraction) rows for any external plotting tool.
 
 Exit codes: 0 on success, 1 for runtime failures (among them a failed
@@ -12,9 +12,9 @@ UTF-8 text or not valid JSON, a scenario the pipeline cannot run, a bad
 stage list, or an errors CSV with no data rows, without the ``error_m``
 (or ``--group-by``) column, with a row shorter than its header or with
 an ``error_m`` that is not a finite number. Each refusal prints one
-``error:`` line naming the path or the column. Re-running ``run`` with
-the same manifest rewrites byte-identical artifacts; repeats fan out to
-``repeat_NNN`` subdirectories with consecutive seeds.
+``error:`` line naming the path or the column. Re-running ``run`` on the
+same scenario with the same options rewrites byte-identical artifacts;
+repeats fan out to ``repeat_NNN`` subdirectories with consecutive seeds.
 
 ``run`` pauses the cyclic garbage collector while its scenarios run and
 restores it as it found it. A run's data is acyclic, so reference counting
@@ -30,25 +30,12 @@ import gc
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import sim
 from .pipeline import (GROUP_CHOICES, STAGES, StageError, check_stages,
                        empirical_cdf, run_pipeline)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one batch run needs: inputs, outputs, and stage list."""
-
-    scenario_path: str
-    out_dir: str
-    stages: tuple = STAGES
-    seed: Optional[int] = None
-    group_by: str = "imsi"
-    repeat: int = 1
 
 
 def _fail(message: str) -> None:
@@ -66,45 +53,46 @@ def _print_summary(summary_rows, label: str) -> None:
               f"{row['median_m']:>9.3f}  {row['p90_m']:>9.3f}")
 
 
-def cmd_run(manifest: RunManifest) -> int:
+def cmd_run(scenario_path, out_dir, stages=STAGES, seed: Optional[int] = None,
+            group_by: str = "imsi", repeat: int = 1) -> int:
     try:
-        scenario = sim.load_scenario(manifest.scenario_path)
+        scenario = sim.load_scenario(scenario_path)
     except FileNotFoundError:
-        _fail(f"scenario not found: {manifest.scenario_path}")
+        _fail(f"scenario not found: {scenario_path}")
         return 2
     except IsADirectoryError:
-        _fail(f"scenario is a directory: {manifest.scenario_path}")
+        _fail(f"scenario is a directory: {scenario_path}")
         return 2
     except UnicodeDecodeError:
-        _fail(f"scenario is not UTF-8 text: {manifest.scenario_path}")
+        _fail(f"scenario is not UTF-8 text: {scenario_path}")
         return 2
     except sim.ScenarioError as exc:
         _fail(str(exc))
         return 2
     try:
-        stages = check_stages(manifest.stages)
+        stages = check_stages(stages)
     except StageError as exc:
         _fail(str(exc))
         return 2
-    if manifest.repeat < 1:
+    if repeat < 1:
         _fail("repeat must be >= 1")
         return 2
-    if manifest.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=manifest.seed)
-    out_root = Path(manifest.out_dir)
+    if seed is not None:
+        scenario = dataclasses.replace(scenario, seed=seed)
+    out_root = Path(out_dir)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for i in range(manifest.repeat):
-            if manifest.repeat == 1:
-                out_dir, run = out_root, scenario
+        for i in range(repeat):
+            if repeat == 1:
+                run_dir, run = out_root, scenario
             else:
-                out_dir = out_root / f"repeat_{i:03d}"
+                run_dir = out_root / f"repeat_{i:03d}"
                 run = dataclasses.replace(scenario, seed=scenario.seed + i)
-            ctx = run_pipeline(run, stages, out_dir=out_dir,
-                               group_by=manifest.group_by)
+            ctx = run_pipeline(run, stages, out_dir=run_dir,
+                               group_by=group_by)
             _print_summary(ctx.summary_rows,
-                           f"{out_dir} seed={run.seed} "
+                           f"{run_dir} seed={run.seed} "
                            f"stages={','.join(stages)}")
             del ctx  # so the next run starts with this one's data freed
     except (sim.ScenarioError, StageError) as exc:
@@ -199,11 +187,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        manifest = RunManifest(
-            scenario_path=args.scenario, out_dir=args.out,
-            stages=tuple(s.strip() for s in args.stages.split(",") if s),
-            seed=args.seed, group_by=args.group_by, repeat=args.repeat)
-        return cmd_run(manifest)
+        return cmd_run(args.scenario, args.out, args.stages.split(","),
+                       seed=args.seed, group_by=args.group_by,
+                       repeat=args.repeat)
     try:
         rows = cmd_cdf(args.errors_csv, group_by=args.group_by)
     except FileNotFoundError:

@@ -6,14 +6,13 @@ payload length, then fixed-layout big-endian fields in declaration order.
 What matters downstream is the message semantics and that the encoding is
 bit-exact and total to decode.
 
-Tag table:
-    0x01 RandomAccessPreamble   0x08 AttachRequest
+Tag table (0x01 and 0x04 are unassigned and decode to ``UnknownTag``):
     0x02 RandomAccessResponse   0x09 ServiceRequest
     0x03 DciFormat0             0x0A IdentityRequest
-    0x04 DciFormat1             0x0B IdentityResponse
-    0x05 MacTaCommand           0x0C Ack
-    0x06 RrcConnectionRequest   0x0D ServiceReject
-    0x07 RrcConnectionSetup
+    0x05 MacTaCommand           0x0B IdentityResponse
+    0x06 RrcConnectionRequest   0x0C Ack
+    0x07 RrcConnectionSetup     0x0D ServiceReject
+    0x08 AttachRequest
 """
 
 from __future__ import annotations
@@ -93,7 +92,8 @@ class Imsi:
     digits: str
 
     def __post_init__(self):
-        if not (len(self.digits) == 15 and self.digits.isascii()
+        if not (isinstance(self.digits, str) and len(self.digits) == 15
+                and self.digits.isascii()
                 and self.digits.isdigit()):  # isdigit alone takes "١", "²"
             raise ValueError(f"IMSI must be 15 decimal digits: {self.digits!r}")
 
@@ -123,18 +123,9 @@ class CapabilityVector:
 
 class IdType(IntEnum):
     IMSI = 0x01
-    IMEI = 0x02
 
 
 # --- message variants, in tag order ----------------------------------------
-
-
-@dataclass(frozen=True)
-class RandomAccessPreamble:
-    preamble_id: int
-
-    def __post_init__(self):
-        _check_range("preamble_id", self.preamble_id, 0, 63)
 
 
 @dataclass(frozen=True)
@@ -195,17 +186,6 @@ def dci_format0(rnti: Rnti, subframe_offset: int, rb_alloc: int,
     fields["rb_alloc"] = rb_alloc
     fields["mcs"] = mcs
     return msg
-
-
-@dataclass(frozen=True)
-class DciFormat1:
-    rnti: Rnti
-    rb_alloc: int
-    mcs: int
-
-    def __post_init__(self):
-        _check_range("rb_alloc", self.rb_alloc, 0, 0xFFFF)
-        _check_range("mcs", self.mcs, 0, 31)
 
 
 @dataclass(frozen=True)
@@ -276,9 +256,9 @@ class ServiceReject:
 
 
 Message = Union[
-    RandomAccessPreamble, RandomAccessResponse, DciFormat0, DciFormat1,
-    MacTaCommand, RrcConnectionRequest, RrcConnectionSetup, AttachRequest,
-    ServiceRequest, IdentityRequest, IdentityResponse, Ack, ServiceReject,
+    RandomAccessResponse, DciFormat0, MacTaCommand, RrcConnectionRequest,
+    RrcConnectionSetup, AttachRequest, ServiceRequest, IdentityRequest,
+    IdentityResponse, Ack, ServiceReject,
 ]
 
 _ID_KIND_TMSI = 0x00
@@ -315,14 +295,11 @@ def _pack_attach(msg: AttachRequest) -> bytes:
 
 #: Each message type's tag and the packer of its payload.
 _CODECS = {
-    RandomAccessPreamble: (0x01, lambda m: struct.pack(">B", m.preamble_id)),
     RandomAccessResponse: (0x02, lambda m: struct.pack(
         ">HHBHB", m.rnti.value, m.ta, m.grant.subframe_offset,
         m.grant.rb_alloc, m.grant.mcs)),
     DciFormat0: (0x03, lambda m: struct.pack(
         ">HBHB", m.rnti.value, m.subframe_offset, m.rb_alloc, m.mcs)),
-    DciFormat1: (0x04, lambda m: struct.pack(">HHB", m.rnti.value,
-                                             m.rb_alloc, m.mcs)),
     MacTaCommand: (0x05, lambda m: struct.pack(">B", m.adjust + 31)),
     RrcConnectionRequest: (0x06, lambda m: struct.pack(
         ">IBB", m.tmsi.value, m.establishment_cause, int(m.is_random))),
@@ -376,8 +353,6 @@ class _Cursor:
 
 def _decode_payload(tag: int, cur: _Cursor) -> Message:
     try:
-        if tag == 0x01:
-            return RandomAccessPreamble(cur.u8("preamble_id"))
         if tag == 0x02:
             rnti = Rnti(cur.u16("rnti"))
             ta = cur.u16("ta")
@@ -387,9 +362,6 @@ def _decode_payload(tag: int, cur: _Cursor) -> Message:
         if tag == 0x03:
             return DciFormat0(Rnti(cur.u16("rnti")), cur.u8("subframe_offset"),
                               cur.u16("rb_alloc"), cur.u8("mcs"))
-        if tag == 0x04:
-            return DciFormat1(Rnti(cur.u16("rnti")), cur.u16("rb_alloc"),
-                              cur.u8("mcs"))
         if tag == 0x05:
             return MacTaCommand(cur.u8("adjust") - 31)
         if tag == 0x06:

@@ -88,8 +88,9 @@ class StageError(ValueError):
 
 
 def check_stages(stages) -> tuple:
-    """Validate a non-empty stage selection; return it in canonical order."""
-    chosen = list(stages)
+    """Validate a non-empty stage selection, names stripped and blank ones
+    dropped (so ``text.split(",")`` may be passed); canonical order out."""
+    chosen = [s for s in map(str.strip, stages) if s]
     if not chosen:
         raise StageError("no stage given")
     unknown = sorted(set(chosen) - set(STAGES))

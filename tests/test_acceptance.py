@@ -271,9 +271,7 @@ def test_criterion_12_rerun_byte_identical(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
     for out_dir in (first, second):
-        manifest = cli.RunManifest(scenario_path=SCENARIO_PATH,
-                                   out_dir=str(out_dir))
-        assert cli.cmd_run(manifest) == 0
+        assert cli.cmd_run(SCENARIO_PATH, str(out_dir)) == 0
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(first, second, names,

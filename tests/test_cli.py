@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tatrack import cli, sim
-from tatrack.cli import RunManifest, cmd_cdf, cmd_run, main
+from tatrack.cli import cmd_cdf, cmd_run, main
 from tatrack.geometry import Position
 from tatrack.pipeline import run_pipeline
 
@@ -84,8 +84,19 @@ def test_bad_stage_lists_are_input_errors(tmp_path, capsys):
     assert main(["run", "--scenario", str(path),
                  "--out", str(tmp_path / "o"), "--stages", ""]) == 2
     assert not (tmp_path / "o").exists()
-    assert cmd_run(RunManifest(str(path), str(tmp_path / "o"),
-                               group_by="bogus")) == 2
+    assert cmd_run(str(path), str(tmp_path / "o"), group_by="bogus") == 2
+
+
+def test_stage_list_names_are_stripped_and_blank_ones_dropped(tmp_path,
+                                                              capsys):
+    path = _write_scenario(tmp_path, _scenario())
+    assert main(["run", "--scenario", str(path), "--out",
+                 str(tmp_path / "o"), "--stages", "simulate, "]) == 0
+    assert (tmp_path / "o" / "events_probe0.jsonl").exists()
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--out",
+                 str(tmp_path / "p"), "--stages", " "]) == 2
+    assert capsys.readouterr().err == "error: no stage given\n"
 
 
 def test_second_enodeb_is_refused(tmp_path, capsys):
@@ -188,8 +199,8 @@ def test_repeat_keeps_one_run_alive_at_a_time(tmp_path, monkeypatch,
 def test_seed_override_changes_the_run(tmp_path):
     path = _write_scenario(tmp_path, _scenario())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cmd_run(RunManifest(str(path), str(out_a))) == 0
-    assert cmd_run(RunManifest(str(path), str(out_b), seed=99)) == 0
+    assert cmd_run(str(path), str(out_a)) == 0
+    assert cmd_run(str(path), str(out_b), seed=99) == 0
     # Ground truth is seed-independent; the seed only drives the noise
     # draws, so the difference shows up in the recorded event times.
     assert ((out_a / "events_probe0.jsonl").read_bytes()
@@ -211,10 +222,8 @@ def test_repeat_fans_out_with_consecutive_seeds(tmp_path, capsys):
 def test_rerun_is_byte_identical(tmp_path):
     path = _write_scenario(tmp_path, _scenario())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    manifest_a = RunManifest(str(path), str(out_a))
-    manifest_b = RunManifest(str(path), str(out_b))
-    assert cmd_run(manifest_a) == 0
-    assert cmd_run(manifest_b) == 0
+    assert cmd_run(str(path), str(out_a)) == 0
+    assert cmd_run(str(path), str(out_b)) == 0
     names = sorted(p.name for p in out_a.iterdir())
     assert names == sorted(p.name for p in out_b.iterdir())
     same, diff, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
@@ -412,7 +421,7 @@ def test_cdf_quantile_matches_run_summary(tmp_path):
     # bracket the p90 the run summary printed for that identity.
     path = _write_scenario(tmp_path, _scenario(duration_s=21))
     out = tmp_path / "out"
-    assert cmd_run(RunManifest(str(path), str(out))) == 0
+    assert cmd_run(str(path), str(out)) == 0
     with open(out / "summary.csv") as fh:
         summary = list(csv.DictReader(fh))
     assert len(summary) == 1

@@ -15,11 +15,9 @@ grants = st.builds(m.UlGrant, st.integers(0, 255), st.integers(0, 0xFFFF),
                    st.integers(0, 31))
 
 messages = st.one_of(
-    st.builds(m.RandomAccessPreamble, st.integers(0, 63)),
     st.builds(m.RandomAccessResponse, rntis, st.integers(0, 1282), grants),
     st.builds(m.DciFormat0, rntis, st.integers(0, 255),
               st.integers(0, 0xFFFF), st.integers(0, 31)),
-    st.builds(m.DciFormat1, rntis, st.integers(0, 0xFFFF), st.integers(0, 31)),
     st.builds(m.MacTaCommand, st.integers(-31, 32)),
     st.builds(m.RrcConnectionRequest, tmsis, st.integers(0, 255),
               st.booleans()),
@@ -93,15 +91,12 @@ def _random_message(rng):
         return m.Imsi("".join(rng.choices("0123456789", k=15)))
 
     return [
-        lambda: m.RandomAccessPreamble(rng.randrange(64)),
         lambda: m.RandomAccessResponse(
             rnti(), rng.randrange(1283),
             m.UlGrant(rng.randrange(256), rng.randrange(0x10000),
                       rng.randrange(32))),
         lambda: m.DciFormat0(rnti(), rng.randrange(256),
                              rng.randrange(0x10000), rng.randrange(32)),
-        lambda: m.DciFormat1(rnti(), rng.randrange(0x10000),
-                             rng.randrange(32)),
         lambda: m.MacTaCommand(rng.randrange(-31, 33)),
         lambda: m.RrcConnectionRequest(tmsi(), rng.randrange(256),
                                        rng.random() < 0.5),
@@ -113,7 +108,7 @@ def _random_message(rng):
         lambda: m.IdentityResponse(imsi()),
         lambda: m.Ack(rng.randrange(16)),
         lambda: m.ServiceReject(rng.randrange(256)),
-    ][rng.randrange(13)]()
+    ][rng.randrange(11)]()
 
 
 # --- totality ---------------------------------------------------------------
@@ -150,14 +145,16 @@ def test_truncated_rar_names_missing_field():
 def test_error_kinds_are_distinct():
     with pytest.raises(m.Truncated):
         m.decode(b"\x0c")  # no header
-    with pytest.raises(m.UnknownTag):
-        m.decode(b"\x7f\x00\x01\x00")
+    for tag in (0x01, 0x04, 0x7F):  # unassigned tags
+        with pytest.raises(m.UnknownTag):
+            m.decode(bytes((tag, 0, 1, 0)))
     with pytest.raises(m.BadLength):
         m.decode(m.encode(m.Ack(3)) + b"\x00")  # trailing byte
     with pytest.raises(m.BadLength):
         m.decode(b"\x0c\x00\x02\x01\x02")  # overlong declared payload
-    with pytest.raises(m.BadField):
-        m.decode(b"\x0a\x00\x01\x03")  # unassigned identity type
+    for id_type in (0x02, 0x03):  # unassigned identity types
+        with pytest.raises(m.BadField):
+            m.decode(bytes((0x0A, 0, 1, id_type)))
     with pytest.raises(m.BadField):
         m.decode(b"\x05\x00\x01\xff")  # TA adjust out of range
 

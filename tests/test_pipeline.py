@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tatrack import geometry
+from tatrack import geometry, messages
 from tatrack import pipeline as pl
 from tatrack import sim
 from tatrack.fingerprint import FingerprintDb, hw_error
@@ -724,6 +724,17 @@ def test_artifacts_match_their_golden_digests():
         lines = tool.digest_lines(scenario)
         assert {path: digest for digest, path in
                 (line.split("  ") for line in lines)} == golden
+
+
+def test_codec_carries_exactly_what_the_simulator_sends():
+    kinds = set()
+    for reject in (False, True):
+        scn = _golden_scenario()
+        scn = replace(scn, attack=replace(scn.attack,
+                                          use_service_reject=reject))
+        kinds |= {type(e.message) for events in sim.run(scn).events.values()
+                  for e in events if e.message is not None}
+    assert kinds == set(messages._CODECS)
 
 
 def test_digest_tool_runs_a_benchmark_workload_layout(capsys, monkeypatch):

@@ -487,6 +487,7 @@ def test_validate_rejects_bad_probe_role():
 
 @pytest.mark.parametrize("field, ue, scenario", [
     ("imsi", {"imsi": "12345"}, {}),
+    ("imsi", {"imsi": 12345}, {}),
     ("tmsi", {"tmsi": 2**32}, {}),
     ("n_data_rounds", {"n_data_rounds": -3}, {}),
     ("ta_interval", {"ta_interval": -7}, {}),
@@ -495,7 +496,7 @@ def test_validate_rejects_bad_probe_role():
     ("probe0", {}, {"probes": (sim.Probe("probe0", Position(0.0, 0.0)),
                                sim.Probe("probe0", Position(90.0, 0.0)))}),
     ("p/0", {}, {"probes": (sim.Probe("p/0", Position(0.0, 0.0)),)}),
-], ids=["short_imsi", "tmsi_over_32_bits", "negative_rounds",
+], ids=["short_imsi", "int_imsi", "tmsi_over_32_bits", "negative_rounds",
         "negative_ta_interval", "offset_over_int64", "duplicate_probe_id",
         "probe_id_names_no_file"])
 def test_validate_rejects_values_the_simulator_cannot_encode(field, ue,

@@ -82,7 +82,7 @@ def main(argv=None) -> int:
                              f"(default: {','.join(STAGES)})")
     args = parser.parse_args(argv)
     try:
-        stages = check_stages(s.strip() for s in args.stages.split(",") if s)
+        stages = check_stages(args.stages.split(","))
         if args.workload:
             lines = workload_digest_lines(args.workload, args.seed, stages)
         else:
