@@ -21,10 +21,10 @@ soon as simulate returns, while it runs probe -> stats and writes the
 rest itself; it reaps the child before it returns or raises, and a child
 that failed raises OSError. The child runs only the formatting code here
 and in ``messages`` (no numpy) and leaves through ``os._exit``. Its
-copy-on-write cost is the pages either process dirties meanwhile, about
-21 MB on the benchmark's crowd run and 26 MB on drive. Python 3.12 and later
-emit a DeprecationWarning when a process with threads forks, as with the
-threads of a multi-threaded BLAS under numpy; the child calls no BLAS.
+copy-on-write cost is the pages either process dirties meanwhile (README
+gives measured figures). Python 3.12 and later emit a DeprecationWarning
+when a process with threads forks, as with the threads of a
+multi-threaded BLAS under numpy; the child calls no BLAS.
 Where ``os.fork`` is missing, the same writer runs in this process.
 
 A scenario has exactly one eNodeB (``Scenario.validate`` refuses more):
@@ -36,7 +36,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
@@ -45,15 +45,14 @@ from . import sim
 from .fingerprint import (FingerprintDb, HwErrorUnavailable, classify,
                           hw_error)
 from .geometry import (AnnulusLocus, ConvergenceError, InfeasibleSumError,
-                       Position, PositionEstimate, annulus_from_ta,
-                       ellipse_from_sum, multilaterate,
-                       multilaterate_with_offset)
-from .messages import CapabilityVector, encode
+                       Position, annulus_from_ta, ellipse_from_sum,
+                       multilaterate, multilaterate_with_offset)
+from .messages import encode
 from .probe import ConnectionTable, Measurement, ProbeEvent
 from .timebase import m_to_ps, ps_to_m, quantize_ta
-from .tracker import (ConnectionStats, ConnectionSummary, TracePoint,
-                      TrackDb, connection_stats, median_of_sorted,
-                      provisional_id, quantile_of_sorted, trace_csv_rows)
+from .tracker import (Connection, TracePoint, TrackDb, connection_stats,
+                      median_of_sorted, provisional_id, quantile_of_sorted,
+                      trace_csv_rows)
 
 #: Every stage, in run order, with the stages it needs. Stage ``name`` is
 #: the function ``stage_<name>`` of this module.
@@ -105,38 +104,13 @@ def check_stages(stages) -> tuple:
 
 
 @dataclass
-class ProbeLeg:
-    """One probe's view of one connection."""
-
-    probe_id: str
-    record: object
-    stats: Optional[ConnectionStats]  # over the delay sums, in picoseconds
-
-
-@dataclass
-class ConnectionView:
-    """One physical connection merged across every probe that heard it."""
-
-    conn: ConnectionSummary
-    capabilities: Optional[CapabilityVector]
-    legs: dict
-    ta_index: Optional[int]
-    linked: Optional[str] = None  # the IMSI or provisional id it links to
-    loci: tuple = ()
-    estimate: Optional[PositionEstimate] = None
-    offset_m: Optional[float] = None
-    model_hat: Optional[str] = None
-    hw_bias_m: Optional[float] = None
-
-
-@dataclass
 class RunContext:
     scenario: sim.Scenario
     db: FingerprintDb
     group_by: str = "imsi"
     result: Optional[sim.SimResult] = None
     tables: dict = field(default_factory=dict)
-    views: list = field(default_factory=list)
+    views: list = field(default_factory=list)  # localize's Connections
     track_db: Optional[TrackDb] = None
     stats_rows: list = field(default_factory=list)
     summary_rows: list = field(default_factory=list)
@@ -175,76 +149,68 @@ def stage_localize(ctx: RunContext) -> None:
     enb = ctx.scenario.enbs[0]
     probe_pos = {p.id: p.position for p in ctx.scenario.probes}
 
-    groups: dict = {}
+    legs_by_key: dict = {}
     for probe_id in sorted(ctx.tables):
         for record in ctx.tables[probe_id].records:
-            leg = ProbeLeg(probe_id=probe_id, record=record,
-                           stats=connection_stats(
-                               list(map(_SUM_DELAY, record.measurements))))
-            groups.setdefault((record.start_ps, record.rnti.value),
-                              []).append(leg)
+            stats = connection_stats(list(map(_SUM_DELAY,
+                                              record.measurements)))
+            legs_by_key.setdefault((record.start_ps, record.rnti.value),
+                                   {})[probe_id] = (record, stats)
 
-    views = [_merge_legs(start_ps, rnti, legs)
-             for (start_ps, rnti), legs in sorted(groups.items())]
+    conns = [_merge_legs(start_ps, rnti, legs)
+             for (start_ps, rnti), legs in sorted(legs_by_key.items())]
     ctx.track_db = TrackDb()
-    for view in views:
-        view.linked = ctx.track_db.link_connection(view.conn)
-        _classify_view(view, ctx.db)
+    for conn in conns:
+        conn.linked = ctx.track_db.link_connection(conn)
+        _classify_view(conn, ctx.db)
     # A connection that carried no capability vector takes the model its
     # phone showed in any connection of the run, the latest winning.
-    phones = [_phone(view, ctx.track_db) for view in views]
-    bias_by_phone = {phone: (view.model_hat, view.hw_bias_m)
-                     for view, phone in zip(views, phones)
-                     if view.hw_bias_m is not None}
-    for view, phone in zip(views, phones):
-        if view.hw_bias_m is None and phone in bias_by_phone:
-            view.model_hat, view.hw_bias_m = bias_by_phone[phone]
-        _solve_view(ctx, view, enb.position, probe_pos)
-    ctx.views.extend(views)
+    phones = [_phone(conn, ctx.track_db) for conn in conns]
+    bias_by_phone = {phone: (conn.model_hat, conn.hw_bias_m)
+                     for conn, phone in zip(conns, phones)
+                     if conn.hw_bias_m is not None}
+    for conn, phone in zip(conns, phones):
+        if conn.hw_bias_m is None and phone in bias_by_phone:
+            conn.model_hat, conn.hw_bias_m = bias_by_phone[phone]
+        _solve_view(ctx, conn, enb.position, probe_pos)
+    ctx.views.extend(conns)
 
 
-def _phone(view: ConnectionView, db: TrackDb):
-    """Whose bias a linked view carries: its IMSI or, if it links
-    provisionally, the IMSI its stable TMSI is paired with once every view
-    is linked, else that TMSI. A provisional id is one connection's own."""
-    stable = view.conn.stable_tmsi
-    if stable is None or view.linked != provisional_id(view.conn.conn_id):
-        return view.linked
+def _phone(conn: Connection, db: TrackDb):
+    """Whose bias a linked connection carries: its IMSI or, if it links
+    provisionally, the IMSI its stable TMSI is paired with once every
+    connection is linked, else that TMSI. A provisional id is one
+    connection's own."""
+    stable = conn.stable_tmsi
+    if stable is None or conn.linked != provisional_id(conn.conn_id):
+        return conn.linked
     return db.imsi_for(stable) or stable
 
 
-def _merge_legs(start_ps: int, rnti: int, legs) -> ConnectionView:
-    tmsi = None
-    tmsi_is_random = False
-    observed_imsi = None
-    capabilities = None
-    had_service = False
-    end_ps = start_ps
+def _merge_legs(start_ps: int, rnti: int, legs: dict) -> Connection:
+    """One connection from each probe's ``(record, stats)``, by probe id."""
+    conn = Connection(conn_id=f"0-{rnti:#06x}-{start_ps}", rnti=rnti,
+                      start_ps=start_ps, end_ps=start_ps, legs=legs)
     d_ta_values = []
-    for leg in legs:
-        rec = leg.record
-        if rec.tmsi is not None and tmsi is None:
-            tmsi = rec.tmsi.value
-            tmsi_is_random = rec.tmsi_is_random
+    for rec, _ in legs.values():
+        if rec.tmsi is not None and conn.tmsi is None:
+            conn.tmsi = rec.tmsi.value
+            conn.tmsi_is_random = rec.tmsi_is_random
         if rec.observed_imsi is not None:
-            observed_imsi = rec.observed_imsi
+            conn.observed_imsi = rec.observed_imsi
         if rec.capabilities is not None:
-            capabilities = rec.capabilities
-        had_service = had_service or rec.had_service_request
-        end_ps = max(end_ps, max(map(_T_N, rec.measurements), default=end_ps))
+            conn.capabilities = rec.capabilities
+        conn.had_service_request |= rec.had_service_request
+        conn.end_ps = max(conn.end_ps, max(map(_T_N, rec.measurements),
+                                           default=conn.end_ps))
         d_ta_values.extend(map(_D_TA, rec.measurements))
-    conn = ConnectionSummary(
-        conn_id=f"0-{rnti:#06x}-{start_ps}", rnti=rnti, start_ps=start_ps,
-        end_ps=end_ps, tmsi=tmsi, tmsi_is_random=tmsi_is_random,
-        had_service_request=had_service, observed_imsi=observed_imsi)
-    return ConnectionView(conn=conn, capabilities=capabilities,
-                          legs={leg.probe_id: leg for leg in legs},
-                          ta_index=_ta_index(d_ta_values))
+    conn.ta_index = _ta_index(d_ta_values)
+    return conn
 
 
-def _bias_correction_ps(view: ConnectionView) -> int:
-    """Delay-sum inflation, in ps, from the view's bias on both legs."""
-    return m_to_ps(2 * view.hw_bias_m) if view.hw_bias_m is not None else 0
+def _bias_correction_ps(conn: Connection) -> int:
+    """Delay-sum inflation, in ps, from the connection's bias on both legs."""
+    return m_to_ps(2 * conn.hw_bias_m) if conn.hw_bias_m is not None else 0
 
 
 def _corrected_ring(ring: AnnulusLocus, hw_bias_m: float) -> AnnulusLocus:
@@ -261,75 +227,69 @@ def _corrected_ring(ring: AnnulusLocus, hw_bias_m: float) -> AnnulusLocus:
                         r_outer=max(inner + 1e-9, mid + width / 2))
 
 
-def _solve_view(ctx: RunContext, view: ConnectionView, enb_pos: Position,
+def _solve_view(ctx: RunContext, conn: Connection, enb_pos: Position,
                 probe_pos: dict) -> None:
     """Build loci and solve, correcting sums and ring when the bias is known.
 
     This is the only place a bias correction is applied: the tracker
     stores the estimate as solved here and never re-solves it.
     """
-    corr_ps = _bias_correction_ps(view)
+    corr_ps = _bias_correction_ps(conn)
     loci = []
     n_ellipses = 0
-    for probe_id in sorted(view.legs):
-        leg = view.legs[probe_id]
-        if leg.stats is None:
+    for probe_id, (_, stats) in conn.legs.items():
+        if stats is None:
             continue
-        kept = leg.stats.n_measurements - leg.stats.n_outliers_removed
-        sigma_sum_ps = leg.stats.iqr / _IQR_PER_SIGMA
+        kept = stats.n_measurements - stats.n_outliers_removed
+        sigma_sum_ps = stats.iqr / _IQR_PER_SIGMA
         sigma_median_ps = (_MEDIAN_SE_RATIO * sigma_sum_ps
                            / max(1.0, kept) ** 0.5)
         try:
             loci.append(ellipse_from_sum(
                 enb_pos, probe_pos[probe_id],
-                round(leg.stats.median - corr_ps),
+                round(stats.median - corr_ps),
                 sigma=ps_to_m(sigma_median_ps)))
             n_ellipses += 1
         except InfeasibleSumError:
             continue
-    if view.ta_index is not None:
-        annulus = annulus_from_ta(enb_pos, view.ta_index)
+    if conn.ta_index is not None:
+        annulus = annulus_from_ta(enb_pos, conn.ta_index)
         if corr_ps:
-            annulus = _corrected_ring(annulus, view.hw_bias_m)
+            annulus = _corrected_ring(annulus, conn.hw_bias_m)
         loci.append(annulus)
-    view.loci = tuple(loci)
+    conn.loci = tuple(loci)
     if not loci:
         return
     countered = ctx.scenario.countermeasure.mode == "random_offset"
     try:
         if countered and n_ellipses >= 3:
-            view.estimate, offset = multilaterate_with_offset(loci)
-            view.offset_m = offset
+            conn.estimate, conn.offset_m = multilaterate_with_offset(loci)
         else:
-            view.estimate = multilaterate(loci)
+            conn.estimate = multilaterate(loci)
     except ConvergenceError:
-        view.estimate = None
+        conn.estimate = None
 
 
 def stage_track(ctx: RunContext) -> None:
-    db = ctx.track_db
-    for view in ctx.views:
-        points = ()
-        if view.estimate is not None:
-            points = (TracePoint(t_ps=view.conn.start_ps,
-                                 estimate=view.estimate, loci=view.loci,
-                                 corrected=view.hw_bias_m is not None),)
-        db.ingest(replace(view.conn, points=points), view.linked)
-        if view.model_hat is not None and view.hw_bias_m is not None:
-            db.set_fingerprint(view.linked, view.model_hat, view.hw_bias_m)
+    for conn in ctx.views:
+        if conn.estimate is not None:
+            conn.points = (TracePoint(t_ps=conn.start_ps,
+                                      estimate=conn.estimate, loci=conn.loci,
+                                      corrected=conn.hw_bias_m is not None),)
+        ctx.track_db.ingest(conn)
 
 
-def _classify_view(view: ConnectionView, db: FingerprintDb) -> None:
-    if view.capabilities is None:
+def _classify_view(conn: Connection, db: FingerprintDb) -> None:
+    if conn.capabilities is None:
         return
-    result = classify(view.capabilities, db)
+    result = classify(conn.capabilities, db)
     if result.tie:
         return
-    view.model_hat = result.model
+    conn.model_hat = result.model
     try:
-        view.hw_bias_m = hw_error(result.model, db)
+        conn.hw_bias_m = hw_error(result.model, db)
     except HwErrorUnavailable:
-        view.hw_bias_m = None
+        conn.hw_bias_m = None
 
 
 def stage_stats(ctx: RunContext) -> None:
@@ -337,29 +297,28 @@ def stage_stats(ctx: RunContext) -> None:
     rnti_of = {c.conn_id: c.rnti for c in ctx.result.connections}
     truth = {(row.probe_id, row.t_n_ps, rnti_of[row.conn_id]): row
              for row in ctx.result.ground_truth}
-    for view in ctx.views:
-        for probe_id in sorted(view.legs):
-            leg = view.legs[probe_id]
-            if leg.stats is None:
+    for conn in ctx.views:
+        for probe_id, (record, stats) in conn.legs.items():
+            if stats is None:
                 continue
-            rows = [truth.get((probe_id, m.t_n, view.conn.rnti))
-                    for m in leg.record.measurements]
+            rows = [truth.get((probe_id, m.t_n, conn.rnti))
+                    for m in record.measurements]
             rows = [r for r in rows if r is not None]
             if not rows:
                 continue
             true_sum = median_of_sorted(sorted(r.sum_true_ps for r in rows))
-            err_raw_ps = leg.stats.median - true_sum
-            err_corr_ps = err_raw_ps - _bias_correction_ps(view)
+            err_raw_ps = stats.median - true_sum
+            err_corr_ps = err_raw_ps - _bias_correction_ps(conn)
             ctx.stats_rows.append({
-                "conn": view.conn.conn_id,
+                "conn": conn.conn_id,
                 "sim_conn": rows[0].conn_id,
                 "probe": probe_id,
                 "imsi": rows[0].imsi,
                 "model": rows[0].model,
-                "model_hat": view.model_hat or "",
-                "n_meas": leg.stats.n_measurements,
-                "n_removed": leg.stats.n_outliers_removed,
-                "median_sum_ps": leg.stats.median,
+                "model_hat": conn.model_hat or "",
+                "n_meas": stats.n_measurements,
+                "n_removed": stats.n_outliers_removed,
+                "median_sum_ps": stats.median,
                 "true_sum_ps": true_sum,
                 "err_raw_m": ps_to_m(err_raw_ps) / 2,
                 "err_corr_m": ps_to_m(err_corr_ps) / 2,
@@ -543,8 +502,8 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
     if "localize" in stages:
         # A missing value is an empty cell.
         rows = []
-        for view in ctx.views:
-            est, conn = view.estimate, view.conn
+        for conn in ctx.views:
+            est = conn.estimate
             x, y, rms = ((est.position.x, est.position.y, est.residual_rms)
                          if est else ("", "", ""))
             rows.append({
@@ -552,10 +511,10 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
                 "start_ps": conn.start_ps,
                 "tmsi": "" if conn.tmsi is None else conn.tmsi,
                 "imsi_observed": conn.observed_imsi or "",
-                "ta_index": "" if view.ta_index is None else view.ta_index,
-                "n_loci": len(view.loci), "x_m": x, "y_m": y,
+                "ta_index": "" if conn.ta_index is None else conn.ta_index,
+                "n_loci": len(conn.loci), "x_m": x, "y_m": y,
                 "residual_rms_m": rms,
-                "offset_m": "" if view.offset_m is None else view.offset_m,
+                "offset_m": "" if conn.offset_m is None else conn.offset_m,
                 "range_only": int(est is not None and est.range_only),
             })
         _write_csv(out / "positions.csv", _POSITION_COLUMNS, rows)
@@ -565,14 +524,15 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
         for identity in sorted(ctx.track_db.traces):
             trace_rows.extend(trace_csv_rows(ctx.track_db, identity))
         _write_csv(out / "traces.csv", _TRACE_COLUMNS, trace_rows)
-        # Half the first sniffer's delay-sum statistics, in metres.
+        # Half the delay-sum statistics of the first sniffer, by probe id,
+        # that has them, in metres.
         rows = []
-        for view in sorted(ctx.views,
-                           key=lambda v: (v.conn.rnti, v.conn.start_ps)):
-            stats = view.legs[min(view.legs)].stats
+        for conn in sorted(ctx.views, key=lambda c: (c.rnti, c.start_ps)):
+            stats = next((s for _, s in conn.legs.values() if s is not None),
+                         None)
             if stats is not None:
                 rows.append({
-                    "conn_id": view.conn.conn_id, "linked": view.linked,
+                    "conn_id": conn.conn_id, "linked": conn.linked,
                     "median_distance_m": ps_to_m(stats.median) / 2,
                     "n_measurements": stats.n_measurements,
                     "n_outliers_removed": stats.n_outliers_removed,

@@ -136,7 +136,10 @@ class UeProfile:
     tmsi: Optional[int] = None
     connection_type: str = "attach"  # attach | service
     n_data_rounds: int = 12
-    ta_interval: int = 0  # subframes between TA maintenance checks; 0 = off
+    # Subframes between TA maintenance checks, rounded up to a multiple of
+    # 4 (1 -> 4, 5 -> 8); 0 = off. Checks run only before a data round, so
+    # none runs after the last one, nor at all with n_data_rounds 0.
+    ta_interval: int = 0
 
     def position_at(self, t_ps: int) -> tuple[float, float]:
         """(x, y) in metres, linear between the waypoints around ``t_ps``."""

@@ -3,12 +3,12 @@
 Linkage resolves a finished connection to an IMSI (the one a sniffer
 decoded in the connection, or the one its stable TMSI is paired with),
 or to a provisional anonymous id that is never merged by guesswork.
-Localization links every connection before it solves any; ``ingest``
+Localization links every connection before it solves any; one ``ingest``
 then extends the linked identity's time-ordered trace with the estimates
 as localization solved them, bias correction included, and journals the
-connection. The database links, keeps traces and journals; it never
-solves and keeps no measurements. All connections are taken to come from
-one cell: there is no linkage across a handover.
+connection, then its model and bias. The database links, keeps traces and
+journals; it never solves and keeps no measurements. All connections are
+taken to come from one cell: there is no linkage across a handover.
 
 Each TMSI maps to the one IMSI it was last bound to, the only binding
 linkage reads.  State is a deterministic function of the linked and
@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .geometry import (AnnulusLocus, EllipseLocus, Position,
                        PositionEstimate)
+from .messages import CapabilityVector
 
 MIN_MEASUREMENTS = 10
 OUTLIER_IQR_FACTOR = 10.0
@@ -99,9 +100,12 @@ class TracePoint:
         return self.estimate.position
 
 
-@dataclass(frozen=True)
-class ConnectionSummary:
-    """What the tracker needs to know about one finished connection."""
+@dataclass
+class Connection:
+    """One physical connection, from the sniffers to the track database:
+    what the sniffers heard, merged across them; ``legs``, each probe's
+    ``(record, stats)`` in probe-id order, the stats over its delay sums in
+    ps (None when too sparse); what localize adds; the trace points."""
 
     conn_id: str
     rnti: int
@@ -111,6 +115,15 @@ class ConnectionSummary:
     tmsi_is_random: bool = False
     had_service_request: bool = False
     observed_imsi: Optional[str] = None
+    capabilities: Optional[CapabilityVector] = None
+    legs: dict = field(default_factory=dict)
+    ta_index: Optional[int] = None
+    linked: Optional[str] = None  # the IMSI or provisional id it links to
+    loci: tuple = ()
+    estimate: Optional[PositionEstimate] = None
+    offset_m: Optional[float] = None
+    model_hat: Optional[str] = None
+    hw_bias_m: Optional[float] = None
     points: tuple = ()
 
     @property
@@ -143,7 +156,7 @@ class TrackDb:
                              "t_ps": t_ps})
         self.pairs[tmsi] = imsi
 
-    def link_connection(self, conn: ConnectionSummary) -> str:
+    def link_connection(self, conn: Connection) -> str:
         """Resolve a connection to an IMSI or a provisional id."""
         imsi = conn.observed_imsi
         stable = conn.stable_tmsi
@@ -155,14 +168,17 @@ class TrackDb:
 
     # -- ingest -------------------------------------------------------------
 
-    def ingest(self, conn: ConnectionSummary, linked: str) -> None:
-        """Extend the linked identity's trace with the connection's points
-        and journal the connection; its measurements are not kept."""
-        trace = self.traces.setdefault(linked, [])
+    def ingest(self, conn: Connection) -> None:
+        """Apply a linked connection: extend its identity's trace with its
+        points, journal it, then record its model and bias if it has both.
+        Its measurements are not kept."""
+        trace = self.traces.setdefault(conn.linked, [])
         trace.extend(conn.points)
         trace.sort(key=lambda p: p.t_ps)
-        self.journal.append({"event": "connection", "linked": linked,
+        self.journal.append({"event": "connection", "linked": conn.linked,
                              **_conn_to_json(conn)})
+        if conn.model_hat is not None and conn.hw_bias_m is not None:
+            self.set_fingerprint(conn.linked, conn.model_hat, conn.hw_bias_m)
 
     def set_fingerprint(self, imsi: str, model: str,
                         hw_error_m: float) -> None:
@@ -211,7 +227,7 @@ def _point_to_json(point: TracePoint) -> dict:
             "loci": [_locus_to_json(l) for l in point.loci]}
 
 
-def _conn_to_json(conn: ConnectionSummary) -> dict:
+def _conn_to_json(conn: Connection) -> dict:
     return {"conn_id": conn.conn_id, "rnti": conn.rnti,
             "start_ps": conn.start_ps, "end_ps": conn.end_ps,
             "tmsi": conn.tmsi, "tmsi_is_random": conn.tmsi_is_random,

@@ -120,7 +120,7 @@ def test_ta_zero_ring_keeps_zero_inner_edge():
 def _assert_service_views_corrected(ctx):
     """Service views take the attach's bias and land on the phone at
     (45, 0) in positions.csv and traces.csv alike."""
-    served = [v for v in ctx.views if v.conn.had_service_request]
+    served = [v for v in ctx.views if v.had_service_request]
     assert served
     for view in served:
         assert view.capabilities is None
@@ -129,7 +129,7 @@ def _assert_service_views_corrected(ctx):
     db = ctx.track_db
     for view in ctx.views:
         [point] = [p for p in db.build_trace(view.linked)
-                   if p.t_ps == view.conn.start_ps]
+                   if p.t_ps == view.start_ps]
         assert point.estimate == view.estimate
         assert point.corrected == (view.hw_bias_m is not None)
 
@@ -177,8 +177,8 @@ def test_unextracted_service_request_takes_its_phones_bias():
     ctx = pl.run_pipeline(_scenario(ues, probes=TRIANGLE_PROBES,
                                     duration_s=2, noise=BIASED,
                                     attack=sim.AttackConfig(enabled=True)))
-    [served] = [v for v in ctx.views if v.conn.had_service_request]
-    assert served.linked == provisional_id(served.conn.conn_id)
+    [served] = [v for v in ctx.views if v.had_service_request]
+    assert served.linked == provisional_id(served.conn_id)
     assert {v.linked for v in ctx.views if v is not served} == {
         imsi, "001010000000001", "001010000000002"}
     _assert_service_views_corrected(ctx)
@@ -233,9 +233,9 @@ def test_extract_changes_no_link(tmp_path, workload):
     logged = [e for e in ctx.result.extraction.entries if "imsi" in e]
     assert logged
     for entry in logged:
-        assert any(v.conn.tmsi == entry["tmsi"]
-                   and v.conn.observed_imsi == entry["imsi"]
-                   and v.conn.start_ps <= entry["t_ps"] <= v.conn.end_ps
+        assert any(v.tmsi == entry["tmsi"]
+                   and v.observed_imsi == entry["imsi"]
+                   and v.start_ps <= entry["t_ps"] <= v.end_ps
                    for v in ctx.views), entry
 
 
@@ -262,7 +262,7 @@ def test_offset_solver_recovers_position_and_offset():
     assert ctx.views
     for view in ctx.views:
         assert view.offset_m is not None
-        expected = ps_to_m(offsets[view.conn.rnti])
+        expected = ps_to_m(offsets[view.rnti])
         assert view.offset_m == pytest.approx(expected, abs=0.05)
         assert view.estimate.position.distance_to(Position(250.0, 300.0)) < 0.05
 
@@ -274,7 +274,7 @@ def test_stats_join_truth_of_the_same_connection():
     ues = [_static_ue(40.0 + 50.0 * i, n_data_rounds=48) for i in range(5)]
     ctx = pl.run_pipeline(_scenario(ues, noise=ZERO))
     conn_of_rnti = {c.rnti: c.conn_id for c in ctx.result.connections}
-    view_rnti = {view.conn.conn_id: view.conn.rnti for view in ctx.views}
+    view_rnti = {view.conn_id: view.rnti for view in ctx.views}
     assert len(ctx.stats_rows) == len(ctx.result.connections)
     for row in ctx.stats_rows:
         assert row["err_raw_m"] == 0.0, row["conn"]
@@ -450,9 +450,10 @@ def _csv_rows(path):
 
 @pytest.mark.parametrize("workload", ["golden", "crowd"])
 def test_connection_stats_agree_with_stats_and_journal(tmp_path, workload):
-    # connection_stats.csv is half the first sniffer's delay-sum statistics
-    # in metres: the same statistics stats.csv gives for that sniffer, and
-    # the identity the journal links the connection to.
+    # connection_stats.csv is half the delay-sum statistics of the first
+    # sniffer, by probe id, that has them, in metres: the same statistics
+    # stats.csv gives for that sniffer, and the identity the journal links
+    # the connection to.
     if workload == "golden":
         scn = _golden_scenario()
     else:
@@ -460,7 +461,9 @@ def test_connection_stats_agree_with_stats_and_journal(tmp_path, workload):
         scn = sim.scenario_from_dict(workloads.crowd(0))
     ctx = pl.run_pipeline(scn, out_dir=tmp_path)
     assert any(len(view.legs) > 1 for view in ctx.views)
-    first_probe = {v.conn.conn_id: min(v.legs) for v in ctx.views}
+    first_probe = {v.conn_id: next((p for p, (_, stats) in v.legs.items()
+                                    if stats is not None), None)
+                   for v in ctx.views}
     first_rows = {row["conn"]: row
                   for row in _csv_rows(tmp_path / "stats.csv")
                   if row["probe"] == first_probe[row["conn"]]}
@@ -471,7 +474,7 @@ def test_connection_stats_agree_with_stats_and_journal(tmp_path, workload):
             if entry["event"] == "connection":
                 linked[entry["conn_id"]] = entry["linked"]
     rows = _csv_rows(tmp_path / "connection_stats.csv")
-    order = {v.conn.conn_id: (v.conn.rnti, v.conn.start_ps)
+    order = {v.conn_id: (v.rnti, v.start_ps)
              for v in ctx.views}
     assert [row["conn_id"] for row in rows] == sorted(first_rows,
                                                       key=order.get)
@@ -482,6 +485,23 @@ def test_connection_stats_agree_with_stats_and_journal(tmp_path, workload):
         assert float(row["median_distance_m"]) == \
             ps_to_m(float(first["median_sum_ps"])) / 2, row["conn_id"]
         assert row["linked"] == linked[row["conn_id"]]
+
+
+def test_connection_stats_skip_a_sniffer_without_statistics(tmp_path):
+    # A downlink-only sniffer opens a record per connection but times no
+    # burst, so its leg has no statistics; the row comes from the next
+    # sniffer, by probe id, that has them.
+    probes = (sim.Probe(id="a", position=Position(0.0, 0.0), role="dl"),
+              sim.Probe(id="b", position=Position(0.0, 0.0)))
+    ctx = pl.run_pipeline(_scenario((_static_ue(60.0),), probes=probes,
+                                    noise=ZERO), out_dir=tmp_path)
+    assert all(list(view.legs) == ["a", "b"] for view in ctx.views)
+    b_rows = {row["conn"]: row for row in _csv_rows(tmp_path / "stats.csv")
+              if row["probe"] == "b"}
+    rows = _csv_rows(tmp_path / "connection_stats.csv")
+    assert len(rows) == len(ctx.views) == len(b_rows) >= 2
+    for row in rows:
+        assert row["n_measurements"] == b_rows[row["conn_id"]]["n_meas"]
 
 
 def test_numpy_scalars_are_written_as_plain_digits(tmp_path):
@@ -522,9 +542,9 @@ def test_colocated_views_match_the_iterative_range():
         centre = pk.a[0]
         ok, _, x, _ = geometry._levenberg_marquardt(
             pk, centre + np.array([0.0, 0.5]), geometry._MAX_ITER)
-        assert ok, view.conn.conn_id
+        assert ok, view.conn_id
         rho = est.position.x - centre[0]
-        assert abs(rho - np.hypot(*(x - centre))) < 2e-3, view.conn.conn_id
+        assert abs(rho - np.hypot(*(x - centre))) < 2e-3, view.conn_id
 
 
 def test_one_sniffer_crowd_views_all_get_a_position():
@@ -724,6 +744,83 @@ def test_artifacts_match_their_golden_digests():
         lines = tool.digest_lines(scenario)
         assert {path: digest for digest, path in
                 (line.split("  ") for line in lines)} == golden
+
+
+#: Digest of each artifact of the benchmark's crowd and drive layouts at
+#: seed 0 (``workload_digest_lines``), recorded at 1a27ded.
+GOLDEN_CROWD = {
+    "0/connection_stats.csv":
+        "ee9bfc34f298df458e84f4a2055a59f3efe1c38f9e258f23a1b0f263ca6681a3",
+    "0/errors.csv":
+        "558842825e77471a7f572726752865541dae5236506e99eafd486b2cb4588b00",
+    "0/events_probe0.jsonl":
+        "c2950d86ca0328133342f8d27a1f0f369d236278e9938dd85de68128b4509010",
+    "0/events_probe1.jsonl":
+        "37c837b1c01ab50acaab829291286d1ee0041ceeadfd3c56d203de0801e81484",
+    "0/events_probe2.jsonl":
+        "15cce472a475c675c3d51d9494ede88c56989a27832cf4f7c4c57136389f67ac",
+    "0/extracted_pairs.json":
+        "f51e81de4a1eece7a0a26e017f1a0c1d0f46698ef8515f38c2ef52022682bee6",
+    "0/extraction.jsonl":
+        "eaf7184411cad0e165239726eb414eb73c33f7789f11e8a9ea3d4bef00b46086",
+    "0/ground_truth.csv":
+        "67fc70ed60d7f9a1265e5d515e78048bb925c2583cbeedc5ace611743afc6cc0",
+    "0/measurements_probe0.csv":
+        "061fa0fe423aea92fe629a80f4d58c70a4c0e4a33a5667f4207da05d2daebe30",
+    "0/measurements_probe1.csv":
+        "fb7c3bcdd9894ce025a152af3744f8a700a8c820b7ba1a4880f688aa73ab9a17",
+    "0/measurements_probe2.csv":
+        "c830cbe17c7bd3f13d5346bcf2e2fa4a38c06c15a0a675eb89dd4c6e77b155a1",
+    "0/positions.csv":
+        "9958e773f08bb1ff29ff52fa5b7642950b30ac1c5c0b223034b11d957532db4e",
+    "0/stats.csv":
+        "65e09f0d01079cb5a6ff09f2dcde24504a97a5cca6d8234e573e3f395bc00c26",
+    "0/summary.csv":
+        "38269a03c6608b6f86c33e21ac680aa361c4f762cf05c4a5aae4fc41a2153014",
+    "0/traces.csv":
+        "ba27d555ddcc52f790ebb24eb27c0b97532de024bb7fbf68a3286548b7e3689e",
+    "0/trackdb.jsonl":
+        "b830156f84535f8bc14c0e67263e00c84965b7a1baa54c96bae1e7a56f2e0fd0",
+}
+GOLDEN_DRIVE = {
+    "0/connection_stats.csv":
+        "62ae2c040967d3693b7c8fea89e13b747f5573c05b8524991eab0d7a6ef29c70",
+    "0/errors.csv":
+        "bb7026e0ce81d2590c0354ddd72321577d9f799c6070c7f352fe387b8eb3af2b",
+    "0/events_probe0.jsonl":
+        "94e3c2a61bb41b57466a229ba42a4523012c9e71770078596ca427284893006f",
+    "0/extracted_pairs.json":
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    "0/extraction.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "0/ground_truth.csv":
+        "f188ed699e117e8bb499eb4bf184214b252c56889de620c27da0569491a3aed4",
+    "0/measurements_probe0.csv":
+        "60aa1718380ffe39026895c222442befe373f210cdcf0fd45f8932bcaff9370a",
+    "0/positions.csv":
+        "0bd1370bdd901062ecc04336baf64d7f9d16cc1de194be7fcb2064976ff0d498",
+    "0/stats.csv":
+        "8134da73217f6184e9191f45550c021c535988b3f31aea78bb1bb36af603d9b6",
+    "0/summary.csv":
+        "547dd73c9ef02d15d0ddd5d10e25ffd59a6c59fd333ecbabeb72b2b31867255f",
+    "0/traces.csv":
+        "056b41351b8be3e15706b8a65069702c335b1fc303b98683fb764fc73e912bc2",
+    "0/trackdb.jsonl":
+        "e0ac2d6a7d22973402eba6d297a35e73d97337953951a3102eba8da56bb0165c",
+}
+
+
+@pytest.mark.parametrize("workload, golden", [
+    pytest.param("crowd", GOLDEN_CROWD, id="crowd"),
+    pytest.param("drive", GOLDEN_DRIVE, id="drive"),
+])
+def test_benchmark_layouts_match_their_golden_digests(workload, golden):
+    """The benchmark's crowd and drive layouts at seed 0, byte for byte:
+    three off-site sniffers with the extractor on, and long connections
+    with TA resends and lost grants."""
+    lines = _digest_tool().workload_digest_lines(workload, [0])
+    assert {path: digest for digest, path in
+            (line.split("  ") for line in lines)} == golden
 
 
 def test_codec_carries_exactly_what_the_simulator_sends():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tatrack.geometry import Position, PositionEstimate
-from tatrack.tracker import (ConnectionStats, ConnectionSummary,
-                             TracePoint, TrackDb, connection_stats,
-                             median_of_sorted, provisional_id,
-                             quantile_of_sorted, trace_csv_rows)
+from tatrack.tracker import (Connection, ConnectionStats, TracePoint,
+                             TrackDb, connection_stats, median_of_sorted,
+                             provisional_id, quantile_of_sorted,
+                             trace_csv_rows)
 
 SEC = 10**12
 IMSI = "001010000000017"
@@ -23,17 +23,17 @@ def _point(t_ps, x, y):
 
 def _conn(conn_id, start, end, rnti=0x4A, tmsi=None, is_random=False,
           service=False, imsi=None, points=()):
-    return ConnectionSummary(conn_id=conn_id, rnti=rnti, start_ps=start,
-                             end_ps=end, tmsi=tmsi, tmsi_is_random=is_random,
-                             had_service_request=service,
-                             observed_imsi=imsi, points=points)
+    return Connection(conn_id=conn_id, rnti=rnti, start_ps=start,
+                      end_ps=end, tmsi=tmsi, tmsi_is_random=is_random,
+                      had_service_request=service, observed_imsi=imsi,
+                      points=points)
 
 
 def _ingest(db, conn):
     """Link a connection, then store it, as localize and track do."""
-    linked = db.link_connection(conn)
-    db.ingest(conn, linked)
-    return linked
+    conn.linked = db.link_connection(conn)
+    db.ingest(conn)
+    return conn.linked
 
 
 # -- per-connection statistics ---------------------------------------------
@@ -124,6 +124,27 @@ def test_journal_skips_unchanged_pairs_and_fingerprints():
     db.set_fingerprint(IMSI, "iPhone 8", -10.0)
     assert db.journal[-1]["event"] == "fingerprint"
     assert len(db.journal) == n_lines + 1
+
+
+def test_ingest_journals_the_connection_then_its_fingerprint():
+    # One call applies a connection; a model without a bias, or the
+    # identity's stored pair again, journals no fingerprint.
+    db = TrackDb()
+    first = _conn("c1", 10 * SEC, 11 * SEC, tmsi=0x7777, imsi=IMSI)
+    first.model_hat, first.hw_bias_m = "Huawei P30", -24.51
+    _ingest(db, first)
+    assert [e["event"] for e in db.journal] == ["pair", "connection",
+                                                "fingerprint"]
+    assert db.journal[-1] == {"event": "fingerprint", "imsi": IMSI,
+                              "model": "Huawei P30", "hw_error_m": -24.51}
+    unbiased = _conn("c2", 20 * SEC, 21 * SEC, tmsi=0x8888, imsi=IMSI)
+    unbiased.model_hat = "iPhone 8"
+    again = _conn("c3", 30 * SEC, 31 * SEC, tmsi=0x7777)
+    again.model_hat, again.hw_bias_m = "Huawei P30", -24.51
+    assert _ingest(db, unbiased) == _ingest(db, again) == IMSI
+    assert [e["event"] for e in db.journal[3:]] == ["pair", "connection",
+                                                    "connection"]
+    assert db.fingerprints == {IMSI: ("Huawei P30", -24.51)}
 
 
 def test_attach_imsi_links_directly():
