@@ -10,9 +10,8 @@ not logic that lives here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .messages import (AttachRequest, IdentityRequest, IdentityResponse,
                        IdType, Message, RrcConnectionRequest,
@@ -172,7 +171,7 @@ def overshadow_outcome(margin_db: float, alignment_error_ps: int) -> str:
 
 @dataclass
 class ExtractionLog:
-    """Append-only JSONL log of injection attempts and their results."""
+    """Injection attempts and their results; ``pipeline`` writes them."""
 
     entries: list = field(default_factory=list)
 
@@ -187,12 +186,3 @@ class ExtractionLog:
         if state.imsi is not None:
             entry["imsi"] = state.imsi
         self.entries.append(entry)
-
-    def dump_lines(self) -> Iterable[str]:
-        for entry in self.entries:
-            yield json.dumps(entry, sort_keys=True)
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.dump_lines():
-                fh.write(line + "\n")

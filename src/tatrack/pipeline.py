@@ -8,12 +8,14 @@ stores what localize linked and solved. Extract changes no link: it only
 selects the extractor's artifacts, ``extraction.jsonl`` and
 ``extracted_pairs.json``, and the IMSI fill of ``measurements_*.csv``.
 Stage products accumulate on a RunContext so later stages and the file
-writers share one source of truth. The writers stream each artifact to
-its file a line at a time; the CSV files and event logs come from one
-template per file with a fixed column (or JSON key) order. A message
-that several sniffers heard is one object in the simulator's events, and
-the event logs encode it once per write. With stable row ordering, a
-rerun with the same scenario and seed is byte-identical.
+writers share one source of truth. The writers here are the only code
+that formats or writes an artifact, each a line at a time: the CSV files
+and event logs come from one template per file with a fixed column (or
+JSON key) order, and ``_write_jsonl`` writes the track journal and the
+extraction log. A message that several sniffers heard is one object in
+the simulator's events, and the event logs encode it once per write.
+With stable row ordering, a rerun with the same scenario and seed is
+byte-identical.
 
 The simulator's artifacts, the event logs and ``ground_truth.csv``, need
 nothing after simulate. ``run_pipeline`` forks a process to write them as
@@ -51,8 +53,7 @@ from .messages import encode
 from .probe import ConnectionTable, Measurement, ProbeEvent
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (Connection, TracePoint, TrackDb, connection_stats,
-                      median_of_sorted, provisional_id, quantile_of_sorted,
-                      trace_csv_rows)
+                      median_of_sorted, provisional_id, quantile_of_sorted)
 
 #: Every stage, in run order, with the stages it needs. Stage ``name`` is
 #: the function ``stage_<name>`` of this module.
@@ -405,20 +406,21 @@ def _start_simulation_writer(result: sim.SimResult,
 # -- artifact writers ------------------------------------------------------
 
 
-def _write_csv(path: Path, columns, rows, *, get=itemgetter) -> None:
-    """Stream ``rows`` under a header line, one fixed template per row.
-
-    ``get(*columns)`` reads a row's cells in column order: ``itemgetter``
-    for dict rows; ``get=None`` for tuple rows that hold the columns in
-    order. A cell is ``str`` of its value, which for a float is its
-    ``repr`` and for a numpy scalar its plain digits.
-    """
+def _write_csv(path: Path, columns, rows) -> None:
+    """Stream tuple ``rows`` that hold the columns in order under a header
+    line, one template per file. A cell is ``str`` of its value: for a
+    float its ``repr``, for a numpy scalar its plain digits."""
     line = ",".join(["%s"] * len(columns)) + "\n"
-    if get is not None:
-        rows = map(get(*columns), rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(map(line.__mod__, rows))
+
+
+def _write_jsonl(path: Path, entries) -> None:
+    """One ``json.dumps(entry, sort_keys=True)`` line per entry."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(entry, sort_keys=True) + "\n"
+                      for entry in entries)
 
 
 #: One ``events_*.jsonl`` line: what ``json.dumps(..., sort_keys=True)``
@@ -453,6 +455,20 @@ def _write_events(path: Path, events, hex_of: dict) -> None:
 _MEAS_COLUMNS = ("imsi", "tmsi", "rnti", "frame", "subframe", "toa_ps",
                  "tn_ps", "dta_ps", "sum_ps")
 
+
+def _measurement_rows(table: ConnectionTable, imsi_by_tmsi=None):
+    """One tuple per measurement, in ``_MEAS_COLUMNS`` order; an identity
+    the probe never learned is ``""``."""
+    for rec in table.records:
+        tmsi = rec.tmsi.value if rec.tmsi else None
+        imsi = rec.observed_imsi
+        if imsi is None and imsi_by_tmsi and tmsi is not None:
+            imsi = imsi_by_tmsi.get(tmsi)
+        ids = (imsi or "", "" if tmsi is None else tmsi, rec.rnti.value)
+        for meas in rec.measurements:
+            yield ids + meas
+
+
 _POSITION_COLUMNS = ("conn", "rnti", "start_ps", "tmsi", "imsi_observed",
                      "ta_index", "n_loci", "x_m", "y_m", "residual_rms_m",
                      "offset_m", "range_only")
@@ -479,7 +495,7 @@ def _write_simulation(result: sim.SimResult, out: Path) -> None:
         _write_events(out / f"events_{probe_id}.jsonl",
                       result.events[probe_id], hex_of)
     _write_csv(out / "ground_truth.csv", sim.GroundTruthRow._fields,
-               result.ground_truth, get=None)
+               result.ground_truth)
 
 
 def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
@@ -490,40 +506,35 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
     if "probe" in stages:
         pairs = ctx.result.attacker_pairs if "extract" in stages else None
         for probe_id in sorted(ctx.tables):
-            rows = ctx.tables[probe_id].measurement_rows(pairs)
             _write_csv(out / f"measurements_{probe_id}.csv", _MEAS_COLUMNS,
-                       rows, get=None)
+                       _measurement_rows(ctx.tables[probe_id], pairs))
     if "extract" in stages:
-        ctx.result.extraction.dump(out / "extraction.jsonl")
+        _write_jsonl(out / "extraction.jsonl", ctx.result.extraction.entries)
         (out / "extracted_pairs.json").write_text(
             json.dumps({str(t): i for t, i in
                         sorted(ctx.result.attacker_pairs.items())},
                        sort_keys=True, indent=2) + "\n", encoding="utf-8")
     if "localize" in stages:
-        # A missing value is an empty cell.
         rows = []
-        for conn in ctx.views:
+        for conn in ctx.views:  # a missing value is an empty cell
             est = conn.estimate
             x, y, rms = ((est.position.x, est.position.y, est.residual_rms)
                          if est else ("", "", ""))
-            rows.append({
-                "conn": conn.conn_id, "rnti": conn.rnti,
-                "start_ps": conn.start_ps,
-                "tmsi": "" if conn.tmsi is None else conn.tmsi,
-                "imsi_observed": conn.observed_imsi or "",
-                "ta_index": "" if conn.ta_index is None else conn.ta_index,
-                "n_loci": len(conn.loci), "x_m": x, "y_m": y,
-                "residual_rms_m": rms,
-                "offset_m": "" if conn.offset_m is None else conn.offset_m,
-                "range_only": int(est is not None and est.range_only),
-            })
+            rows.append((conn.conn_id, conn.rnti, conn.start_ps,
+                         "" if conn.tmsi is None else conn.tmsi,
+                         conn.observed_imsi or "",
+                         "" if conn.ta_index is None else conn.ta_index,
+                         len(conn.loci), x, y, rms,
+                         "" if conn.offset_m is None else conn.offset_m,
+                         int(est is not None and est.range_only)))
         _write_csv(out / "positions.csv", _POSITION_COLUMNS, rows)
     if "track" in stages:
-        ctx.track_db.dump_journal(out / "trackdb.jsonl")
-        trace_rows = []
-        for identity in sorted(ctx.track_db.traces):
-            trace_rows.extend(trace_csv_rows(ctx.track_db, identity))
-        _write_csv(out / "traces.csv", _TRACE_COLUMNS, trace_rows)
+        _write_jsonl(out / "trackdb.jsonl", ctx.track_db.journal)
+        _write_csv(out / "traces.csv", _TRACE_COLUMNS,
+                   ((imsi, p.t_ps, p.position.x, p.position.y,
+                     p.estimate.residual_rms, p.corrected)
+                    for imsi in sorted(ctx.track_db.traces)
+                    for p in ctx.track_db.build_trace(imsi)))
         # Half the delay-sum statistics of the first sniffer, by probe id,
         # that has them, in metres.
         rows = []
@@ -531,19 +542,18 @@ def write_artifacts(ctx: RunContext, out_dir, stages) -> None:
             stats = next((s for _, s in conn.legs.values() if s is not None),
                          None)
             if stats is not None:
-                rows.append({
-                    "conn_id": conn.conn_id, "linked": conn.linked,
-                    "median_distance_m": ps_to_m(stats.median) / 2,
-                    "n_measurements": stats.n_measurements,
-                    "n_outliers_removed": stats.n_outliers_removed,
-                    "iqr_m": ps_to_m(stats.iqr) / 2})
+                rows.append((conn.conn_id, conn.linked,
+                             ps_to_m(stats.median) / 2, stats.n_measurements,
+                             stats.n_outliers_removed, ps_to_m(stats.iqr) / 2))
         _write_csv(out / "connection_stats.csv", _CONN_STATS_COLUMNS, rows)
     if "stats" in stages:
-        _write_csv(out / "stats.csv", _STATS_COLUMNS, ctx.stats_rows)
+        _write_csv(out / "stats.csv", _STATS_COLUMNS,
+                   map(itemgetter(*_STATS_COLUMNS), ctx.stats_rows))
         _write_csv(out / "errors.csv", _ERROR_COLUMNS,
                    ((r["conn"], r["imsi"], r["model"], abs(r["err_corr_m"]))
-                    for r in ctx.stats_rows), get=None)
-        _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, ctx.summary_rows)
+                    for r in ctx.stats_rows))
+        _write_csv(out / "summary.csv", _SUMMARY_COLUMNS,
+                   map(itemgetter(*_SUMMARY_COLUMNS), ctx.summary_rows))
 
 
 # -- empirical distribution helpers ----------------------------------------

@@ -28,7 +28,7 @@ range-checks its stamp, dispatches on the carrier and message type, sets
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .messages import (Ack, AttachRequest, CapabilityVector, DciFormat0,
                        IdentityResponse, Imsi, MacTaCommand, Message,
@@ -201,20 +201,3 @@ class ConnectionTable:
 
     def _apply_ta(self, rec: ConnectionRecord, adjust: int) -> None:
         rec.ta_current = max(0, min(rec.ta_current + adjust, TA_MAX))
-
-    # -- output ----------------------------------------------------------------
-
-    def measurement_rows(self, imsi_by_tmsi: Optional[dict[int, str]] = None
-                         ) -> Iterator[tuple]:
-        """One tuple per measurement, in the measurement CSV column order.
-
-        An identity the probe never learned is ``""``.
-        """
-        for rec in self.records:
-            tmsi = rec.tmsi.value if rec.tmsi else None
-            imsi = rec.observed_imsi
-            if imsi is None and imsi_by_tmsi and tmsi is not None:
-                imsi = imsi_by_tmsi.get(tmsi)
-            ids = (imsi or "", "" if tmsi is None else tmsi, rec.rnti.value)
-            for meas in rec.measurements:
-                yield ids + meas

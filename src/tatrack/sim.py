@@ -190,6 +190,7 @@ class Scenario:
     attack: AttackConfig = AttackConfig()
 
     def validate(self, db: FingerprintDb) -> None:
+        _refuse_non_finite(_encode(self))  # as the loader refuses them
         if not self.enbs or not self.probes or not self.ues:
             raise ScenarioError("need at least one eNodeB, probe, and UE")
         if len(self.enbs) > 1:
@@ -645,6 +646,18 @@ def _encode(value):
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
     return value
+
+
+def _refuse_non_finite(value, where: str = "") -> None:
+    """Refuse a NaN or an infinity in ``_encode``'s output, naming its
+    field as the loader names it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            _refuse_non_finite(item, f"{where}[{key}]" if type(key) is int
+                               else f"{where}.{key}" if where else key)
 
 
 def _decode(tp, value, where: str):

@@ -13,17 +13,16 @@ taken to come from one cell: there is no linkage across a handover.
 Each TMSI maps to the one IMSI it was last bound to, the only binding
 linkage reads.  State is a deterministic function of the linked and
 ingested stream.  Every connection, and every pair or fingerprint that
-changes what is stored, is also appended to a JSONL journal as it
-happens, so a run's pairs precede its connections: an append-only record
-of the run, from which the database cannot be rebuilt.
+changes what is stored, is also appended to ``journal`` as it happens,
+so a run's pairs precede its connections: an append-only record of the
+run, from which the database cannot be rebuilt; ``pipeline`` writes it.
 """
 
 from __future__ import annotations
 
-import json
 import uuid
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import (AnnulusLocus, EllipseLocus, Position,
                        PositionEstimate)
@@ -196,13 +195,6 @@ class TrackDb:
             raise KeyError(imsi)
         return list(self.traces[imsi])
 
-    # -- persistence ----------------------------------------------------------
-
-    def dump_journal(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.journal:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
 
 # -- journal serialization helpers --------------------------------------------
 
@@ -234,13 +226,3 @@ def _conn_to_json(conn: Connection) -> dict:
             "had_service_request": conn.had_service_request,
             "observed_imsi": conn.observed_imsi,
             "points": [_point_to_json(p) for p in conn.points]}
-
-
-# -- exports -------------------------------------------------------------------
-
-def trace_csv_rows(db: TrackDb, imsi: str) -> Iterable[dict]:
-    for point in db.build_trace(imsi):
-        yield {"imsi": imsi, "t_ps": point.t_ps,
-               "x_m": point.position.x, "y_m": point.position.y,
-               "residual_rms_m": point.estimate.residual_rms,
-               "corrected": point.corrected}

@@ -195,12 +195,8 @@ def csv_cell(value) -> str:
 
 
 def csv_text(columns, rows) -> str:
-    """A whole CSV file; a row is a dict, an object with the columns, or
-    a plain tuple of the cells in column order."""
+    """A whole CSV file; a row is a tuple of the cells in column order."""
     lines = [",".join(columns)]
     for row in rows:
-        cells = ([row[c] for c in columns] if isinstance(row, dict)
-                 else list(row) if type(row) is tuple
-                 else [getattr(row, c) for c in columns])
-        lines.append(",".join(csv_cell(v) for v in cells))
+        lines.append(",".join(csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tatrack import pipeline as pl
 from tatrack.extractor import (EngagementPolicy, ExtractionLog,
                                ExtractorState, Overshadow, RecordPair,
                                SuppressUplinkGrant, overshadow_outcome, step)
@@ -163,14 +164,16 @@ def test_service_reject_alternative_trigger():
     assert actions[0] == Overshadow(IdentityRequest(IdType.IMSI))
 
 
-def test_extraction_log_lines():
+def test_extraction_log_lines(tmp_path):
     log = ExtractionLog()
     state = ExtractorState(rnti=0x4A, tmsi=TMSI.value, trigger="attach",
                            imsi=IMSI.digits)
     log.record(14 * 10**9, state, "replaced")
     pending = ExtractorState(rnti=0x4B, tmsi=0x22, trigger="service")
     log.record(15 * 10**9, pending, "original_kept")
-    lines = list(log.dump_lines())
+    path = tmp_path / "extraction.jsonl"
+    pl._write_jsonl(path, log.entries)
+    lines = path.read_text().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first == {"t_ps": 14 * 10**9, "rnti": 0x4A, "tmsi": TMSI.value,
@@ -186,6 +189,6 @@ def test_log_dump_is_deterministic(tmp_path):
     state = ExtractorState(rnti=1, tmsi=2, trigger="attach", imsi=IMSI.digits)
     log.record(0, state, "replaced")
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    log.dump(p1)
-    log.dump(p2)
+    pl._write_jsonl(p1, log.entries)
+    pl._write_jsonl(p2, log.entries)
     assert p1.read_bytes() == p2.read_bytes()

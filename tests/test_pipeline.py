@@ -1,5 +1,6 @@
 """End-to-end checks of the staged analysis pipeline."""
 
+import ast
 import csv
 import filecmp
 import importlib
@@ -227,7 +228,7 @@ def test_extract_changes_no_link(tmp_path, workload):
         stages = [s for s in pl.STAGES if extract or s != "extract"]
         ctx = pl.run_pipeline(scn, stages)
         path = tmp_path / f"trackdb_{extract}.jsonl"
-        ctx.track_db.dump_journal(path)
+        pl._write_jsonl(path, ctx.track_db.journal)
         runs[extract] = ([v.linked for v in ctx.views], path.read_bytes())
     assert runs[True] == runs[False]
     logged = [e for e in ctx.result.extraction.entries if "imsi" in e]
@@ -370,6 +371,23 @@ def _format_scenarios():
     return busy, idle
 
 
+def test_event_logs_read_back_through_the_codec(tmp_path):
+    ctx = pl.run_pipeline(_format_scenarios()[0], ("simulate",),
+                          out_dir=tmp_path)
+    kinds = set()
+    for probe_id, events in ctx.result.events.items():
+        lines = (tmp_path / f"events_{probe_id}.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert len(lines) == len(events)
+        for line, event in zip(lines, events):
+            cell = json.loads(line)["message_hex"]
+            message = (None if cell is None
+                       else messages.decode(bytes.fromhex(cell)))
+            assert message == event.message
+            kinds.add(type(message))
+    assert len(kinds) == len(messages._CODECS) + 1  # every kind and null
+
+
 @pytest.mark.parametrize("busy", [True, False], ids=["busy", "idle"])
 def test_artifacts_match_the_reference_formats(tmp_path, monkeypatch, busy):
     scn = _format_scenarios()[0 if busy else 1]
@@ -391,10 +409,10 @@ def test_artifacts_match_the_reference_formats(tmp_path, monkeypatch, busy):
     written = {}
     real_write_csv = pl._write_csv
 
-    def keep_rows(path, columns, rows, **kw):
+    def keep_rows(path, columns, rows):
         rows = list(rows)
         written[path.name] = csv_text(columns, rows)
-        real_write_csv(path, columns, rows, **kw)
+        real_write_csv(path, columns, rows)
 
     monkeypatch.setattr(pl, "_write_csv", keep_rows)
     pl.write_artifacts(ctx, tmp_path, pl.STAGES)
@@ -506,10 +524,50 @@ def test_connection_stats_skip_a_sniffer_without_statistics(tmp_path):
 
 def test_numpy_scalars_are_written_as_plain_digits(tmp_path):
     path = tmp_path / "row.csv"
-    rows = [{"a": np.float64(1.5), "b": np.int64(-7),
-             "c": np.float64(1e-7)}]
+    rows = [(np.float64(1.5), np.int64(-7), np.float64(1e-7))]
     pl._write_csv(path, ("a", "b", "c"), rows)
     assert path.read_text() == "a,b,c\n1.5,-7,1e-07\n"
+
+
+def _file_writes(tree):
+    """Line of each call in ``tree`` that opens a file to write it.
+
+    ``open`` is a write unless its mode is a string literal without
+    ``w``, ``a``, ``x`` or ``+``: the builtin and ``os.open`` take the
+    mode second, a ``Path.open`` first. ``write_text`` and
+    ``write_bytes`` are writes.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            name = func.attr
+            at = int(isinstance(func.value, ast.Name)
+                     and func.value.id == "os")
+        else:
+            name, at = getattr(func, "id", None), 1
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno
+        if name != "open":
+            continue
+        modes = [kw.value for kw in node.keywords
+                 if kw.arg in ("mode", "flags")] + node.args[at:at + 1]
+        if modes and not (isinstance(modes[0], ast.Constant)
+                          and isinstance(modes[0].value, str)
+                          and not set(modes[0].value) & set("wax+")):
+            yield node.lineno
+
+
+def test_only_pipeline_and_cli_write_files():
+    # pipeline writes every artifact and cli the file of ``cdf --out``;
+    # the tracker, the extractor and the probe hold data only.
+    src = Path(pl.__file__).parent
+    writes = {path.name: list(_file_writes(ast.parse(path.read_text(
+        encoding="utf-8")))) for path in sorted(src.glob("*.py"))}
+    writers = {name for name, lines in writes.items() if lines}
+    assert writers <= {"pipeline.py", "cli.py"}, writes
+    assert "pipeline.py" in writers  # the scan sees the artifact writers
 
 
 def test_positions_csv_row_per_connection(tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tatrack import pipeline as pl
 from tatrack import timebase as tb
 from tatrack.messages import (Ack, DciFormat0, MacTaCommand,
                               RandomAccessResponse, Rnti, RrcConnectionRequest,
@@ -223,7 +224,8 @@ def test_measurement_rows_shape():
                     RandomAccessResponse(RNTI, TA0, UlGrant(4, 0x10, 3))))
     table.ingest(ul(14, _uplink_rx(14, TA0),
                     RrcConnectionRequest(Tmsi(0xAABBCCDD), 0), rb=0x10))
-    rows = list(table.measurement_rows({0xAABBCCDD: "001010000000001"}))
+    rows = list(pl._measurement_rows(table,
+                                     {0xAABBCCDD: "001010000000001"}))
     assert len(rows) == 1
     [meas] = table.records[0].measurements
     assert rows[0] == ("001010000000001", 0xAABBCCDD, RNTI.value, 1, 4,

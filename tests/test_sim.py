@@ -8,6 +8,7 @@ to the same timing contract rather than to each other's internals.
 import importlib.util
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -395,7 +396,7 @@ def test_attach_flow_yields_tmsi_imsi_pair():
     assert result.attacker_pairs
     tmsi, imsi = next(iter(result.attacker_pairs.items()))
     assert imsi.startswith("00101")
-    lines = [json.loads(line) for line in result.extraction.dump_lines()]
+    lines = result.extraction.entries
     assert any(rec.get("imsi") == imsi for rec in lines)
     assert all(rec["outcome"] == "replaced" for rec in lines)
 
@@ -425,7 +426,7 @@ def test_known_tmsi_not_reengaged_under_unknown_only_policy():
                                             policy_mode="unknown_tmsi_only"))
     result = sim.run(scn)
     assert len(result.connections) >= 2
-    lines = [json.loads(line) for line in result.extraction.dump_lines()]
+    lines = result.extraction.entries
     injected = {rec["t_ps"] for rec in lines}
     first_end = result.connections[0].end_sf * tb.PS_PER_SUBFRAME
     assert injected and all(t <= first_end for t in injected)
@@ -445,7 +446,7 @@ def test_weak_attacker_fails_to_overshadow():
                                             power_margin_db=1.0))
     result = sim.run(scn)
     assert result.attacker_pairs == {}
-    lines = [json.loads(line) for line in result.extraction.dump_lines()]
+    lines = result.extraction.entries
     assert lines and all(rec["outcome"] == "original_kept" for rec in lines)
 
 
@@ -453,7 +454,7 @@ def test_attack_off_leaves_no_extraction_artifacts():
     scn = _scenario([_static_ue(60.0)], noise=ZERO_NOISE)
     result = sim.run(scn)
     assert result.attacker_pairs == {}
-    assert list(result.extraction.dump_lines()) == []
+    assert result.extraction.entries == []
 
 
 # -- scenario validation and serialization --------------------------------------
@@ -503,6 +504,33 @@ def test_validate_rejects_values_the_simulator_cannot_encode(field, ue,
                                                              scenario):
     with pytest.raises(sim.ScenarioError, match=field):
         sim.run(_scenario([_static_ue(60.0, **ue)], **scenario))
+
+
+def test_validate_refuses_non_finite_numbers_by_field():
+    # The loader refuses them in a file; a scenario built in Python is
+    # refused as well, instead of failing deep in the simulator or running
+    # without noise.
+    base = _scenario([_static_ue(60.0)])
+    ue = base.ues[0]
+    cases = {
+        "enbs[0].position[0]": replace(
+            base, enbs=(sim.Enb("enb0", Position(math.nan, 0.0)),)),
+        "probes[0].position[1]": replace(
+            base, probes=(sim.Probe("probe0", Position(0.0, math.inf)),)),
+        "ues[0].waypoints[0][1][0]": replace(base, ues=(replace(
+            ue, waypoints=((0, Position(-math.inf, 0.0)),)),)),
+        "ues[0].reconnect_rate": replace(
+            base, ues=(replace(ue, reconnect_rate=math.nan),)),
+        "noise.toa_sigma_ps": replace(
+            base, noise=sim.NoiseModel(toa_sigma_ps=math.nan)),
+        "attack.power_margin_db": replace(
+            base, attack=sim.AttackConfig(enabled=True,
+                                          power_margin_db=math.nan)),
+    }
+    for field, scn in cases.items():
+        with pytest.raises(sim.ScenarioError,
+                           match=re.escape(field) + " must be a finite"):
+            sim.run(scn)
 
 
 def test_validate_rejects_reconnect_faster_than_a_connection():

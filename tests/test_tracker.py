@@ -1,16 +1,17 @@
 """Linkage-database behavior on scripted connection streams."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tatrack import pipeline as pl
 from tatrack.geometry import Position, PositionEstimate
 from tatrack.tracker import (Connection, ConnectionStats, TracePoint,
                              TrackDb, connection_stats, median_of_sorted,
-                             provisional_id, quantile_of_sorted,
-                             trace_csv_rows)
+                             provisional_id, quantile_of_sorted)
 
 SEC = 10**12
 IMSI = "001010000000017"
@@ -220,8 +221,8 @@ def _populated_db():
 def test_journal_dump_deterministic(tmp_path):
     db = _populated_db()
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    db.dump_journal(p1)
-    db.dump_journal(p2)
+    pl._write_jsonl(p1, db.journal)
+    pl._write_jsonl(p2, db.journal)
     assert p1.read_bytes() == p2.read_bytes()
     # A connection is journaled by its identity and fixes, not its
     # measurements.
@@ -235,8 +236,11 @@ def test_journal_dump_deterministic(tmp_path):
             "observed_imsi", "points"}
 
 
-def test_csv_row_shapes():
+def test_csv_row_shapes(tmp_path):
     db = _populated_db()
-    trace_rows = list(trace_csv_rows(db, IMSI))
+    ctx = pl.RunContext(scenario=None, db=None, track_db=db)
+    pl.write_artifacts(ctx, tmp_path, ("track",))
+    with open(tmp_path / "traces.csv", newline="") as fh:
+        trace_rows = list(csv.DictReader(fh))
     assert trace_rows and set(trace_rows[0]) == {
         "imsi", "t_ps", "x_m", "y_m", "residual_rms_m", "corrected"}
