@@ -25,9 +25,12 @@ idealization that keeps the sniffer's subframe anchor exact.
 The scenario dataclasses are the scenario file format: each field is a
 JSON key, and its default applies when the key is absent. An ``int``
 takes a JSON integer only (not ``12.0``, not ``true``), a ``float`` any
-finite number, a ``bool`` or ``str`` its own type, an ``Optional`` field
-also ``null``, and a Position an ``[x, y]`` list. A missing, unknown or
-mistyped key is a ScenarioError that names it.
+finite number, a ``bool`` or ``str`` its own type, a ``Literal`` one of
+its strings, an ``Optional`` field also ``null``, and a Position an
+``[x, y]`` list. A missing, unknown or mistyped key is a ScenarioError
+that names it. ``Scenario.validate`` runs the same decoder on the
+scenario's encoding, so a scenario built in Python is held to these
+rules too, then checks the values, naming each field by the same path.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import hypot
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,7 +100,7 @@ class Enb:
 class Probe:
     id: str
     position: Position
-    role: str = "both"  # dl | ul | both
+    role: Literal["dl", "ul", "both"] = "both"
 
     def hears_downlink(self) -> bool:
         return self.role in ("dl", "both")
@@ -134,7 +137,7 @@ class UeProfile:
     answers_identity_after_service_request: bool = True
     imsi: Optional[str] = None
     tmsi: Optional[int] = None
-    connection_type: str = "attach"  # attach | service
+    connection_type: Literal["attach", "service"] = "attach"
     n_data_rounds: int = 12
     # Subframes between TA maintenance checks, rounded up to a multiple of
     # 4 (1 -> 4, 5 -> 8); 0 = off. Checks run only before a data round, so
@@ -164,14 +167,14 @@ class FaultModel:
 
 @dataclass(frozen=True)
 class Countermeasure:
-    mode: str = "off"  # off | random_offset
+    mode: Literal["off", "random_offset"] = "off"
     max_offset_ps: int = 0
 
 
 @dataclass(frozen=True)
 class AttackConfig:
     enabled: bool = False
-    policy_mode: str = ext.MODE_ALL
+    policy_mode: Literal[ext.POLICY_MODES] = ext.MODE_ALL
     use_service_reject: bool = False
     power_margin_db: float = 3.0
     alignment_error_ps: int = 0
@@ -190,79 +193,71 @@ class Scenario:
     attack: AttackConfig = AttackConfig()
 
     def validate(self, db: FingerprintDb) -> None:
-        _refuse_non_finite(_encode(self))  # as the loader refuses them
-        if not self.enbs or not self.probes or not self.ues:
-            raise ScenarioError("need at least one eNodeB, probe, and UE")
-        if len(self.enbs) > 1:
+        """Refuse what the simulator cannot run: every type through the
+        loader's decoder, then each value, named by the loader's path."""
+        _decode(Scenario, _encode(self), "")
+        if len(self.enbs) != 1:
             # The sniffer keeps one subframe timeline and localizes against
             # one eNodeB; traffic from a second cell would be placed wrong.
-            raise ScenarioError(
-                f"{len(self.enbs)} eNodeBs given; only one cell is supported")
+            raise _refusal("enbs", "one eNodeB, as one cell is supported",
+                           [enb.id for enb in self.enbs])
+        for name in ("probes", "ues"):
+            if not getattr(self, name):
+                raise _refusal(name, "a non-empty list", [])
         if self.duration_ps <= 0:
-            raise ScenarioError("duration must be positive")
+            raise _refusal("duration_ps", "positive", self.duration_ps)
         if not 0 <= self.seed < 2**64:
-            raise ScenarioError("seed must fit in 64 bits")
+            raise _refusal("seed", "in [0, 2**64)", self.seed)
         if self.noise.toa_sigma_ps < 0:
-            raise ScenarioError("toa_sigma must be >= 0")
-        for p in (self.faults.ta_resend_prob, self.faults.grant_loss_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ScenarioError(f"probability {p} outside [0, 1]")
-        if self.countermeasure.mode not in ("off", "random_offset"):
-            raise ScenarioError(
-                f"unknown countermeasure {self.countermeasure.mode!r}")
+            raise _refusal("noise.toa_sigma_ps", ">= 0",
+                           self.noise.toa_sigma_ps)
+        for name in ("ta_resend_prob", "grant_loss_prob"):
+            if not 0.0 <= getattr(self.faults, name) <= 1.0:
+                raise _refusal(f"faults.{name}", "a probability in [0, 1]",
+                               getattr(self.faults, name))
         # The offset is meant to blur a phone's range by a few TA rings.
         # Cap it at the decode gate (4 us: 7.7 TA steps, 600 m of range),
         # which also keeps the simulator's draw of it within int64.
         if not 0 <= self.countermeasure.max_offset_ps <= DECODE_GATE_PS:
-            raise ScenarioError(
-                f"countermeasure max_offset_ps "
-                f"{self.countermeasure.max_offset_ps} outside "
-                f"[0, {DECODE_GATE_PS}]")
-        if self.attack.policy_mode not in ext.POLICY_MODES:
-            raise ScenarioError(
-                f"unknown attack policy mode {self.attack.policy_mode!r}")
+            raise _refusal("countermeasure.max_offset_ps",
+                           f"in [0, {DECODE_GATE_PS}]",
+                           self.countermeasure.max_offset_ps)
         ids = set()
-        for probe in self.probes:
-            if probe.role not in ("dl", "ul", "both"):
-                raise ScenarioError(f"unknown probe role {probe.role!r}")
-            if not _PROBE_ID.fullmatch(probe.id):
-                raise ScenarioError(
-                    f"probe id {probe.id!r} is not 1-64 of [A-Za-z0-9._-]")
-            if probe.id in ids:
-                raise ScenarioError(f"probe id {probe.id!r} is given twice")
+        for i, probe in enumerate(self.probes):
+            if not _PROBE_ID.fullmatch(probe.id) or probe.id in ids:
+                raise _refusal(f"probes[{i}].id", "1-64 of [A-Za-z0-9._-] "
+                               "and no other probe's id", probe.id)
             ids.add(probe.id)
-        for ue in self.ues:
+        for i, ue in enumerate(self.ues):
+            where = f"ues[{i}]"
             if ue.model not in db.entries:
-                raise ScenarioError(f"unknown UE model {ue.model!r}")
-            if ue.connection_type not in ("attach", "service"):
-                raise ScenarioError(
-                    f"unknown connection type {ue.connection_type!r}")
+                raise _refusal(f"{where}.model", "a known UE model", ue.model)
+            if not ue.waypoints:
+                raise _refusal(f"{where}.waypoints", "a non-empty list", [])
             times = [t for t, _ in ue.waypoints]
-            if not times or times != sorted(times):
-                raise ScenarioError("waypoints must be time-ordered")
-            if ue.reconnect_rate <= 0:
-                raise ScenarioError("reconnect_rate must be positive")
-            try:  # the codec's identity types decide what each may hold
-                if ue.imsi is not None:
-                    Imsi(ue.imsi)
-            except ValueError:
-                raise ScenarioError(
-                    f"imsi {ue.imsi!r} is not 15 decimal digits") from None
-            try:
-                if ue.tmsi is not None:
-                    Tmsi(ue.tmsi)
-            except ValueError:
-                raise ScenarioError(
-                    f"tmsi {ue.tmsi} does not fit in 32 bits") from None
-            if ue.n_data_rounds < 0:
-                raise ScenarioError("n_data_rounds must be >= 0")
-            if ue.ta_interval < 0:
-                raise ScenarioError("ta_interval must be >= 0")
+            if times != sorted(times):
+                raise _refusal(f"{where}.waypoints", "time-ordered", times)
+            rate = ue.reconnect_rate  # too small a rate overflows 1 / rate
+            if not (rate > 0 and math.isfinite(60_000.0 / rate)):
+                raise _refusal(f"{where}.reconnect_rate", "positive with a "
+                               "finite reconnect interval", rate)
+            for name, codec, rule in (("imsi", Imsi, "15 decimal digits"),
+                                      ("tmsi", Tmsi, "in [0, 2**32)")):
+                value = getattr(ue, name)
+                try:  # the codec's identity types decide what each may hold
+                    if value is not None:
+                        codec(value)
+                except ValueError:
+                    raise _refusal(f"{where}.{name}", rule, value) from None
+            for name in ("n_data_rounds", "ta_interval"):
+                if getattr(ue, name) < 0:
+                    raise _refusal(f"{where}.{name}", ">= 0",
+                                   getattr(ue, name))
             span = _connection_span(ue)
             if _reconnect_interval(ue) <= span:
-                raise ScenarioError(
-                    f"reconnect interval shorter than a connection "
-                    f"({span} subframes)")
+                raise _refusal(f"{where}.reconnect_rate", f"slower than one "
+                               f"connection of n_data_rounds "
+                               f"{ue.n_data_rounds} ({span} subframes)", rate)
 
 
 class GroundTruthRow(NamedTuple):
@@ -631,8 +626,6 @@ def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:
 #: What a JSON value must be to fill a field of each scalar type.
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a string"}
-#: A Position is written as its [x, y] pair.
-_XY = tuple[float, float]
 #: Each field of a scenario dataclass and its type, resolved once a class.
 _field_types = functools.cache(typing.get_type_hints)
 
@@ -648,16 +641,9 @@ def _encode(value):
     return value
 
 
-def _refuse_non_finite(value, where: str = "") -> None:
-    """Refuse a NaN or an infinity in ``_encode``'s output, naming its
-    field as the loader names it."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
-    if isinstance(value, (dict, list)):
-        items = value.items() if isinstance(value, dict) else enumerate(value)
-        for key, item in items:
-            _refuse_non_finite(item, f"{where}[{key}]" if type(key) is int
-                               else f"{where}.{key}" if where else key)
+def _refusal(where: str, rule: str, value) -> ScenarioError:
+    """Every refusal of a field: ``<where> must be <rule>, got <value>``."""
+    return ScenarioError(f"{where} must be {rule}, got {reprlib.repr(value)}")
 
 
 def _decode(tp, value, where: str):
@@ -671,16 +657,20 @@ def _decode(tp, value, where: str):
         else:
             ok = type(value) is tp  # so a bool is no integer
         if not ok:
-            raise ScenarioError(
-                f"{where} must be {_KINDS[tp]}, got {reprlib.repr(value)}")
+            raise _refusal(where, _KINDS[tp], value)
         return float(value) if tp is float else value
-    if tp is Position:
-        return Position(*_decode(_XY, value, where))
+    if typing.get_origin(tp) is Literal:
+        options = typing.get_args(tp)
+        if type(value) is not str or value not in options:
+            raise _refusal(where, f"one of {', '.join(map(repr, options))}",
+                           value)
+        return value
+    if tp is Position:  # written as its [x, y] pair
+        return Position(*_decode(tuple[float, float], value, where))
     if dataclasses.is_dataclass(tp):
         name = where or "scenario"
         if type(value) is not dict:
-            raise ScenarioError(
-                f"{name} must be an object, got {reprlib.repr(value)}")
+            raise _refusal(name, "an object", value)
         types = _field_types(tp)
         unknown = sorted(set(value) - types.keys())
         if unknown:
@@ -699,13 +689,11 @@ def _decode(tp, value, where: str):
     if type(None) in args:  # Optional[X]
         return None if value is None else _decode(args[0], value, where)
     if type(value) is not list:
-        raise ScenarioError(
-            f"{where} must be a list, got {reprlib.repr(value)}")
+        raise _refusal(where, "a list", value)
     if args[-1] is Ellipsis:  # tuple[X, ...]
         args = args[:1] * len(value)
     elif len(value) != len(args):
-        raise ScenarioError(f"{where} must be a list of {len(args)} items, "
-                            f"got {reprlib.repr(value)}")
+        raise _refusal(where, f"a list of {len(args)} items", value)
     return tuple(_decode(t, item, f"{where}[{i}]")
                  for i, (t, item) in enumerate(zip(args, value)))
 

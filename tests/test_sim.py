@@ -521,8 +521,6 @@ def test_validate_refuses_non_finite_numbers_by_field():
             ue, waypoints=((0, Position(-math.inf, 0.0)),)),)),
         "ues[0].reconnect_rate": replace(
             base, ues=(replace(ue, reconnect_rate=math.nan),)),
-        "noise.toa_sigma_ps": replace(
-            base, noise=sim.NoiseModel(toa_sigma_ps=math.nan)),
         "attack.power_margin_db": replace(
             base, attack=sim.AttackConfig(enabled=True,
                                           power_margin_db=math.nan)),
@@ -531,12 +529,92 @@ def test_validate_refuses_non_finite_numbers_by_field():
         with pytest.raises(sim.ScenarioError,
                            match=re.escape(field) + " must be a finite"):
             sim.run(scn)
+    # toa_sigma_ps is an integer field, and a NaN is no integer.
+    with pytest.raises(sim.ScenarioError,
+                       match=r"noise\.toa_sigma_ps must be an integer"):
+        sim.run(replace(base, noise=sim.NoiseModel(toa_sigma_ps=math.nan)))
 
 
 def test_validate_rejects_reconnect_faster_than_a_connection():
     ue = _static_ue(60.0, reconnect_rate=10_000.0)
     with pytest.raises(sim.ScenarioError, match="reconnect"):
         sim.run(_scenario([ue]))
+
+
+def test_validate_refuses_a_rate_whose_interval_overflows():
+    # 60 000 / 1e-310 overflows to infinity, which has no subframe count.
+    ue = _static_ue(60.0, reconnect_rate=1e-310)
+    with pytest.raises(sim.ScenarioError,
+                       match=re.escape("ues[0].reconnect_rate")):
+        sim.run(_scenario([ue]))
+
+
+def _third_ue(**kw):
+    """A scenario whose third UE takes ``kw``, so refusals must index it."""
+    return _scenario([_static_ue(60.0), _static_ue(90.0),
+                      _static_ue(120.0, **kw)])
+
+
+_NAMED_REFUSALS = [
+    ("duration_ps must be positive",
+     _scenario([_static_ue(60.0)], duration_s=0)),
+    ("seed must be in", _scenario([_static_ue(60.0)], seed=-1)),
+    ("noise.toa_sigma_ps must be >= 0",
+     _scenario([_static_ue(60.0)], noise=sim.NoiseModel(toa_sigma_ps=-1))),
+    ("faults.grant_loss_prob must be a probability", _scenario(
+        [_static_ue(60.0)], faults=sim.FaultModel(grant_loss_prob=1.5))),
+    ("countermeasure.max_offset_ps must be in", _scenario(
+        [_static_ue(60.0)], countermeasure=sim.Countermeasure(
+            mode="random_offset", max_offset_ps=-1))),
+    ("probes[1].id must be", _scenario(
+        [_static_ue(60.0)], probes=(sim.Probe("p0", Position(0.0, 0.0)),
+                                    sim.Probe("p0", Position(9.0, 0.0))))),
+    ("ues[2].model must be a known UE model", _third_ue(model="Nokia 3310")),
+    ("ues[2].waypoints must be a non-empty list", replace(
+        _third_ue(), ues=_third_ue().ues[:2] + (
+            sim.UeProfile(model="Huawei P30", waypoints=()),))),
+    ("ues[2].reconnect_rate must be positive",
+     _third_ue(reconnect_rate=0.0)),
+    ("ues[2].imsi must be 15 decimal digits", _third_ue(imsi="12345")),
+    ("ues[2].tmsi must be in", _third_ue(tmsi=2**32)),
+    ("ues[2].n_data_rounds must be >= 0", _third_ue(n_data_rounds=-3)),
+    ("ues[2].ta_interval must be >= 0", _third_ue(ta_interval=-7)),
+]
+
+
+@pytest.mark.parametrize(
+    "start, scn", _NAMED_REFUSALS,
+    ids=[start.split()[0] for start, _ in _NAMED_REFUSALS])
+def test_each_value_refusal_starts_with_its_field(start, scn):
+    with pytest.raises(sim.ScenarioError) as refusal:
+        sim.run(scn)
+    assert str(refusal.value).startswith(start)
+
+
+_BASE = _scenario([_static_ue(60.0)])
+
+
+@pytest.mark.parametrize("scn", [
+    _scenario([_static_ue(60.0, n_data_rounds=2.5)]),
+    _scenario([_static_ue(60.0, n_data_rounds=np.int64(12))]),
+    replace(_BASE, duration_ps=3e12),
+    replace(_BASE, noise=sim.NoiseModel(toa_sigma_ps=70_000.5)),
+    replace(_BASE, noise=sim.NoiseModel(hw_bias=1)),
+    replace(_BASE, probes=(sim.Probe("probe0", Position(0.0, 0.0),
+                                     role="x"),)),
+    _scenario([_static_ue(60.0, connection_type="x")]),
+    replace(_BASE, countermeasure=sim.Countermeasure(mode="x")),
+    replace(_BASE, attack=sim.AttackConfig(policy_mode="x")),
+    _scenario([_static_ue(60.0, reconnect_rate=math.nan)]),
+], ids=["float_rounds", "numpy_rounds", "float_duration", "float_sigma",
+        "int_hw_bias", "role", "connection_type", "countermeasure_mode",
+        "policy_mode", "nan_rate"])
+def test_python_built_and_loaded_scenarios_are_refused_alike(scn):
+    with pytest.raises(sim.ScenarioError) as built:
+        scn.validate(FingerprintDb.default())
+    with pytest.raises(sim.ScenarioError) as loaded:
+        sim.scenario_from_dict(sim.scenario_to_dict(scn))
+    assert str(built.value) == str(loaded.value)
 
 
 def test_scenario_dict_round_trip():
@@ -580,6 +658,9 @@ _JSON_VALUES = st.recursive(
     max_leaves=5)
 
 
+_DB = FingerprintDb.default()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_scenario_loader_returns_a_scenario_or_refuses_by_name(data):
@@ -609,8 +690,8 @@ def test_scenario_loader_returns_a_scenario_or_refuses_by_name(data):
         key = data.draw(st.text(max_size=6).filter(lambda k: k not in obj))
         obj[key] = data.draw(_JSON_VALUES)
         path = (key,)
-    try:
-        assert isinstance(sim.scenario_from_dict(scenario), sim.Scenario)
+    try:  # a scenario that loads is then run or refused, nothing else
+        sim.scenario_from_dict(scenario).validate(_DB)
     except sim.ScenarioError as exc:
         # The refusal names the innermost key on the mutated path.
         assert [k for k in path if isinstance(k, str)][-1] in str(exc)
