@@ -96,7 +96,6 @@ class ExtractorState:
     tmsi: Optional[int] = None
     tmsi_is_random: bool = False
     imsi: Optional[str] = None
-    engaged: bool = False
     injected: bool = False
     trigger: Optional[str] = None
     diagnostics: tuple = ()
@@ -138,7 +137,7 @@ def step(state: ExtractorState, event: Message,
     if isinstance(event, (AttachRequest, ServiceRequest)):
         engage = policy.should_engage(state.tmsi, state.tmsi_is_random)
         if not engage or state.injected:
-            return replace(state, phase=PHASE_SETUP_SEEN, engaged=False), []
+            return replace(state, phase=PHASE_SETUP_SEEN), []
         trigger = "attach" if isinstance(event, AttachRequest) else "service"
         if trigger == "service" and use_service_reject:
             # The reject tears the connection down; the re-attach arrives
@@ -148,12 +147,11 @@ def step(state: ExtractorState, event: Message,
                 SuppressUplinkGrant(),
             ]
             return replace(_reset(state, "service rejected for re-attach"),
-                           injected=True, trigger=trigger,
-                           engaged=True), actions
+                           injected=True, trigger=trigger), actions
         actions = [Overshadow(IdentityRequest(IdType.IMSI)),
                    SuppressUplinkGrant()]
-        return replace(state, phase=PHASE_INJECTED, engaged=True,
-                       injected=True, trigger=trigger), actions
+        return replace(state, phase=PHASE_INJECTED, injected=True,
+                       trigger=trigger), actions
 
     assert isinstance(event, IdentityResponse)
     imsi = event.imsi.digits

@@ -6,13 +6,8 @@ payload length, then fixed-layout big-endian fields in declaration order.
 What matters downstream is the message semantics and that the encoding is
 bit-exact and total to decode.
 
-Tag table (0x01 and 0x04 are unassigned and decode to ``UnknownTag``):
-    0x02 RandomAccessResponse   0x09 ServiceRequest
-    0x03 DciFormat0             0x0A IdentityRequest
-    0x05 MacTaCommand           0x0B IdentityResponse
-    0x06 RrcConnectionRequest   0x0C Ack
-    0x07 RrcConnectionSetup     0x0D ServiceReject
-    0x08 AttachRequest
+``_CODECS`` holds each message type's layout, which ``encode`` and
+``decode`` both read; a tag it does not list decodes to ``UnknownTag``.
 """
 
 from __future__ import annotations
@@ -20,7 +15,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from functools import partial
+from itertools import accumulate
+from typing import Callable, NamedTuple, Union
 
 from .timebase import TA_MAX
 
@@ -261,163 +258,147 @@ Message = Union[
     IdentityResponse, Ack, ServiceReject,
 ]
 
-_ID_KIND_TMSI = 0x00
-_ID_KIND_IMSI = 0x01
-
 
 def _pack_imsi(imsi: Imsi) -> bytes:
     # Packed BCD, two digits per byte, 0xF filler nibble at the end.
-    nibbles = [int(d) for d in imsi.digits] + [0xF]
-    return bytes((nibbles[i] << 4) | nibbles[i + 1]
-                 for i in range(0, 16, 2))
+    return bytes.fromhex(imsi.digits + "f")
 
 
 def _unpack_imsi(raw: bytes) -> Imsi:
-    nibbles = []
-    for byte in raw:
-        nibbles.append(byte >> 4)
-        nibbles.append(byte & 0xF)
-    if nibbles[15] != 0xF:
-        raise BadField("IMSI filler nibble missing")
-    digits = nibbles[:15]
-    if any(d > 9 for d in digits):
-        raise BadField("IMSI contains non-decimal nibble")
-    return Imsi("".join(str(d) for d in digits))
+    digits = raw.hex()
+    if digits[15] != "f":
+        raise ValueError("IMSI filler nibble missing")
+    return Imsi(digits[:15])  # Imsi refuses a nibble above 9
 
 
-def _pack_attach(msg: AttachRequest) -> bytes:
-    if isinstance(msg.id, Tmsi):
-        id_part = struct.pack(">BI", _ID_KIND_TMSI, msg.id.value)
-    else:
-        id_part = struct.pack(">B", _ID_KIND_IMSI) + _pack_imsi(msg.id)
-    return id_part + msg.capabilities.bits
+def _flag(byte: int) -> bool:
+    if byte > 1:
+        raise ValueError(f"is_random flag byte 0x{byte:02X}")
+    return bool(byte)
 
 
-#: Each message type's tag and the packer of its payload.
+_HEADER = struct.Struct(">BH")  # tag, payload length
+
+
+class _Layout(NamedTuple):
+    """One message type's whole encoding: tag, length and payload."""
+
+    tag: int
+    struct: struct.Struct  # the tag, the payload length, then each field
+    fields: tuple[tuple[str, int], ...]  # (name, payload offset past it)
+    values: Callable[..., tuple]   # a message's payload field values
+    build: Callable[..., Message]  # the message from those values
+    pack: Callable[..., bytes]  # ``struct.pack`` with tag and length bound
+
+
+def _layout(tag: int, spec: str, values, build) -> _Layout:
+    """A layout from ``spec``: ``name:code`` per payload field in wire
+    order, each code a ``struct`` format character."""
+    names, codes = zip(*(field.split(":") for field in spec.split()))
+    ends = tuple(accumulate(struct.calcsize(">" + code) for code in codes))
+    fmt = struct.Struct(">BH" + "".join(codes))
+    return _Layout(tag, fmt, tuple(zip(names, ends)), values, build,
+                   partial(fmt.pack, tag, ends[-1]))
+
+
+#: Each message type's layout. The attach request has two, indexed by
+#: its first payload byte, the identity kind: a TMSI or an IMSI.
 _CODECS = {
-    RandomAccessResponse: (0x02, lambda m: struct.pack(
-        ">HHBHB", m.rnti.value, m.ta, m.grant.subframe_offset,
-        m.grant.rb_alloc, m.grant.mcs)),
-    DciFormat0: (0x03, lambda m: struct.pack(
-        ">HBHB", m.rnti.value, m.subframe_offset, m.rb_alloc, m.mcs)),
-    MacTaCommand: (0x05, lambda m: struct.pack(">B", m.adjust + 31)),
-    RrcConnectionRequest: (0x06, lambda m: struct.pack(
-        ">IBB", m.tmsi.value, m.establishment_cause, int(m.is_random))),
-    RrcConnectionSetup: (0x07, lambda m: struct.pack(">B", m.config_id)),
-    AttachRequest: (0x08, _pack_attach),
-    ServiceRequest: (0x09, lambda m: struct.pack(">I", m.tmsi.value)),
-    IdentityRequest: (0x0A, lambda m: struct.pack(">B", m.id_type)),
-    IdentityResponse: (0x0B, lambda m: _pack_imsi(m.imsi)),
-    Ack: (0x0C, lambda m: struct.pack(">B", m.harq_id)),
-    ServiceReject: (0x0D, lambda m: struct.pack(">B", m.cause)),
+    RandomAccessResponse: _layout(
+        0x02, "rnti:H ta:H subframe_offset:B rb_alloc:H mcs:B",
+        lambda m: (m.rnti.value, m.ta, m.grant.subframe_offset,
+                   m.grant.rb_alloc, m.grant.mcs),
+        lambda rnti, ta, offset, rb_alloc, mcs: RandomAccessResponse(
+            Rnti(rnti), ta, UlGrant(offset, rb_alloc, mcs))),
+    DciFormat0: _layout(
+        0x03, "rnti:H subframe_offset:B rb_alloc:H mcs:B",
+        lambda m: (m.rnti.value, m.subframe_offset, m.rb_alloc, m.mcs),
+        lambda rnti, offset, rb_alloc, mcs: dci_format0(
+            Rnti(rnti), offset, rb_alloc, mcs)),
+    MacTaCommand: _layout(
+        0x05, "adjust:B", lambda m: (m.adjust + 31,),
+        lambda biased: MacTaCommand(biased - 31)),
+    RrcConnectionRequest: _layout(
+        0x06, "tmsi:I establishment_cause:B is_random:B",
+        lambda m: (m.tmsi.value, m.establishment_cause, m.is_random),
+        lambda tmsi, cause, flag: RrcConnectionRequest(
+            Tmsi(tmsi), cause, _flag(flag))),
+    RrcConnectionSetup: _layout(
+        0x07, "config_id:B", lambda m: (m.config_id,), RrcConnectionSetup),
+    AttachRequest: (
+        _layout(0x08, "id_kind:B tmsi:I capabilities:32s",
+                lambda m: (0x00, m.id.value, m.capabilities.bits),
+                lambda _, tmsi, caps: AttachRequest(
+                    Tmsi(tmsi), CapabilityVector(caps))),
+        _layout(0x08, "id_kind:B imsi:8s capabilities:32s",
+                lambda m: (0x01, _pack_imsi(m.id), m.capabilities.bits),
+                lambda _, imsi, caps: AttachRequest(
+                    _unpack_imsi(imsi), CapabilityVector(caps))),
+    ),
+    ServiceRequest: _layout(
+        0x09, "tmsi:I", lambda m: (m.tmsi.value,),
+        lambda tmsi: ServiceRequest(Tmsi(tmsi))),
+    IdentityRequest: _layout(
+        0x0A, "id_type:B", lambda m: (m.id_type,),
+        lambda id_type: IdentityRequest(IdType(id_type))),
+    IdentityResponse: _layout(
+        0x0B, "imsi:8s", lambda m: (_pack_imsi(m.imsi),),
+        lambda imsi: IdentityResponse(_unpack_imsi(imsi))),
+    Ack: _layout(0x0C, "harq_id:B", lambda m: (m.harq_id,), Ack),
+    ServiceReject: _layout(
+        0x0D, "cause:B", lambda m: (m.cause,), ServiceReject),
 }
+
+#: The same layouts by tag.
+_BY_TAG = {(layout[0] if type(layout) is tuple else layout).tag: layout
+           for layout in _CODECS.values()}
 
 
 def encode(msg: Message) -> bytes:
     """Serialize to tag + 16-bit length + fixed-layout payload."""
-    try:
-        tag, pack = _CODECS[type(msg)]
-    except KeyError:
-        raise TypeError(f"not a message: {msg!r}") from None
-    payload = pack(msg)
-    return struct.pack(">BH", tag, len(payload)) + payload
-
-
-class _Cursor:
-    """Sequential field reader that names what was missing on truncation."""
-
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, n: int, name: str) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise Truncated(name)
-        chunk = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, name: str) -> int:
-        return self.take(1, name)[0]
-
-    def u16(self, name: str) -> int:
-        return struct.unpack(">H", self.take(2, name))[0]
-
-    def u32(self, name: str) -> int:
-        return struct.unpack(">I", self.take(4, name))[0]
-
-    def done(self) -> None:
-        if self.pos != len(self.raw):
-            raise BadLength(f"{len(self.raw) - self.pos} unread payload bytes")
-
-
-def _decode_payload(tag: int, cur: _Cursor) -> Message:
-    try:
-        if tag == 0x02:
-            rnti = Rnti(cur.u16("rnti"))
-            ta = cur.u16("ta")
-            grant = UlGrant(cur.u8("subframe_offset"), cur.u16("rb_alloc"),
-                            cur.u8("mcs"))
-            return RandomAccessResponse(rnti, ta, grant)
-        if tag == 0x03:
-            return DciFormat0(Rnti(cur.u16("rnti")), cur.u8("subframe_offset"),
-                              cur.u16("rb_alloc"), cur.u8("mcs"))
-        if tag == 0x05:
-            return MacTaCommand(cur.u8("adjust") - 31)
-        if tag == 0x06:
-            tmsi = Tmsi(cur.u32("tmsi"))
-            cause = cur.u8("establishment_cause")
-            flag = cur.u8("is_random")
-            if flag > 1:
-                raise BadField(f"is_random flag byte 0x{flag:02X}")
-            return RrcConnectionRequest(tmsi, cause, bool(flag))
-        if tag == 0x07:
-            return RrcConnectionSetup(cur.u8("config_id"))
-        if tag == 0x08:
-            kind = cur.u8("id_kind")
-            if kind == _ID_KIND_TMSI:
-                ident: Union[Tmsi, Imsi] = Tmsi(cur.u32("tmsi"))
-            elif kind == _ID_KIND_IMSI:
-                ident = _unpack_imsi(cur.take(8, "imsi"))
-            else:
-                raise BadField(f"attach id kind 0x{kind:02X}")
-            caps = CapabilityVector(cur.take(CAPABILITY_BYTES, "capabilities"))
-            return AttachRequest(ident, caps)
-        if tag == 0x09:
-            return ServiceRequest(Tmsi(cur.u32("tmsi")))
-        if tag == 0x0A:
-            raw = cur.u8("id_type")
-            try:
-                return IdentityRequest(IdType(raw))
-            except ValueError:
-                raise BadField(f"identity type 0x{raw:02X}") from None
-        if tag == 0x0B:
-            return IdentityResponse(_unpack_imsi(cur.take(8, "imsi")))
-        if tag == 0x0C:
-            return Ack(cur.u8("harq_id"))
-        if tag == 0x0D:
-            return ServiceReject(cur.u8("cause"))
-    except DecodeError:
-        raise
-    except ValueError as exc:
-        # Range violations from the dataclass validators.
-        raise BadField(str(exc)) from None
-    raise UnknownTag(tag)
+    layout = _CODECS.get(type(msg))
+    if layout is None:
+        raise TypeError(f"not a message: {msg!r}")
+    if type(layout) is tuple:  # the attach request: one per identity kind
+        layout = layout[type(msg.id) is Imsi]
+    return layout.pack(*layout.values(msg))
 
 
 def decode(data: bytes) -> Message:
-    """Total inverse of encode: returns a Message or raises a DecodeError."""
-    if len(data) < 3:
+    """Total inverse of encode: returns a Message or raises a DecodeError.
+
+    A field the payload cuts short is ``Truncated``, a value the message
+    refuses is a ``BadField``, and only then are unread payload bytes a
+    ``BadLength``.
+    """
+    if len(data) < _HEADER.size:
         raise Truncated("header")
-    tag, length = struct.unpack(">BH", data[:3])
-    payload = data[3:]
-    if len(payload) < length:
+    tag, length = _HEADER.unpack_from(data)
+    excess = len(data) - _HEADER.size - length
+    if excess < 0:
         raise Truncated("payload")
-    if len(payload) > length:
-        raise BadLength(f"{len(payload) - length} trailing bytes")
-    cur = _Cursor(payload)
-    msg = _decode_payload(tag, cur)
-    cur.done()
+    if excess:
+        raise BadLength(f"{excess} trailing bytes")
+    layout = _BY_TAG.get(tag)
+    if layout is None:
+        raise UnknownTag(tag)
+    if type(layout) is tuple:  # the attach request: pick by identity kind
+        if length == 0:
+            raise Truncated(layout[0].fields[0][0])
+        kind = data[_HEADER.size]
+        if kind >= len(layout):
+            raise BadField(f"attach id kind 0x{kind:02X}")
+        layout = layout[kind]
+    size = layout.struct.size - _HEADER.size
+    if length < size:
+        raise Truncated(next(name for name, end in layout.fields
+                             if end > length))
+    try:
+        msg = layout.build(*layout.struct.unpack_from(data)[2:])
+    except ValueError as exc:  # a value the message or a field refuses
+        raise BadField(str(exc)) from None
+    if length > size:
+        raise BadLength(f"{length - size} unread payload bytes")
     return msg
 
 

@@ -23,6 +23,7 @@ what was decoded, and a measurement carries the frame and subframe of
 its burst. ``ConnectionTable.ingest`` unpacks each event once,
 range-checks its stamp, dispatches on the carrier and message type, sets
 ``start_ps`` to the t_n of a RAR's subframe and notes each decoded uplink.
+It compares a carrier by value and refuses one it does not know.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ SUBFRAME_PERIOD = 10_240
 #: subframes.
 EXPIRY_SUBFRAMES = 8
 
+_DOWNLINK, _UPLINK = "downlink", "uplink"  # globals: read once per event
+
 
 class Carrier:
     """The two receive chains, as the strings the event logs carry."""
 
-    DOWNLINK = "downlink"
-    UPLINK = "uplink"
+    DOWNLINK = _DOWNLINK
+    UPLINK = _UPLINK
 
 
 class ProbeEvent(NamedTuple):
@@ -122,6 +125,9 @@ class ConnectionTable:
         if not (0 <= frame <= 1023 and 0 <= subframe <= 9):
             raise ValueError(f"frame {frame} outside [0, 1023] or "
                              f"subframe {subframe} outside [0, 9]")
+        downlink = carrier == _DOWNLINK  # by value: logs give copies
+        if not downlink and carrier != _UPLINK:
+            raise ValueError(f"carrier {carrier!r} is not downlink or uplink")
         # Unwrap the subframe counter, tolerating slight cross-carrier skew.
         raw = frame * 10 + subframe
         if self._cursor is None:
@@ -137,7 +143,7 @@ class ConnectionTable:
                 self._cursor = (raw, abs_idx)
         kind = type(msg)
 
-        if carrier is Carrier.DOWNLINK:
+        if downlink:
             # Subframe n was sent at t_n = origin + n ms.
             t_n = rx_time - self.d_dlprobe_ps
             self._tn_origin = t_n - abs_idx * PS_PER_SUBFRAME

@@ -72,7 +72,6 @@ def test_known_tmsi_not_engaged():
         policy=policy,
     )
     assert actions == []
-    assert not state.engaged
 
 
 def test_random_fill_in_value_always_engaged():

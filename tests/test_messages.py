@@ -159,6 +159,78 @@ def test_error_kinds_are_distinct():
         m.decode(b"\x05\x00\x01\xff")  # TA adjust out of range
 
 
+_CAPS = m.CapabilityVector(bytes(range(32)))
+
+#: One golden message per layout: its payload fields as (name, size) in
+#: wire order, and (offset, bytes) that make one field's value refused,
+#: or None where every value of every field is valid.
+_LAYOUTS = [
+    pytest.param(m.RandomAccessResponse(m.Rnti(0x4A), 6, m.UlGrant(4, 18, 5)),
+                 (("rnti", 2), ("ta", 2), ("subframe_offset", 1),
+                  ("rb_alloc", 2), ("mcs", 1)), (2, b"\xff\xff"), id="rar"),
+    pytest.param(m.DciFormat0(m.Rnti(0x4A), 4, 18, 5),
+                 (("rnti", 2), ("subframe_offset", 1), ("rb_alloc", 2),
+                  ("mcs", 1)), (5, b"\x20"), id="dci0"),
+    pytest.param(m.MacTaCommand(-3), (("adjust", 1),), (0, b"\x40"),
+                 id="mac_ta"),
+    pytest.param(m.RrcConnectionRequest(m.Tmsi(0xA0000001), 3, True),
+                 (("tmsi", 4), ("establishment_cause", 1), ("is_random", 1)),
+                 (5, b"\x02"), id="rrc_request"),
+    pytest.param(m.RrcConnectionSetup(7), (("config_id", 1),), None,
+                 id="rrc_setup"),
+    pytest.param(m.AttachRequest(m.Tmsi(0xA0000001), _CAPS),
+                 (("id_kind", 1), ("tmsi", 4), ("capabilities", 32)),
+                 (0, b"\x02"), id="attach_tmsi"),
+    pytest.param(m.AttachRequest(m.Imsi("001010000000001"), _CAPS),
+                 (("id_kind", 1), ("imsi", 8), ("capabilities", 32)),
+                 (8, b"\x10"), id="attach_imsi"),
+    pytest.param(m.ServiceRequest(m.Tmsi(0xA0000001)), (("tmsi", 4),), None,
+                 id="service_request"),
+    pytest.param(m.IdentityRequest(m.IdType.IMSI), (("id_type", 1),),
+                 (0, b"\x02"), id="identity_request"),
+    pytest.param(m.IdentityResponse(m.Imsi("001010000000001")),
+                 (("imsi", 8),), (0, b"\x0a"), id="identity_response"),
+    pytest.param(m.Ack(3), (("harq_id", 1),), (0, b"\x10"), id="ack"),
+    pytest.param(m.ServiceReject(9), (("cause", 1),), None,
+                 id="service_reject"),
+]
+
+
+def _framed(tag, payload):
+    """``payload`` under ``tag`` with a header that declares all of it."""
+    return bytes((tag,)) + len(payload).to_bytes(2, "big") + payload
+
+
+@pytest.mark.parametrize("msg, fields, bad", _LAYOUTS)
+def test_a_payload_cut_inside_a_field_names_that_field(msg, fields, bad):
+    raw = m.encode(msg)
+    tag, payload = raw[0], raw[3:]
+    assert sum(size for _, size in fields) == len(payload)
+    start = 0
+    for name, size in fields:
+        for cut in (start, start + size - 1):
+            with pytest.raises(m.Truncated) as exc:
+                m.decode(_framed(tag, payload[:cut]))
+            assert exc.value.missing == name
+        start += size
+
+
+@pytest.mark.parametrize("msg, fields, bad", _LAYOUTS)
+def test_a_bad_field_beats_an_unread_byte(msg, fields, bad):
+    raw = m.encode(msg)
+    tag, payload = raw[0], raw[3:]
+    with pytest.raises(m.BadLength):
+        m.decode(_framed(tag, payload + b"\x00"))
+    if bad is None:
+        return
+    offset, value = bad
+    spoilt = payload[:offset] + value + payload[offset + len(value):]
+    with pytest.raises(m.BadField):
+        m.decode(_framed(tag, spoilt))
+    with pytest.raises(m.BadField):
+        m.decode(_framed(tag, spoilt + b"\x00"))
+
+
 def test_encode_rejects_out_of_range_fields():
     with pytest.raises(ValueError):
         m.MacTaCommand(33)

@@ -371,21 +371,36 @@ def _format_scenarios():
     return busy, idle
 
 
-def test_event_logs_read_back_through_the_codec(tmp_path):
-    ctx = pl.run_pipeline(_format_scenarios()[0], ("simulate",),
-                          out_dir=tmp_path)
-    kinds = set()
+def _read_back_event_logs(scenario, out_dir):
+    """Decode each ``message_hex`` cell of the scenario's event logs and
+    check it against the simulator's message; the kinds and line count."""
+    ctx = pl.run_pipeline(scenario, ("simulate",), out_dir=out_dir)
+    kinds, n_lines = set(), 0
     for probe_id, events in ctx.result.events.items():
-        lines = (tmp_path / f"events_{probe_id}.jsonl").read_text(
+        lines = (out_dir / f"events_{probe_id}.jsonl").read_text(
             encoding="utf-8").splitlines()
         assert len(lines) == len(events)
+        n_lines += len(lines)
         for line, event in zip(lines, events):
             cell = json.loads(line)["message_hex"]
             message = (None if cell is None
                        else messages.decode(bytes.fromhex(cell)))
             assert message == event.message
             kinds.add(type(message))
+    return kinds, n_lines
+
+
+def test_event_logs_read_back_through_the_codec(tmp_path):
+    kinds, _ = _read_back_event_logs(_format_scenarios()[0], tmp_path)
     assert len(kinds) == len(messages._CODECS) + 1  # every kind and null
+
+
+def test_benchmark_traffic_reads_back_through_the_codec(tmp_path):
+    # Crowd seed 0's three sniffers: the traffic a replay would decode.
+    from perfbench import workloads
+    scn = sim.scenario_from_dict(workloads.crowd(0))
+    _, n_lines = _read_back_event_logs(scn, tmp_path)
+    assert n_lines == 50_166
 
 
 @pytest.mark.parametrize("busy", [True, False], ids=["busy", "idle"])

@@ -1,5 +1,7 @@
 """Scripted sniffer traces checked against exact ground-truth timing."""
 
+import json
+
 import pytest
 
 from tatrack import pipeline as pl
@@ -216,6 +218,29 @@ def test_out_of_range_stamp_refused_at_ingest(frame, subframe, carrier):
     bad = ProbeEvent(frame, subframe, 10**9, carrier)
     with pytest.raises(ValueError):
         table.ingest(bad)
+
+
+def test_carriers_read_back_from_a_log_match_by_value():
+    # json.loads builds a new string, equal to the simulator's but not it.
+    down, up = (json.loads(json.dumps(c))
+                for c in (Carrier.DOWNLINK, Carrier.UPLINK))
+    assert down is not Carrier.DOWNLINK and up is not Carrier.UPLINK
+    table = ConnectionTable()
+    table.ingest(_event(10, 10 * 10**9, down,
+                        RandomAccessResponse(RNTI, TA0, UlGrant(4, 0x10, 3)),
+                        None, None))
+    [meas] = table.ingest(_event(14, _uplink_rx(14, TA0), up, None, 0x10,
+                                 None))
+    assert meas.sum_delay == 2 * D_UE
+    assert table.dropped_uplinks == 0
+
+
+@pytest.mark.parametrize("carrier", ["Downlink", "ul", "", None])
+def test_unknown_carrier_refused_at_ingest(carrier):
+    table = ConnectionTable()
+    with pytest.raises(ValueError, match="carrier"):
+        table.ingest(ProbeEvent(0, 0, 10**9, carrier))
+    assert table._cursor is None and table.dropped_uplinks == 0
 
 
 def test_measurement_rows_shape():
