@@ -209,8 +209,12 @@ def main(argv=None) -> int:
             # on devnull so the interpreter's exit flush stays quiet.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_cdf(rows, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                _write_cdf(rows, fh)
+        except OSError as exc:
+            _fail(f"cannot write {args.out}: {exc.strerror or exc}")
+            return 1
     return 0
 
 

@@ -59,7 +59,7 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rnti:
     """16-bit radio identity. Values above 0xFFF3 are reserved."""
 
@@ -76,7 +76,7 @@ class Rnti:
         return self.DEDICATED_MIN <= self.value <= self.DEDICATED_MAX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tmsi:
     value: int
 
@@ -84,7 +84,7 @@ class Tmsi:
         _check_range("tmsi", self.value, 0, 0xFFFFFFFF)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imsi:
     digits: str
 
@@ -95,7 +95,7 @@ class Imsi:
             raise ValueError(f"IMSI must be 15 decimal digits: {self.digits!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapabilityVector:
     """Fixed 256-bit feature vector sent in plain text during attach."""
 
@@ -125,7 +125,7 @@ class IdType(IntEnum):
 # --- message variants, in tag order ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UlGrant:
     """Uplink allocation: transmit at grant subframe + offset on rb_alloc."""
 
@@ -139,7 +139,7 @@ class UlGrant:
         _check_range("mcs", self.mcs, 0, 31)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomAccessResponse:
     rnti: Rnti
     ta: int
@@ -149,7 +149,7 @@ class RandomAccessResponse:
         _check_range("ta", self.ta, 0, TA_MAX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DciFormat0:
     """Uplink grant: the UE transmits subframe_offset later on rb_alloc."""
 
@@ -164,28 +164,33 @@ class DciFormat0:
         _check_range("mcs", self.mcs, 0, 31)
 
 
+#: The ``__set__`` of each ``DciFormat0`` slot's member descriptor.
+_set_rnti, _set_offset, _set_rb_alloc, _set_mcs = (
+    DciFormat0.__dict__[name].__set__ for name in DciFormat0.__slots__)
+
+
 def dci_format0(rnti: Rnti, subframe_offset: int, rb_alloc: int,
                 mcs: int) -> DciFormat0:
     """``DciFormat0(rnti, subframe_offset, rb_alloc, mcs)``, built cheaply.
 
-    Fields that are plain ints in range are stored without the
-    frozen-dataclass ``__init__``. Any other value goes through the
-    constructor, so it is refused, or accepted, exactly as there.
+    Fields that are plain ints in range go straight into the record's
+    slots through their member descriptors, without the dataclass
+    ``__init__``. Any other value goes through the constructor, so it is
+    refused, or accepted, exactly as there.
     """
     if not (type(subframe_offset) is int and 0 <= subframe_offset <= 255
             and type(rb_alloc) is int and 0 <= rb_alloc <= 0xFFFF
             and type(mcs) is int and 0 <= mcs <= 31):
         return DciFormat0(rnti, subframe_offset, rb_alloc, mcs)
     msg = object.__new__(DciFormat0)
-    fields = msg.__dict__
-    fields["rnti"] = rnti
-    fields["subframe_offset"] = subframe_offset
-    fields["rb_alloc"] = rb_alloc
-    fields["mcs"] = mcs
+    _set_rnti(msg, rnti)
+    _set_offset(msg, subframe_offset)
+    _set_rb_alloc(msg, rb_alloc)
+    _set_mcs(msg, mcs)
     return msg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacTaCommand:
     """Incremental timing-advance adjustment, -31 to +32 steps."""
 
@@ -195,7 +200,7 @@ class MacTaCommand:
         _check_range("adjust", self.adjust, -31, 32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RrcConnectionRequest:
     tmsi: Tmsi
     establishment_cause: int
@@ -205,7 +210,7 @@ class RrcConnectionRequest:
         _check_range("establishment_cause", self.establishment_cause, 0, 255)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RrcConnectionSetup:
     config_id: int
 
@@ -213,28 +218,28 @@ class RrcConnectionSetup:
         _check_range("config_id", self.config_id, 0, 255)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachRequest:
     id: Union[Tmsi, Imsi]
     capabilities: CapabilityVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceRequest:
     tmsi: Tmsi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityRequest:
     id_type: IdType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityResponse:
     imsi: Imsi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ack:
     harq_id: int
 
@@ -242,7 +247,7 @@ class Ack:
         _check_range("harq_id", self.harq_id, 0, 15)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceReject:
     """NAS reject; cause 9 sends the UE back to a full plaintext attach."""
 

@@ -294,16 +294,17 @@ def _classify_view(conn: Connection, db: FingerprintDb) -> None:
 
 
 def stage_stats(ctx: RunContext) -> None:
-    # Phones can send in the same subframe, so the RNTI is part of the key.
+    # Phones can send in the same subframe: rows go by (probe, RNTI), t_n.
     rnti_of = {c.conn_id: c.rnti for c in ctx.result.connections}
-    truth = {(row.probe_id, row.t_n_ps, rnti_of[row.conn_id]): row
-             for row in ctx.result.ground_truth}
+    truth: dict = {}
+    for r in ctx.result.ground_truth:  # the last row for a t_n wins
+        truth.setdefault((r.probe_id, rnti_of[r.conn_id]), {})[r.t_n_ps] = r
     for conn in ctx.views:
         for probe_id, (record, stats) in conn.legs.items():
             if stats is None:
                 continue
-            rows = [truth.get((probe_id, m.t_n, conn.rnti))
-                    for m in record.measurements]
+            by_t_n = truth.get((probe_id, conn.rnti), {})
+            rows = [by_t_n.get(m.t_n) for m in record.measurements]
             rows = [r for r in rows if r is not None]
             if not rows:
                 continue

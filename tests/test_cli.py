@@ -362,6 +362,32 @@ def test_cdf_rejects_empty_and_missing_inputs(tmp_path, capsys):
             group_by="nope")
 
 
+def test_cdf_out_holds_what_stdout_prints(tmp_path, capsys):
+    path = _errors_csv(tmp_path, [
+        {"conn": "c1", "imsi": "i1", "model": "mA", "error_m": "2.0"},
+        {"conn": "c2", "imsi": "i1", "model": "mB", "error_m": "1.0"}])
+    assert main(["cdf", "--group-by", "model", str(path)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "cdf.csv"
+    assert main(["cdf", "--group-by", "model", str(path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("target", ["a_directory", "missing/cdf.csv"])
+def test_cdf_out_that_cannot_be_written_exits_1_with_one_error_line(
+        tmp_path, capsys, target):
+    path = _errors_csv(tmp_path, [
+        {"conn": "c1", "imsi": "i1", "model": "m1", "error_m": "5.0"}])
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / target
+    assert main(["cdf", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(out) in err[0]
+
+
 def _scenario_dir(tmp_path):
     (tmp_path / "scene").mkdir()
     return ["run", "--scenario", str(tmp_path / "scene"),

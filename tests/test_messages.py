@@ -1,5 +1,7 @@
 """Golden wire vectors, round-trip laws and decode totality."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -231,6 +233,34 @@ def test_a_bad_field_beats_an_unread_byte(msg, fields, bad):
         m.decode(_framed(tag, spoilt + b"\x00"))
 
 
+def _records_in(msg):
+    """``msg`` and every record among its field values, nested ones too."""
+    yield msg
+    for field in dataclasses.fields(msg):
+        value = getattr(msg, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _records_in(value)
+
+
+@pytest.mark.parametrize("msg, fields, bad", _LAYOUTS)
+def test_message_records_are_slotted_and_still_frozen(msg, fields, bad):
+    # One record per uplink round is kept for the whole run: no __dict__.
+    for record in _records_in(msg):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    back = m.decode(m.encode(msg))
+    assert back == msg and hash(back) == hash(msg)
+
+
+def test_the_layouts_cover_every_record_type():
+    seen = {type(record) for param in _LAYOUTS
+            for record in _records_in(param.values[0])}
+    assert seen == {value for value in vars(m).values()
+                    if dataclasses.is_dataclass(value)}
+
+
 def test_encode_rejects_out_of_range_fields():
     with pytest.raises(ValueError):
         m.MacTaCommand(33)
@@ -271,6 +301,9 @@ def test_dci_format0_builder_matches_the_constructor(args):
     assert fast == built and hash(fast) == hash(built)
     assert repr(fast) == repr(built)
     assert m.encode(fast) == m.encode(built)
+    assert not hasattr(fast, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.mcs = built.mcs
 
 
 # --- helpers ----------------------------------------------------------------
