@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import sim
+from .fingerprint import FingerprintDb
 from .pipeline import (GROUP_CHOICES, STAGES, StageError, check_stages,
                        empirical_cdf, run_pipeline)
 
@@ -83,6 +84,12 @@ def cmd_run(scenario_path, out_dir, stages=STAGES, seed: Optional[int] = None,
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        if repeat > 1:
+            # Each run checks its seed before it writes; the seeds run up
+            # to this one, so a refused fan-out writes nothing at all.
+            last = scenario.seed + repeat - 1
+            dataclasses.replace(scenario, seed=last).validate(
+                FingerprintDb.default())
         for i in range(repeat):
             if repeat == 1:
                 run_dir, run = out_root, scenario

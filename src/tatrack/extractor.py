@@ -1,17 +1,20 @@
 """Identity-extraction state machine driven by decoded connection traffic.
 
-Watches one RRC connection at a time and decides when to inject an
-IdentityRequest over the legitimate downlink while suppressing the uplink
-grant that would carry the real response to the network.  Injection success
-is a threshold model over power margin and subframe alignment; whether a
-given phone answers the unauthenticated request at all is scenario data,
-not logic that lives here.
+Watches one RRC connection at a time. Each ``step`` makes the one decision
+the attack needs: which message, if any, to overshadow the next downlink
+with. That is an IdentityRequest, or a Service Reject that forces a
+re-attach when the run's ``EngagementPolicy`` says so. The simulator
+withholds the uplink grant that would carry the real response to the
+network. A machine in phase ``done`` holds the TMSI/IMSI pair it
+extracted. Injection success is a threshold model over power margin and
+subframe alignment; whether a given phone answers the unauthenticated
+request at all is scenario data, not logic that lives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .messages import (AttachRequest, IdentityRequest, IdentityResponse,
                        IdType, Message, RrcConnectionRequest,
@@ -30,36 +33,18 @@ POLICY_MODES = (MODE_ALL, MODE_UNKNOWN_ONLY)
 
 
 @dataclass(frozen=True)
-class Overshadow:
-    """Transmit `message` on top of the legitimate downlink."""
-
-    message: Message
-
-
-@dataclass(frozen=True)
-class SuppressUplinkGrant:
-    """Withhold the grant so the network never hears the response."""
-
-
-@dataclass(frozen=True)
-class RecordPair:
-    tmsi: int
-    imsi: str
-
-
-Action = Union[Overshadow, SuppressUplinkGrant, RecordPair]
-
-
-@dataclass(frozen=True)
 class EngagementPolicy:
     """Decides which connections are worth injecting into.
 
     `known_pairs` maps TMSI values to already-confirmed IMSIs; in
-    unknown_tmsi_only mode those connections are left alone.
+    unknown_tmsi_only mode those connections are left alone. With
+    `use_service_reject`, a Service Request is answered with a cause-9
+    Service Reject instead of an Identity Request, forcing a re-attach.
     """
 
     known_pairs: Mapping[int, str] = field(default_factory=dict)
     mode: str = MODE_ALL
+    use_service_reject: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
@@ -106,57 +91,45 @@ def _reset(state: ExtractorState, note: str) -> ExtractorState:
                           diagnostics=state.diagnostics + (note,))
 
 
-def step(state: ExtractorState, event: Message,
-         policy: EngagementPolicy, *, use_service_reject: bool = False,
-         ) -> tuple[ExtractorState, list[Action]]:
-    """Advance one connection's machine by one observed message.
-
-    With ``use_service_reject``, a Service Request is answered with a
-    cause-9 Service Reject instead of an Identity Request, forcing a
-    re-attach.
-    """
+def step(state: ExtractorState, event: Message, policy: EngagementPolicy,
+         ) -> tuple[ExtractorState, Optional[Message]]:
+    """Advance one connection's machine by one observed message; also
+    return the message to overshadow the next downlink with, if any."""
     if not isinstance(event, _FLOW_TYPES):
-        return state, []
+        return state, None
 
     if not isinstance(event, _EXPECTED[state.phase]):
         note = (f"out-of-order {type(event).__name__} "
                 f"in phase {state.phase}")
         state = _reset(state, note)
         if not isinstance(event, RrcConnectionRequest):
-            return state, []
+            return state, None
         # A fresh connection request restarts the flow cleanly.
 
     if isinstance(event, RrcConnectionRequest):
         return replace(state, phase=PHASE_CONN_REQUEST,
                        tmsi=event.tmsi.value,
-                       tmsi_is_random=event.is_random), []
+                       tmsi_is_random=event.is_random), None
 
     if isinstance(event, RrcConnectionSetup):
-        return replace(state, phase=PHASE_SETUP_SEEN), []
+        return replace(state, phase=PHASE_SETUP_SEEN), None
 
     if isinstance(event, (AttachRequest, ServiceRequest)):
         engage = policy.should_engage(state.tmsi, state.tmsi_is_random)
         if not engage or state.injected:
-            return replace(state, phase=PHASE_SETUP_SEEN), []
+            return replace(state, phase=PHASE_SETUP_SEEN), None
         trigger = "attach" if isinstance(event, AttachRequest) else "service"
-        if trigger == "service" and use_service_reject:
+        if trigger == "service" and policy.use_service_reject:
             # The reject tears the connection down; the re-attach arrives
             # as a brand-new flow, so this machine returns to idle.
-            actions: list[Action] = [
-                Overshadow(ServiceReject(CAUSE_ID_UNDERIVABLE)),
-                SuppressUplinkGrant(),
-            ]
-            return replace(_reset(state, "service rejected for re-attach"),
-                           injected=True, trigger=trigger), actions
-        actions = [Overshadow(IdentityRequest(IdType.IMSI)),
-                   SuppressUplinkGrant()]
-        return replace(state, phase=PHASE_INJECTED, injected=True,
-                       trigger=trigger), actions
+            return (replace(_reset(state, "service rejected for re-attach"),
+                            injected=True, trigger=trigger),
+                    ServiceReject(CAUSE_ID_UNDERIVABLE))
+        return (replace(state, phase=PHASE_INJECTED, injected=True,
+                        trigger=trigger), IdentityRequest(IdType.IMSI))
 
     assert isinstance(event, IdentityResponse)
-    imsi = event.imsi.digits
-    done = replace(state, phase=PHASE_DONE, imsi=imsi)
-    return done, [RecordPair(tmsi=state.tmsi, imsi=imsi)]
+    return replace(state, phase=PHASE_DONE, imsi=event.imsi.digits), None
 
 
 def overshadow_outcome(margin_db: float, alignment_error_ps: int) -> str:

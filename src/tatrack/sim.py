@@ -228,6 +228,7 @@ class Scenario:
                 raise _refusal(f"probes[{i}].id", "1-64 of [A-Za-z0-9._-] "
                                "and no other probe's id", probe.id)
             ids.add(probe.id)
+        models, owners = {}, {}  # model of each IMSI, IMSI of each TMSI
         for i, ue in enumerate(self.ues):
             where = f"ues[{i}]"
             if ue.model not in db.entries:
@@ -249,6 +250,15 @@ class Scenario:
                         codec(value)
                 except ValueError:
                     raise _refusal(f"{where}.{name}", rule, value) from None
+            # An IMSI names one phone, which entries may share (its attach
+            # and its service connections, say); a TMSI names one IMSI.
+            imsi, tmsi = _identity(ue, i)
+            if models.setdefault(imsi, ue.model) != ue.model:
+                raise _refusal(f"{where}.imsi", f"no other model's IMSI "
+                               f"({models[imsi]}), defaults included", imsi)
+            if owners.setdefault(tmsi, imsi) != imsi:
+                raise _refusal(f"{where}.tmsi", f"no other IMSI's TMSI "
+                               f"({owners[tmsi]}), defaults included", tmsi)
             for name in ("n_data_rounds", "ta_interval"):
                 if getattr(ue, name) < 0:
                     raise _refusal(f"{where}.{name}", ">= 0",
@@ -306,12 +316,26 @@ class SimResult:
     attacker_pairs: dict
 
 
+def _identity(ue: UeProfile, ue_index: int) -> tuple[str, int]:
+    """The phone's IMSI and TMSI: its own, or defaults from its index."""
+    imsi = ue.imsi or f"00101{ue_index:010d}"
+    tmsi = ue.tmsi if ue.tmsi is not None else 0xA0000000 + ue_index
+    return imsi, tmsi
+
+
 def _reconnect_interval(ue: UeProfile) -> int:
     return max(1, round(60_000.0 / ue.reconnect_rate))  # subframes
 
 
 def _connection_span(ue: UeProfile) -> int:
     return _ROUNDS_START + 4 * ue.n_data_rounds + 12
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """One Philox stream, keyed by two exact uint64 words: numpy reads a
+    list holding an int of 2**63 or more as float64, merging seeds."""
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _draws(seed: int, stream: int, draw):
@@ -321,7 +345,7 @@ def _draws(seed: int, stream: int, draw):
     first ``next`` makes the first draw, so a stream that is never read
     (a probe that hears no uplink, a run without faults) stays unread.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    rng = _rng(seed, stream)
     while True:
         yield from draw(rng, _DRAW_BLOCK).tolist()
 
@@ -385,10 +409,13 @@ class _Run:
              if sigma > 0 else None)
             for i, probe in enumerate(scenario.probes)
             if probe.hears_uplink())
-        self.rng_ue = [
-            np.random.Generator(
-                np.random.Philox(key=[seed, _STREAM_UE_BASE + i]))
-            for i in range(len(scenario.ues))]
+        self.rng_ue = [_rng(seed, _STREAM_UE_BASE + i)
+                       for i in range(len(scenario.ues))]
+        attack = scenario.attack
+        self.policy = ext.EngagementPolicy(
+            known_pairs=self.attacker_pairs, mode=attack.policy_mode,
+            use_service_reject=attack.use_service_reject,
+        ) if attack.enabled else None
 
     # -- one connection ------------------------------------------------------
 
@@ -396,8 +423,7 @@ class _Run:
                        start_sf: int) -> None:
         scn = self.scenario
         ue = scn.ues[ue_index]
-        imsi = ue.imsi or f"00101{ue_index:010d}"
-        tmsi = ue.tmsi if ue.tmsi is not None else 0xA0000000 + ue_index
+        imsi, tmsi = _identity(ue, ue_index)
         conn_id = f"c{ue_index}-{conn_index}"
 
         tx_extra = 0
@@ -501,21 +527,16 @@ class _Run:
             ta_timeline.append((rx_slot + 5,
                                 max(0, min(TA_MAX, current + adjust))))
 
-        attacker = None
-        policy = None
-        if scn.attack.enabled:
-            attacker = ext.ExtractorState(rnti=rnti.value)
-            policy = ext.EngagementPolicy(known_pairs=self.attacker_pairs,
-                                          mode=scn.attack.policy_mode)
+        attacker = (ext.ExtractorState(rnti=rnti.value)
+                    if self.policy is not None else None)
 
-        def attacker_sees(message) -> list:
+        def attacker_sees(message):
+            """The message to overshadow the next downlink with, if any."""
             nonlocal attacker
             if attacker is None:
-                return []
-            attacker, actions = ext.step(
-                attacker, message, policy,
-                use_service_reject=scn.attack.use_service_reject)
-            return actions
+                return None
+            attacker, inject = ext.step(attacker, message, self.policy)
+            return inject
 
         # Random access: RAR two subframes after the (unmodeled) preamble.
         [rb_msg3] = self.alloc.rbs(1)
@@ -538,19 +559,16 @@ class _Run:
         else:
             nas = ServiceRequest(Tmsi(tmsi))
         uplink(start_sf + 12, nas, rb_nas)
-        actions = attacker_sees(nas)
-
-        overshadow = next((action for action in actions
-                           if isinstance(action, ext.Overshadow)), None)
-        if overshadow is not None:
+        inject = attacker_sees(nas)
+        if inject is not None:
             inject_sf = start_sf + 14
             outcome = ext.overshadow_outcome(scn.attack.power_margin_db,
                                              scn.attack.alignment_error_ps)
             self.extraction.record(inject_sf * PS_PER_SUBFRAME, attacker,
                                    outcome)
             if outcome == "replaced":
-                downlink(inject_sf, overshadow.message)
-                if not isinstance(overshadow.message, IdentityRequest):
+                downlink(inject_sf, inject)
+                if not isinstance(inject, IdentityRequest):
                     # Service reject: the UE drops and will re-attach.
                     info.end_sf = start_sf + 16
                     return
@@ -562,15 +580,12 @@ class _Run:
                              dci_format0(rnti, _MSG3_OFFSET, rb_id, 5))
                     response = IdentityResponse(Imsi(imsi))
                     uplink(inject_sf + 4, response, rb_id)
-                    for action in attacker_sees(response):
-                        if isinstance(action, ext.RecordPair):
-                            self.attacker_pairs[action.tmsi] = action.imsi
-                            # The suppressed grant keeps this response from
-                            # the network; only the attacker and the
-                            # sniffer hear it.
-                            self.extraction.record(
-                                (inject_sf + 4) * PS_PER_SUBFRAME,
-                                attacker, "replaced")
+                    attacker_sees(response)  # the machine is now done
+                    self.attacker_pairs[attacker.tmsi] = attacker.imsi
+                    # The withheld grant keeps this response from the
+                    # network; only the attacker and the sniffer hear it.
+                    self.extraction.record((inject_sf + 4) * PS_PER_SUBFRAME,
+                                           attacker, "replaced")
 
         # Data rounds plus interleaved timing-advance maintenance.
         step = max(4, 4 * ((ue.ta_interval + 3) // 4))

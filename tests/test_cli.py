@@ -219,6 +219,16 @@ def test_repeat_fans_out_with_consecutive_seeds(tmp_path, capsys):
             != (out / "repeat_001" / "events_probe0.jsonl").read_bytes())
 
 
+def test_repeat_refuses_a_last_seed_out_of_range_before_writing(tmp_path,
+                                                                 capsys):
+    path = _write_scenario(tmp_path, _scenario())
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out),
+                 "--seed", str(2**64 - 1), "--repeat", "2"]) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     path = _write_scenario(tmp_path, _scenario())
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -6,8 +6,7 @@ import pytest
 
 from tatrack import pipeline as pl
 from tatrack.extractor import (EngagementPolicy, ExtractionLog,
-                               ExtractorState, Overshadow, RecordPair,
-                               SuppressUplinkGrant, overshadow_outcome, step)
+                               ExtractorState, overshadow_outcome, step)
 from tatrack.messages import (AttachRequest, CapabilityVector,
                               IdentityRequest, IdentityResponse, IdType, Imsi,
                               RrcConnectionRequest, RrcConnectionSetup,
@@ -19,30 +18,28 @@ IMSI = Imsi("001010000000017")
 CAPS = CapabilityVector(bytes(32))
 
 
-def _flow(*events, policy=None, state=None, use_service_reject=False):
+def _flow(*events, policy=None, state=None):
+    """The final state and every message the machine chose to inject."""
     policy = policy or EngagementPolicy()
     state = state or ExtractorState(rnti=0x4A)
-    actions = []
+    injected = []
     for event in events:
-        state, acts = step(state, event, policy,
-                           use_service_reject=use_service_reject)
-        actions.extend(acts)
-    return state, actions
+        state, inject = step(state, event, policy)
+        if inject is not None:
+            injected.append(inject)
+    return state, injected
 
 
 def test_attach_flow_extracts_pair():
-    state, actions = _flow(
+    state, injected = _flow(
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         AttachRequest(TMSI, CAPS),
         IdentityResponse(IMSI),
     )
-    assert actions == [
-        Overshadow(IdentityRequest(IdType.IMSI)),
-        SuppressUplinkGrant(),
-        RecordPair(tmsi=TMSI.value, imsi=IMSI.digits),
-    ]
+    assert injected == [IdentityRequest(IdType.IMSI)]
     assert state.phase == "done"
+    assert state.tmsi == TMSI.value
     assert state.imsi == IMSI.digits
     assert state.trigger == "attach"
 
@@ -50,40 +47,39 @@ def test_attach_flow_extracts_pair():
 def test_service_flow_without_response_records_nothing():
     # Some phones ignore an unauthenticated identity request after a
     # Service Request; the machine then simply never reaches done.
-    state, actions = _flow(
+    state, injected = _flow(
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         ServiceRequest(TMSI),
     )
-    assert actions == [Overshadow(IdentityRequest(IdType.IMSI)),
-                       SuppressUplinkGrant()]
+    assert injected == [IdentityRequest(IdType.IMSI)]
     assert state.phase == "identity_injected"
     assert state.trigger == "service"
-    assert not any(isinstance(a, RecordPair) for a in actions)
+    assert state.imsi is None
 
 
 def test_known_tmsi_not_engaged():
     policy = EngagementPolicy(known_pairs={TMSI.value: IMSI.digits},
                               mode="unknown_tmsi_only")
-    state, actions = _flow(
+    state, injected = _flow(
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         AttachRequest(TMSI, CAPS),
         policy=policy,
     )
-    assert actions == []
+    assert injected == []
 
 
 def test_random_fill_in_value_always_engaged():
     policy = EngagementPolicy(known_pairs={TMSI.value: IMSI.digits},
                               mode="unknown_tmsi_only")
-    _, actions = _flow(
+    _, injected = _flow(
         RrcConnectionRequest(TMSI, 0, is_random=True),
         RrcConnectionSetup(1),
         AttachRequest(TMSI, CAPS),
         policy=policy,
     )
-    assert Overshadow(IdentityRequest(IdType.IMSI)) in actions
+    assert injected == [IdentityRequest(IdType.IMSI)]
 
 
 def test_policy_rejects_unknown_mode():
@@ -100,7 +96,7 @@ def test_overshadow_threshold_model():
 
 
 def test_at_most_one_overshadow_per_connection():
-    state, actions = _flow(
+    state, injected = _flow(
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         AttachRequest(TMSI, CAPS),
@@ -109,21 +105,20 @@ def test_at_most_one_overshadow_per_connection():
         RrcConnectionSetup(1),
         AttachRequest(TMSI, CAPS),
     )
-    n_injections = sum(isinstance(a, Overshadow) for a in actions)
-    assert n_injections == 1
+    assert len(injected) == 1
     assert state.injected
 
 
 def test_out_of_order_resets_with_diagnostic():
-    state, actions = _flow(IdentityResponse(IMSI))
-    assert actions == []
+    state, injected = _flow(IdentityResponse(IMSI))
+    assert injected == []
     assert state.phase == "idle"
     assert state.diagnostics
     assert "out-of-order IdentityResponse" in state.diagnostics[0]
 
 
 def test_fresh_connection_request_restarts_after_reset():
-    state, actions = _flow(
+    state, _ = _flow(
         RrcConnectionRequest(TMSI, 0),
         AttachRequest(TMSI, CAPS),       # skipped Setup: reset
         RrcConnectionRequest(TMSI, 0),   # restart is accepted immediately
@@ -137,30 +132,31 @@ def test_non_flow_messages_ignored():
     from tatrack.messages import Ack, MacTaCommand
     state = ExtractorState(rnti=0x4A)
     policy = EngagementPolicy()
-    state, acts = step(state, Ack(0), policy)
-    assert acts == [] and state.phase == "idle"
-    state, acts = step(state, MacTaCommand(2), policy)
-    assert acts == [] and state.diagnostics == ()
+    state, inject = step(state, Ack(0), policy)
+    assert inject is None and state.phase == "idle"
+    state, inject = step(state, MacTaCommand(2), policy)
+    assert inject is None and state.diagnostics == ()
 
 
 def test_service_reject_alternative_trigger():
-    state, actions = _flow(
+    policy = EngagementPolicy(use_service_reject=True)
+    state, injected = _flow(
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         ServiceRequest(TMSI),
-        use_service_reject=True,
+        policy=policy,
     )
-    assert actions == [Overshadow(ServiceReject(9)), SuppressUplinkGrant()]
+    assert injected == [ServiceReject(9)]
     assert state.phase == "idle"  # connection torn down, UE will re-attach
 
     # Attach engagements are unaffected by the switch.
-    _, actions = _flow(
+    _, injected = _flow(
         RrcConnectionRequest(TMSI, 0),
         RrcConnectionSetup(1),
         AttachRequest(TMSI, CAPS),
-        use_service_reject=True,
+        policy=policy,
     )
-    assert actions[0] == Overshadow(IdentityRequest(IdType.IMSI))
+    assert injected == [IdentityRequest(IdType.IMSI)]
 
 
 def test_extraction_log_lines(tmp_path):

@@ -359,7 +359,8 @@ def _format_scenarios():
                       tmsi=0xA0000002, connection_type="service"),
            sim.UeProfile(model="Huawei P30", waypoints=waypoints,
                          reconnect_rate=10.0, n_data_rounds=400,
-                         ta_interval=32))
+                         ta_interval=32, imsi="001010000000003",
+                         tmsi=0xA0000003))
     probes = (sim.Probe(id="both", position=Position(0.0, 0.0)),
               sim.Probe(id="ul", position=Position(250.0, 0.0), role="ul"),
               sim.Probe(id="dl", position=Position(0.0, 250.0), role="dl"))
@@ -455,7 +456,8 @@ def test_each_message_is_encoded_once_per_write(tmp_path, monkeypatch):
     # Every sniffer that hears a message holds the same object, and the
     # event logs encode each object once, not once per sniffer.
     ues = (_static_ue(60.0, imsi="001010000000001", tmsi=0xA0000001),
-           _static_ue(45.0, model="iPhone 8", connection_type="service"))
+           _static_ue(45.0, model="iPhone 8", imsi="001010000000002",
+                      tmsi=0xA0000002, connection_type="service"))
     scn = _scenario(ues, probes=TRIANGLE_PROBES,
                     attack=sim.AttackConfig(enabled=True))
     ctx = pl.run_pipeline(scn, stages=("simulate",))
@@ -894,6 +896,63 @@ def test_benchmark_layouts_match_their_golden_digests(workload, golden):
     lines = _digest_tool().workload_digest_lines(workload, [0])
     assert {path: digest for digest, path in
             (line.split("  ") for line in lines)} == golden
+
+
+#: Digest of the attack's artifacts on the crowd layout at seed 0 under
+#: each non-default attack setting, recorded at 61bb5fd.
+GOLDEN_CROWD_ATTACK = {
+    "unknown_tmsi_only": {
+        "0/extracted_pairs.json":
+            "f51e81de4a1eece7a0a26e017f1a0c1d0f46698ef8515f38c2ef52022682bee6",
+        "0/extraction.jsonl":
+            "019f8a2ac23a7ab168b09d17b1aaa5e5e77e84dfae8b75abd736ab27e0c31fee",
+        "0/measurements_probe0.csv":
+            "1a4069223a46a27f2f278bfd515e564d9bff05424236512232ad3a3938b3d86d",
+        "0/measurements_probe1.csv":
+            "1f6135a12c7fc40f331750975fa676eea09c2bead0868f1aee61ac377fafddf9",
+        "0/measurements_probe2.csv":
+            "4dcc815de97f1a808ec3b944bc9ecf592a826464bd3017b103d6b0cc5cd92fe0",
+        "0/trackdb.jsonl":
+            "b1571a266e6ffc453a3bfeadc8fb78cd8634c83877ac410686062474370b32cc",
+    },
+    "use_service_reject": {
+        "0/extracted_pairs.json":
+            "dee0d351d62aaf91e1d8ca04c6017e555540eae2db4b34af95b488956a921a07",
+        "0/extraction.jsonl":
+            "00e254b45cc799edcead1fe1ca9b022098990403b31ccc7b8c1acba2bfd4535d",
+        "0/measurements_probe0.csv":
+            "e7f2a44c14cb3d5ad6a5264be6dad391aecbad8349a7e20e9b4c307f9419c811",
+        "0/measurements_probe1.csv":
+            "882fbcacc7ff069648594d695b22ee17858ff05cbe18ddd18807289826f2d08f",
+        "0/measurements_probe2.csv":
+            "630697c6b05af00c70610fe29e566ac5b37975ef46081654833439efa15fe670",
+        "0/trackdb.jsonl":
+            "8dc67da1e5978ee0fa65d6d4edf98cd7b3c8ec1df267ab4467bdb543e9cfb98b",
+    },
+}
+
+
+@pytest.mark.parametrize("setting, change", [
+    pytest.param("unknown_tmsi_only", {"policy_mode": "unknown_tmsi_only"},
+                 id="unknown_tmsi_only"),
+    pytest.param("use_service_reject", {"use_service_reject": True},
+                 id="use_service_reject"),
+])
+def test_attack_settings_match_their_golden_digests(setting, change,
+                                                    monkeypatch):
+    """The crowd layout at seed 0 with the attack set to leave known
+    TMSIs alone, or to answer Service Requests with a Service Reject:
+    what the extractor learns and how the tracker links it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench import workloads
+    scenario = sim.scenario_from_dict(workloads.crowd(0))
+    scenario = replace(scenario, attack=replace(scenario.attack, **change))
+    golden = GOLDEN_CROWD_ATTACK[setting]
+    digests = {path: digest for digest, path in
+               (line.split("  ")
+                for line in _digest_tool().digest_lines(scenario))}
+    assert {path: digests[path] for path in digests
+            if path in golden or path.startswith("0/measurements_")} == golden
 
 
 def test_codec_carries_exactly_what_the_simulator_sends():

@@ -100,10 +100,13 @@ def test_identical_seeds_give_identical_event_logs():
 
 
 def test_different_seeds_change_noisy_timing():
+    # Seeds of 2**63 and above too: each key holds the seed exactly.
     noisy = sim.NoiseModel(toa_sigma_ps=25_000, hw_bias=True)
-    a = sim.run(_scenario([_static_ue(250.0)], seed=5, noise=noisy))
-    b = sim.run(_scenario([_static_ue(250.0)], seed=6, noise=noisy))
-    assert _event_blob(a) != _event_blob(b)
+    for seed_a, seed_b in ((5, 6), (2**63, 2**63 + 1),
+                           (2**64 - 2, 2**64 - 1)):
+        a = sim.run(_scenario([_static_ue(250.0)], seed=seed_a, noise=noisy))
+        b = sim.run(_scenario([_static_ue(250.0)], seed=seed_b, noise=noisy))
+        assert _event_blob(a) != _event_blob(b), (seed_a, seed_b)
 
 
 def test_downlink_never_precedes_its_subframe_start():
@@ -547,6 +550,26 @@ def test_validate_refuses_a_rate_whose_interval_overflows():
     with pytest.raises(sim.ScenarioError,
                        match=re.escape("ues[0].reconnect_rate")):
         sim.run(_scenario([ue]))
+
+
+@pytest.mark.parametrize("first, second, field", [
+    ({"tmsi": 0xA0000001}, {"tmsi": 0xA0000001}, "ues[1].tmsi"),
+    ({"tmsi": 0xA0000001}, {}, "ues[1].tmsi"),  # the second's default
+    ({"imsi": "001010000000007"}, {"imsi": "001010000000007"},
+     "ues[1].imsi"),
+    ({}, {"imsi": "001010000000000"}, "ues[1].imsi"),  # the first's default
+], ids=["shared_tmsi", "tmsi_of_a_default", "shared_imsi",
+        "imsi_of_a_default"])
+def test_validate_refuses_two_phones_with_one_identity(first, second, field):
+    # Two phones, each its own model: the tracker and the attacker would
+    # link them as one.
+    scn = _scenario([_static_ue(60.0, **first),
+                     _static_ue(90.0, model="iPhone 8", **second)],
+                    attack=sim.AttackConfig(
+                        enabled=True, policy_mode="unknown_tmsi_only"))
+    with pytest.raises(sim.ScenarioError,
+                       match=re.escape(field) + " must be no other"):
+        sim.run(scn)
 
 
 def _third_ue(**kw):
