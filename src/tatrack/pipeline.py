@@ -38,6 +38,7 @@ import json
 import os
 import sys
 import traceback
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -53,7 +54,7 @@ from .messages import encode
 from .probe import ConnectionTable, Measurement, ProbeEvent
 from .timebase import m_to_ps, ps_to_m, quantize_ta
 from .tracker import (Connection, TracePoint, TrackDb, connection_stats,
-                      median_of_sorted, provisional_id, quantile_of_sorted)
+                      is_provisional, median_of_sorted, quantile_of_sorted)
 
 #: Every stage, in run order, with the stages it needs. Stage ``name`` is
 #: the function ``stage_<name>`` of this module.
@@ -183,7 +184,7 @@ def _phone(conn: Connection, db: TrackDb):
     connection is linked, else that TMSI. A provisional id is one
     connection's own."""
     stable = conn.stable_tmsi
-    if stable is None or conn.linked != provisional_id(conn.conn_id):
+    if stable is None or not is_provisional(conn.linked):
         return conn.linked
     return db.imsi_for(stable) or stable
 
@@ -296,9 +297,9 @@ def _classify_view(conn: Connection, db: FingerprintDb) -> None:
 def stage_stats(ctx: RunContext) -> None:
     # Phones can send in the same subframe: rows go by (probe, RNTI), t_n.
     rnti_of = {c.conn_id: c.rnti for c in ctx.result.connections}
-    truth: dict = {}
+    truth: dict = defaultdict(dict)
     for r in ctx.result.ground_truth:  # the last row for a t_n wins
-        truth.setdefault((r.probe_id, rnti_of[r.conn_id]), {})[r.t_n_ps] = r
+        truth[r.probe_id, rnti_of[r.conn_id]][r.t_n_ps] = r
     for conn in ctx.views:
         for probe_id, (record, stats) in conn.legs.items():
             if stats is None:

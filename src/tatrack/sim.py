@@ -9,13 +9,14 @@ by (scenario seed, stream id), so identical scenarios replay bit-exactly
 and per-entity streams stay independent.
 
 Each sniffer's stream is ordered by subframe, then downlink before
-uplink, then emission order. It is built in that order as the events are
-emitted, one list per subframe and carrier, with no global sort. Each
-event is one flat ``probe.ProbeEvent``. A connection emits all of its
-events, data rounds included, through one emitter per carrier: one for
-downlink and one for uplink, which also writes each measured burst's
-ground-truth row. Both read the phone's position through one cached
-waypoint piece.
+uplink, then emission order. Its events are kept in one list in emission
+order, each one's key (twice its subframe plus its carrier's rank) in a
+parallel int64 array, and one stable sort of the keys orders the list
+once every connection has run. Each event is one flat
+``probe.ProbeEvent``. A connection emits all of its events, data rounds
+included, through one emitter per carrier: one for downlink and one for
+uplink, which also writes each measured burst's ground-truth row. Both
+read the phone's position through one cached waypoint piece.
 
 The injected-identity attack, when enabled, is driven by the real
 state machine from the extractor module; its downlink transmissions are
@@ -43,10 +44,9 @@ import re
 import reprlib
 import sys
 import typing
+from array import array
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from math import hypot
 from operator import itemgetter
 from typing import Literal, NamedTuple, Optional
@@ -78,6 +78,10 @@ _STREAM_UE_BASE = 2_000
 
 #: Draws fetched from a random stream at a time.
 _DRAW_BLOCK = 4096
+
+#: Every frame number, so that an event shares its frame's int instead of
+#: boxing one of its own (CPython caches only the ints up to 256).
+_FRAMES = tuple(range(1024))
 
 _MSG3_OFFSET = 4  # subframes between a grant and the uplink it schedules
 _ROUNDS_START = 16  # first data-round DCI, relative to connection start
@@ -390,20 +394,23 @@ class _Run:
         self.attacker_pairs: dict = {}
         seed = scenario.seed
         self.faults = _fault_uniforms(seed)
-        # Each probe's events by 2 * subframe + carrier rank (downlink 0,
-        # uplink 1), every list in emission order.
-        self.streams = {probe.id: defaultdict(list)
+        # Each probe's events in emission order and, at the same index,
+        # each one's key: 2 * subframe + carrier rank (downlink 0, uplink 1).
+        self.streams = {probe.id: ([], array("q"))
                         for probe in scenario.probes}
-        # Fixed per run: (stream, eNodeB-to-probe delay) of each downlink
-        # listener and (id, stream, x, y, ToA noise) of each uplink one.
+        # Fixed per run: (event append, key append, eNodeB-to-probe delay)
+        # of each downlink listener and (id, event append, key append, x,
+        # y, ToA noise) of each uplink one.
         enb = scenario.enbs[0]
         sigma = scenario.noise.toa_sigma_ps
+        appends = {probe_id: (events.append, keys.append)
+                   for probe_id, (events, keys) in self.streams.items()}
         self.dl_probes = tuple(
-            (self.streams[probe.id],
+            (*appends[probe.id],
              m_to_ps(enb.position.distance_to(probe.position)))
             for probe in scenario.probes if probe.hears_downlink())
         self.ul_probes = tuple(
-            (probe.id, self.streams[probe.id], probe.position.x,
+            (probe.id, *appends[probe.id], probe.position.x,
              probe.position.y,
              _toa_noise(seed, _STREAM_PROBE_BASE + i, sigma)
              if sigma > 0 else None)
@@ -482,25 +489,27 @@ class _Run:
 
         def downlink(sf: int, message) -> None:
             t_n = sf * PS_PER_SUBFRAME
-            frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf
-            for stream, delay in dl_probes:
-                stream[key].append(new(ProbeEvent, (
-                    frame, subframe, t_n + delay, Carrier.DOWNLINK, message,
-                    None, rnti)))
+            frame, subframe, key = _FRAMES[(sf // 10) % 1024], sf % 10, 2 * sf
+            for add, add_key, delay in dl_probes:
+                add(new(ProbeEvent, (frame, subframe, t_n + delay,
+                                     Carrier.DOWNLINK, message, None, rnti)))
+                add_key(key)
 
         def uplink(sf: int, message, rb, rnti=None, measured=True) -> None:
             x, y, d = at(sf)
             ta = ta_at(sf)
             t_n = sf * PS_PER_SUBFRAME
             tx = t_n + d + tx_extra - TA_SPAN_PS[ta]  # ta is clamped
-            frame, subframe, key = (sf // 10) % 1024, sf % 10, 2 * sf + 1
-            for probe_id, stream, px, py, noise in ul_probes:
+            frame, subframe = _FRAMES[(sf // 10) % 1024], sf % 10
+            key = 2 * sf + 1
+            for probe_id, add, add_key, px, py, noise in ul_probes:
                 d_probe = m_to_ps(hypot(x - px, y - py))
                 rx = tx + d_probe
                 if noise is not None:
                     rx += next(noise)
-                stream[key].append(new(ProbeEvent, (
-                    frame, subframe, rx, Carrier.UPLINK, message, rb, rnti)))
+                add(new(ProbeEvent, (frame, subframe, rx, Carrier.UPLINK,
+                                     message, rb, rnti)))
+                add_key(key)
                 if measured:
                     ground_truth.append(new(GroundTruthRow, (
                         conn_id, ue_index, ue.model, imsi, probe_id, sf, t_n,
@@ -626,9 +635,13 @@ def run(scenario: Scenario, db: Optional[FingerprintDb] = None) -> SimResult:
     for start, ue_index, conn_index in schedule:
         runner.run_connection(ue_index, conn_index, start)
 
-    events = {probe_id: list(chain.from_iterable(map(stream.get,
-                                                     sorted(stream))))
-              for probe_id, stream in runner.streams.items()}
+    events = {}
+    for probe_id, (stream, keys) in runner.streams.items():
+        # Stable, so events of one subframe and carrier keep emission order.
+        # Reordered as an object array, which boxes no index ints.
+        order = np.argsort(np.frombuffer(keys, np.int64), kind="stable")
+        events[probe_id] = np.fromiter(stream, object,
+                                       len(stream))[order].tolist()
     return SimResult(scenario=scenario, events=events,
                      ground_truth=runner.ground_truth,
                      extraction=runner.extraction,

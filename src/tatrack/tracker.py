@@ -32,6 +32,7 @@ MIN_MEASUREMENTS = 10
 OUTLIER_IQR_FACTOR = 10.0
 
 _PROVISIONAL_NS = uuid.uuid5(uuid.NAMESPACE_URL, "tatrack/provisional")
+_PROVISIONAL_PREFIX = "anon-"
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,13 @@ class Connection:
 
 
 def provisional_id(conn_id: str) -> str:
-    return "anon-" + str(uuid.uuid5(_PROVISIONAL_NS, conn_id))
+    return _PROVISIONAL_PREFIX + str(uuid.uuid5(_PROVISIONAL_NS, conn_id))
+
+
+def is_provisional(linked: str) -> bool:
+    """Whether a connection linked to its own provisional id rather than
+    an IMSI, which is 15 decimal digits and so never takes the prefix."""
+    return linked.startswith(_PROVISIONAL_PREFIX)
 
 
 class TrackDb:
